@@ -33,10 +33,7 @@ from .bidding import (
     build_profile_backward,
     check_bpb,
     check_phi_lb,
-    eval_profile,
     expected_cost,
-    integral_upto,
-    tau,
     tighten,
     verify,
 )

@@ -27,11 +27,13 @@ consistency.  Both directions are used below.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ConvergenceError, bidding_tradeoff, conjugate_rate_bidding
+from .analysis import (ConvergenceError, DomainError, bidding_tradeoff,
+                       conjugate_rate_bidding)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -42,9 +44,6 @@ __all__ = [
     "apply_F",
     "build_profile",
     "build_profile_backward",
-    "eval_profile",
-    "integral_upto",
-    "tau",
     "expected_cost",
     "verify",
     "tighten",
@@ -170,14 +169,16 @@ def _apply_F_fast(left: np.ndarray, phi_cum: np.ndarray, rho: float,
     return _shifted_integrals(cum, tail_mass, phi_cum, grid) / rho
 
 
-def _iterate_to_fixed_point(start: np.ndarray, phi_cum: np.ndarray, rho: float,
-                            grid: GridSpec, tail_rate: float, tol: float,
-                            max_iter: int,
-                            kinks: tuple[int, ...] = ()) -> tuple[np.ndarray, int, float]:
-    """Drive the operator to its fixed point by damped-ratio extrapolation.
+def _iterate_to_fixed_point(step: Callable[..., tuple[np.ndarray, ...]],
+                            start: tuple[np.ndarray, ...], tol: float,
+                            max_iter: int) -> tuple[tuple[np.ndarray, ...], int, float]:
+    """Drive an operator to its fixed point by damped-ratio extrapolation.
 
-    Plain sweeps converge geometrically; once the per-sweep deltas show a
-    stable contraction ratio r, the remaining geometric tail
+    The iterate is a tuple of component arrays (one for the bidding
+    profile, (plus, minus) for the excursion pair) and ``step`` maps it to
+    the next sweep; the per-sweep delta is the sup-norm over all
+    components.  Plain sweeps converge geometrically; once the deltas show
+    a stable contraction ratio r, the remaining geometric tail
     diff * r/(1-r) is added in one jump and sweeping resumes.  Jumps move
     along the observed sweep direction only, which keeps the iterate inside
     the subspace the from-zero dynamics actually excites; the truncated
@@ -185,8 +186,8 @@ def _iterate_to_fixed_point(start: np.ndarray, phi_cum: np.ndarray, rho: float,
     artifact) that must not be touched, which rules out unconstrained
     residual minimizers like Anderson mixing here.
 
-    The returned left part carries a direct certificate: the sup-norm
-    residual |F(left) - left| of the final accepted iterate is <= ``tol``.
+    The returned components carry a direct certificate: the sup-norm
+    residual |F(x) - x| of the final accepted iterate is <= ``tol``.
     """
     x = start
     ratios: list[float] = []
@@ -194,12 +195,14 @@ def _iterate_to_fixed_point(start: np.ndarray, phi_cum: np.ndarray, rho: float,
     cooldown = 0
     delta = math.inf
     for it in range(1, max_iter + 1):
-        fx = _apply_F_fast(x, phi_cum, rho, grid, tail_rate, kinks)
-        diff = fx - x
-        delta = float(np.max(np.abs(diff)))
-        x = fx
+        fx = step(*x)
+        # The previous iterate is kept and the sweep difference recomputed
+        # at a jump: keeping the differences of every sweep alive instead
+        # measured several times the page faults per sweep on the pair.
+        delta =max(float(np.max(np.abs(new - old))) for new, old in zip(fx, x))
+        x, prev = fx, x
         if delta <= tol:
-            return np.maximum(x, 0.0), it, delta
+            return tuple(np.maximum(c, 0.0) for c in x), it, delta
         if prev_delta is not None and prev_delta > 0.0:
             ratios.append(delta / prev_delta)
         prev_delta = delta
@@ -208,7 +211,8 @@ def _iterate_to_fixed_point(start: np.ndarray, phi_cum: np.ndarray, rho: float,
             tail = ratios[-8:]
             r = sum(tail) / 8.0
             if 0.2 < r < 0.9999 and max(tail) - min(tail) < 1e-4 * (1.0 - r):
-                x = x + diff * (r / (1.0 - r))
+                x = tuple(c + (c - old) * (r / (1.0 - r))
+                          for c, old in zip(x, prev))
                 ratios.clear()
                 prev_delta = None
                 cooldown = 120
@@ -245,11 +249,10 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
                          right_pieces=right_pieces(s, chi), tail_rate=1.0)
         return BiddingProfile(s=s, rho=rho, chi=chi, g=g,
                               iterations=0, final_delta=0.0)
-    phi = phi_pieces(s, chi)
-    phi_cum = _piece_cumints(phi, grid)
-    left, iterations, delta = _iterate_to_fixed_point(
-        np.zeros(grid.m + 1), phi_cum, rho, grid, tail_rate, tol, max_iter,
-        kinks=kinks)
+    phi_cum = _piece_cumints(phi_pieces(s, chi), grid)
+    (left,), iterations, delta = _iterate_to_fixed_point(
+        lambda left: (_apply_F_fast(left, phi_cum, rho, grid, tail_rate, kinks),),
+        (np.zeros(grid.m + 1),), tol, max_iter)
     g = GridFunction(grid=grid, left_values=left,
                      right_pieces=right_pieces(s, chi), tail_rate=tail_rate,
                      kink_nodes=kinks)
@@ -309,25 +312,10 @@ def build_profile_backward(s: float, x_min: float = -10.0,
 # -- evaluation ----------------------------------------------------------
 
 
-def eval_profile(p: BiddingProfile, x) -> float | np.ndarray:
-    """G(x) with the left-limit convention at jump points."""
-    return p.g.value(x)
-
-
-def integral_upto(p: BiddingProfile, x: float) -> float:
-    """A(x) = integral of G over (-inf, x]."""
-    return p.g.integral_to(x)
-
-
-def tau(p: BiddingProfile, target: float) -> float:
-    """sup { t : G(t) < target }; the index reached by target ``target``."""
-    return p.g.tau(target)
-
-
 def expected_cost(p: BiddingProfile, target: float) -> float:
     """Expected total bid sum at target T: integral_{-inf}^{tau(T)+1} G."""
-    if target <= 0.0:
-        raise ValueError("target must be positive")
+    if not 0.0 < target < math.inf:
+        raise DomainError(f"target must be positive and finite, got {target!r}")
     return p.g.integral_to(p.g.tau(target) + 1.0)
 
 
@@ -367,38 +355,58 @@ def verify(p: BiddingProfile, tol_rel: float = 1e-4, tol_abs: float = 1e-4,
         resid = np.append(resid, r)
         rel = np.append(rel, r / (rho * gx + atol_floor / tol_rel))
 
-    max_resid = float(np.max(resid))
-    max_rel = float(np.max(rel))
+    gap = float(g.integral_to(1.0) - chi)
+    return _assemble_report(
+        (g,), resid, rel, gap, tight, tol_rel, tol_abs,
+        consistency="integral",
+        offset="offset: G must be < 1 left of 0 and >= 1 right of 0",
+        monotone="monotone: G must be non-decreasing and positive")
 
-    a1 = g.integral_to(1.0)
-    gap = float(a1 - chi)
 
+def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,
+                     rel: np.ndarray, gap: float, tight: float,
+                     tol_rel: float, tol_abs: float, *, consistency: str,
+                     offset: str, monotone: str,
+                     extra_failures: tuple[str, ...] = ()) -> VerificationReport:
+    """Structural checks and the report shared by both verifications.
+
+    The offset condition applies to ``components[0]`` (G, or G+ for the
+    excursion pair); every component must be monotone and non-negative, at
+    one tolerance scaled by the largest left value of any component.
+    ``consistency`` names the realized consistency quantity; ``offset`` and
+    ``monotone`` are the failure messages of the structural conditions, and
+    ``extra_failures`` are problem-specific failures listed after
+    consistency.
+    """
+    g = components[0]
     v = g.left_values
     offset_ok = bool(np.all(v[:-1] < 1.0) and v[-1] <= 1.0 + 1e-12
                      and g.right_value_at_zero() >= 1.0 - 1e-12)
-    scale = float(np.max(v)) if v.size else 1.0
-    monotone_ok = g.is_monotone(tol=1e-12 * max(1.0, scale)) \
-        and g.is_nonnegative()
+    scale = max(1.0, *(float(np.max(c.left_values)) for c in components))
+    monotone_ok = all(c.is_monotone(tol=1e-12 * scale) and c.is_nonnegative()
+                      for c in components)
+    max_rel = float(np.max(rel))
 
     failures = []
     if max_rel > tol_rel:
         failures.append(f"robustness: relative residual {max_rel:.3e} > {tol_rel}")
     if gap > tol_abs:
-        failures.append(f"consistency: integral exceeds chi by {gap:.3e}")
+        failures.append(f"consistency: {consistency} exceeds chi by {gap:.3e}")
+    failures.extend(extra_failures)
     if not offset_ok:
-        failures.append("offset: G must be < 1 left of 0 and >= 1 right of 0")
+        failures.append(offset)
     if not monotone_ok:
-        failures.append("monotone: G must be non-decreasing and positive")
+        failures.append(monotone)
 
     return VerificationReport(
-        max_robustness_residual=max_resid,
+        max_robustness_residual=float(np.max(resid)),
         max_relative_residual=max_rel,
         consistency_gap=gap,
         consistency_abs_gap=abs(gap),
         tightness_residual=tight,
         offset_ok=offset_ok,
         monotone_ok=monotone_ok,
-        tail_bound=g.tail_mass,
+        tail_bound=sum(c.tail_mass for c in components),
         grid_meta=(g.x_min, g.h),
         passed=not failures,
         failures=tuple(failures),
@@ -415,9 +423,10 @@ def tighten(g: GridFunction, rho: float, tol: float = DEFAULT_TOL,
     """
     phi = tuple(p for p in g.right_pieces if p.lo < 1.0)
     phi_cum = _piece_cumints(phi, g.grid)
-    left, _, _ = _iterate_to_fixed_point(
-        g.left_values.copy(), phi_cum, rho, g.grid, g.tail_rate, tol, max_iter,
-        kinks=g.kink_nodes)
+    (left,), _, _ = _iterate_to_fixed_point(
+        lambda left: (_apply_F_fast(left, phi_cum, rho, g.grid, g.tail_rate,
+                                    g.kink_nodes),),
+        (g.left_values,), tol, max_iter)
     return GridFunction(grid=g.grid, left_values=left,
                         right_pieces=g.right_pieces, tail_rate=g.tail_rate,
                         kink_nodes=g.kink_nodes)

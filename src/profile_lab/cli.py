@@ -9,7 +9,8 @@ profile verify     re-check a stored profile; exit 1 on failure
 profile simulate   Monte Carlo cost estimate for a stored profile
 figure             emit the data series behind the trade-off figures
 
-Exit codes: 0 success, 1 verification failure, 2 bad input.  All outputs
+Exit codes: 0 success, 1 verification failure, 2 bad input, 3 the solver
+did not converge (profile build raised ConvergenceError).  All outputs
 are deterministic given the arguments; reals are written as shortest
 round-trip decimals.  The environment variable PROFILE_LAB_DEFAULT_GRID
 ("x_min,h") overrides the default grid.
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bidding, excursion, simulate
-from .analysis import DomainError
+from .analysis import ConvergenceError, DomainError
 from .serialize import load_profile, save_profile
 
 
@@ -45,9 +46,10 @@ def _default_grid() -> tuple[float, float] | None:
 
 def _grid_for(args, s: float, problem: str) -> tuple[float, float]:
     env = _default_grid()
-    x_min, h = env if env else (-30.0, 1e-3)
+    x_min, h = env if env else (bidding.DEFAULT_X_MIN, bidding.DEFAULT_H)
     if env is None and problem == "bidding" and s < 0.1:
-        x_min = -30.0 / s  # keep the truncated tail mass negligible
+        # keep the truncated tail mass negligible
+        x_min = bidding.DEFAULT_X_MIN / s
     if args.x_min is not None:
         x_min = args.x_min
     if args.h is not None:
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--x-min", type=float, default=None)
     sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=float, default=bidding.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_profile_build)
 
@@ -281,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,9 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (ConvergenceError, conjugate_rate_linear, linear_tradeoff,
+from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
-from .bidding import VerificationReport, _piece_cumints
+from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_X_MIN,
+                      VerificationReport, _assemble_report,
+                      _iterate_to_fixed_point, _piece_cumints,
+                      _shifted_integrals)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -53,11 +56,6 @@ __all__ = [
     "strategy_cost_linear",
     "weighted_psi_integral",
 ]
-
-DEFAULT_X_MIN = -30.0
-DEFAULT_H = 1e-3
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
 
 
 @dataclass
@@ -159,44 +157,6 @@ def _apply_F_pair_fast(left_plus: np.ndarray, left_minus: np.ndarray,
     return new_plus, new_minus
 
 
-def _iterate_pair(psi_cum: np.ndarray, rho: float, grid: GridSpec,
-                  tail_rate: float, tol: float, max_iter: int,
-                  minus_kinks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Monotone-from-zero limit of the pair operator, with the same gated
-    geometric extrapolation as the scalar driver."""
-    P = np.zeros(grid.m + 1)
-    Q = np.zeros(grid.m + 1)
-    ratios: list[float] = []
-    prev_delta = None
-    cooldown = 0
-    delta = math.inf
-    for it in range(1, max_iter + 1):
-        new_P, new_Q = _apply_F_pair_fast(P, Q, psi_cum, rho, grid,
-                                          tail_rate, minus_kinks)
-        diff_P = new_P - P
-        diff_Q = new_Q - Q
-        delta = max(float(np.max(np.abs(diff_P))), float(np.max(np.abs(diff_Q))))
-        P, Q = new_P, new_Q
-        if delta <= tol:
-            return np.maximum(P, 0.0), np.maximum(Q, 0.0), it, delta
-        if prev_delta is not None and prev_delta > 0.0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
-        cooldown -= 1
-        if cooldown <= 0 and len(ratios) >= 8:
-            tail = ratios[-8:]
-            r = sum(tail) / 8.0
-            if 0.2 < r < 0.9999 and max(tail) - min(tail) < 1e-4 * (1.0 - r):
-                P = P + diff_P * (r / (1.0 - r))
-                Q = Q + diff_Q * (r / (1.0 - r))
-                ratios.clear()
-                prev_delta = None
-                cooldown = 120
-    raise ConvergenceError(
-        f"pair fixed-point iteration did not reach tol={tol} after "
-        f"{max_iter} sweeps (last sup-norm delta {delta:.3e})")
-
-
 def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
                             h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
@@ -229,8 +189,11 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
                                 g_plus=g_plus, g_minus=g_minus,
                                 iterations=0, final_delta=0.0)
     psi_cum = _piece_cumints(psi_pieces(s, K), grid)
-    left_plus, left_minus, iterations, delta = _iterate_pair(
-        psi_cum, rho, grid, tail_rate, tol, max_iter, minus_kinks)
+    zero = np.zeros(grid.m + 1)
+    (left_plus, left_minus), iterations, delta = _iterate_to_fixed_point(
+        lambda plus, minus: _apply_F_pair_fast(plus, minus, psi_cum, rho, grid,
+                                               tail_rate, minus_kinks),
+        (zero, zero), tol, max_iter)
     g_plus = GridFunction(grid=grid, left_values=left_plus,
                           right_pieces=plus_right_pieces(s, K),
                           tail_rate=tail_rate)
@@ -262,9 +225,9 @@ def strategy_cost_linear(p: ExcursionProfile, target: float) -> float:
     the negative side, with tau± the supremum of the strict sublevel set of
     the corresponding component.
     """
-    if target == 0.0:
-        raise ValueError("target must be nonzero")
     x = abs(target)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"target must be nonzero and finite, got {target!r}")
     if target > 0.0:
         return x + 2.0 * C_plus(p, p.g_plus.tau(x))
     return x + 2.0 * C_minus(p, p.g_minus.tau(x))
@@ -300,16 +263,13 @@ def weighted_psi_integral(s: float, psi: tuple[Piece, ...]) -> float:
 
 def _pair_residuals(p: ExcursionProfile) -> tuple[np.ndarray, np.ndarray]:
     """(C+ - rho G+, C- - rho G-) at every grid node x <= 0."""
-    grid = p.g_plus.grid
-    n, m = grid.steps_per_unit, grid.m
-    A_plus = p.g_plus.tail_mass + p.g_plus._cum
-    A_minus = p.g_minus.tail_mass + p.g_minus._cum
-    psi_cum = _piece_cumints(p.psi, grid)
-    idx = np.minimum(np.arange(m + 1) + n, m)
-    psi_part = np.zeros(m + 1)
-    psi_part[m - n + 1:] = psi_cum[1:]
-    r_plus = A_plus + A_minus - p.rho * p.g_plus.left_values
-    r_minus = A_plus[idx] + psi_part + A_minus - p.rho * p.g_minus.left_values
+    gp, gm = p.g_plus, p.g_minus
+    A_plus = gp.tail_mass + gp._cum
+    A_minus = gm.tail_mass + gm._cum
+    psi_cum = _piece_cumints(p.psi, gp.grid)
+    plus_shifted = _shifted_integrals(gp._cum, gp.tail_mass, psi_cum, gp.grid)
+    r_plus = A_plus + A_minus - p.rho * gp.left_values
+    r_minus = plus_shifted + A_minus - p.rho * gm.left_values
     return r_plus, r_minus
 
 
@@ -346,47 +306,20 @@ def verify_excursion(p: ExcursionProfile, tol_rel: float = 1e-4,
         rel = np.append(rel, (rp / (rho * gp + floor), rm / (rho * gm + floor)))
         minus_tight_right = max(minus_tight_right, abs(rm) / (rho * gm))
 
-    max_resid = float(np.max(resid))
-    max_rel = float(np.max(rel))
-
     c0 = C_plus(p, 0.0)
     gap = float(c0 - chi)
     psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
     boundary_resid = abs(c0 + psi_mass - rho * p.K * math.exp(-p.s))
 
-    vp = p.g_plus.left_values
-    offset_ok = bool(np.all(vp[:-1] < 1.0) and vp[-1] <= 1.0 + 1e-12
-                     and p.g_plus.right_value_at_zero() >= 1.0 - 1e-12)
-    scale = max(float(np.max(vp)), float(np.max(p.g_minus.left_values)), 1.0)
-    monotone_ok = (p.g_plus.is_monotone(tol=1e-12 * scale)
-                   and p.g_minus.is_monotone(tol=1e-12 * scale)
-                   and p.g_plus.is_nonnegative() and p.g_minus.is_nonnegative())
-
-    failures = []
-    if max_rel > tol_rel:
-        failures.append(f"robustness: relative residual {max_rel:.3e} > {tol_rel}")
-    if gap > tol_abs:
-        failures.append(f"consistency: C+(0) exceeds chi by {gap:.3e}")
+    extra = []
     if minus_tight_right > tol_rel:
-        failures.append(
+        extra.append(
             f"tightness: C- = rho G- fails on x > 0 ({minus_tight_right:.3e})")
     if boundary_resid > 1e-5:
-        failures.append(f"boundary identity residual {boundary_resid:.3e} > 1e-5")
-    if not offset_ok:
-        failures.append("plus-offset: G+ must be < 1 left of 0 and >= 1 right of 0")
-    if not monotone_ok:
-        failures.append("monotone: G+ and G- must be non-decreasing and positive")
-
-    return VerificationReport(
-        max_robustness_residual=max_resid,
-        max_relative_residual=max_rel,
-        consistency_gap=gap,
-        consistency_abs_gap=abs(gap),
-        tightness_residual=tight,
-        offset_ok=offset_ok,
-        monotone_ok=monotone_ok,
-        tail_bound=p.g_plus.tail_mass + p.g_minus.tail_mass,
-        grid_meta=(p.g_plus.x_min, p.g_plus.h),
-        passed=not failures,
-        failures=tuple(failures),
-    )
+        extra.append(f"boundary identity residual {boundary_resid:.3e} > 1e-5")
+    return _assemble_report(
+        (p.g_plus, p.g_minus), resid, rel, gap, tight, tol_rel, tol_abs,
+        consistency="C+(0)",
+        offset="plus-offset: G+ must be < 1 left of 0 and >= 1 right of 0",
+        monotone="monotone: G+ and G- must be non-decreasing and positive",
+        extra_failures=tuple(extra))

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from profile_lab import bidding as bd
-from profile_lab.analysis import ConvergenceError, bidding_tradeoff
+from profile_lab.analysis import (ConvergenceError, DomainError,
+                                  bidding_tradeoff)
 from profile_lab.bidding import (apply_F, build_profile,
                                  build_profile_backward, check_bpb,
-                                 check_phi_lb, eval_profile, expected_cost,
-                                 integral_upto, phi_pieces, right_pieces, tau,
-                                 tighten, verify)
+                                 check_phi_lb, expected_cost, phi_pieces,
+                                 right_pieces, tighten, verify)
+from profile_lab.excursion import build_excursion_profile
 from profile_lab.grids import GridFunction, Piece, make_grid
 
 # Profile values read off the published representative-profile figure; its
@@ -108,9 +109,11 @@ class TestBuildProfile:
                           p.g.tail_rate, kinks=p.g.kink_nodes)
             assert np.max(np.abs(out - p.g.left_values)) <= 10 * 1e-12
 
-    def test_nonconvergence_reports_delta(self):
+    @pytest.mark.parametrize("build", [build_profile, build_excursion_profile],
+                             ids=["bidding", "linsearch"])
+    def test_nonconvergence_reports_delta(self, build):
         with pytest.raises(ConvergenceError, match="sup-norm delta"):
-            build_profile(0.5, x_min=-30.0, h=1e-3, tol=1e-12, max_iter=3)
+            build(0.5, x_min=-30.0, h=1e-3, tol=1e-12, max_iter=3)
 
 
 class TestBackwardConstruction:
@@ -130,57 +133,56 @@ class TestBackwardConstruction:
 class TestEvaluation:
     def test_eval_jump_convention(self, bidding_profiles):
         p = bidding_profiles[0.5]
-        assert eval_profile(p, 0.0) == pytest.approx(0.393469, abs=5e-7)
-        assert eval_profile(p, 1e-9) == pytest.approx(1.0, rel=1e-12)
+        assert p.g.value(0.0) == pytest.approx(0.393469, abs=5e-7)
+        assert p.g.value(1e-9) == pytest.approx(1.0, rel=1e-12)
 
     def test_eval_no_jump_at_endpoint(self, bidding_profiles):
         p = bidding_profiles[1.0]
-        assert eval_profile(p, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert p.g.value(0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_tail_positive(self, bidding_profiles):
         p = bidding_profiles[0.5]
-        assert 0.0 < eval_profile(p, p.g.x_min - 5.0) < eval_profile(
-            p, p.g.x_min)
+        assert 0.0 < p.g.value(p.g.x_min - 5.0) < p.g.value(p.g.x_min)
 
     def test_integral_anchors(self, bidding_profiles):
         p = bidding_profiles[1.0]
-        assert integral_upto(p, 0.0) == pytest.approx(1.0, rel=1e-9)
+        assert p.g.integral_to(0.0) == pytest.approx(1.0, rel=1e-9)
         for s, p in bidding_profiles.items():
-            assert integral_upto(p, 1.0) == pytest.approx(p.chi, rel=1e-6)
+            assert p.g.integral_to(1.0) == pytest.approx(p.chi, rel=1e-6)
 
     def test_tail_robustness_bound(self, bidding_profiles):
         p = bidding_profiles[0.5]
-        assert integral_upto(p, p.g.x_min) <= p.rho * eval_profile(
-            p, p.g.x_min - 1.0) * (1 + 1e-6)
+        assert p.g.integral_to(p.g.x_min) <= p.rho * p.g.value(
+            p.g.x_min - 1.0) * (1 + 1e-6)
 
 
 class TestTau:
     def test_exponential_inverse(self, bidding_profiles):
         p = bidding_profiles[1.0]
-        assert tau(p, math.e ** 2) == pytest.approx(2.0, abs=1e-12)
+        assert p.g.tau(math.e ** 2) == pytest.approx(2.0, abs=1e-12)
 
     def test_unit_target(self, bidding_profiles):
         for p in bidding_profiles.values():
-            assert tau(p, 1.0) == pytest.approx(0.0, abs=1e-9)
+            assert p.g.tau(1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_right_piece_inverse(self, bidding_profiles):
         p = bidding_profiles[0.5]
-        assert tau(p, 1.5) == pytest.approx(1.0 + math.log(1.5) / 0.5,
-                                            rel=1e-12)
+        assert p.g.tau(1.5) == pytest.approx(1.0 + math.log(1.5) / 0.5,
+                                             rel=1e-12)
 
     def test_tau_upper_bound(self, bidding_profiles):
         for p in bidding_profiles.values():
             for T in np.geomspace(1e-3, 1e3, 60):
-                assert tau(p, float(T)) <= p.rho * T - 1.0 + p.g.h + 1e-9
+                assert p.g.tau(float(T)) <= p.rho * T - 1.0 + p.g.h + 1e-9
 
     def test_tau_is_strict_sublevel_supremum(self, bidding_profiles):
         # G(tau - eps) < T <= G just right of tau, at any target scale
         p = bidding_profiles[0.8]
         for T in np.geomspace(1e-4, 1e4, 80):
-            t = tau(p, float(T))
+            t = p.g.tau(float(T))
             eps = max(1e-9, 1e-9 * abs(t))
-            assert eval_profile(p, t - eps) < T
-            assert eval_profile(p, t + 10 * eps) >= T * (1 - 1e-9)
+            assert p.g.value(t - eps) < T
+            assert p.g.value(t + 10 * eps) >= T * (1 - 1e-9)
 
 
 class TestCost:
@@ -189,6 +191,12 @@ class TestCost:
         for T in np.geomspace(1e-2, 1e2, 50):
             assert expected_cost(p, float(T)) / T == pytest.approx(
                 math.e, abs=1e-9)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf,
+                                        -math.inf])
+    def test_rejects_bad_target(self, target, bidding_profiles):
+        with pytest.raises(DomainError):
+            expected_cost(bidding_profiles[0.5], target)
 
     def test_consistency_cost(self, bidding_profiles):
         for p in bidding_profiles.values():
@@ -365,7 +373,7 @@ def test_bpb_tail_term_vanishes(bidding_profiles):
     # so the consistency identity of check_bpb holds with equality
     for s in (0.3, 0.5, 0.8):
         p = bidding_profiles[s]
-        proxy = math.exp(-s * p.g.x_min) * integral_upto(p, p.g.x_min)
+        proxy = math.exp(-s * p.g.x_min) * p.g.integral_to(p.g.x_min)
         assert proxy <= 1e-6 * p.chi
 
 

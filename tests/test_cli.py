@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from profile_lab.analysis import rho_ls_star, s_star
+from profile_lab import excursion
+from profile_lab.analysis import ConvergenceError, rho_ls_star, s_star
 from profile_lab.cli import main
 
 
@@ -147,6 +148,16 @@ class TestProfileCommands:
         bad.write_text('{"problem": "mystery"}')
         code, _, err = run(capsys, "profile", "verify", str(bad))
         assert code == 2
+
+    def test_solver_failure_exit_3(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("did not reach tol")
+
+        monkeypatch.setattr(excursion, "build_excursion_profile", fail)
+        code, _, err = run(capsys, "profile", "build", "--problem", "linsearch",
+                           "--s", "1.25", "--out", str(tmp_path / "l.json"))
+        assert code == 3
+        assert err.startswith("error: ")
 
     def test_env_grid_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PROFILE_LAB_DEFAULT_GRID", "-25.0,0.002")

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from profile_lab.analysis import (linear_tradeoff, rho_ls_star, s_star,
-                                  solve_K, solve_sK)
+from profile_lab.analysis import (DomainError, linear_tradeoff, rho_ls_star,
+                                  s_star, solve_K, solve_sK)
 from profile_lab.excursion import (C_minus, C_plus, apply_F_pair,
                                    build_excursion_profile, psi_pieces,
                                    strategy_cost_linear, verify_excursion,
@@ -250,9 +250,10 @@ class TestStrategyCost:
             assert strategy_cost_linear(p, -t) / t == pytest.approx(
                 star, abs=1e-4)
 
-    def test_rejects_zero_target(self, excursion_profiles):
-        with pytest.raises(ValueError):
-            strategy_cost_linear(excursion_profiles[0.2], 0.0)
+    @pytest.mark.parametrize("target", [0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_target(self, target, excursion_profiles):
+        with pytest.raises(DomainError):
+            strategy_cost_linear(excursion_profiles[0.2], target)
 
 
 def test_asymptotic_overhead_near_zero():
