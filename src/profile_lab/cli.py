@@ -10,10 +10,11 @@ profile simulate   Monte Carlo cost estimate for a stored profile
 figure             emit the data series behind the trade-off figures
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 the solver
-did not converge (profile build raised ConvergenceError).  All outputs
-are deterministic given the arguments; reals are written as shortest
-round-trip decimals.  The environment variable PROFILE_LAB_DEFAULT_GRID
-("x_min,h") overrides the default grid.
+did not converge (profile build raised ConvergenceError), 4 the Monte
+Carlo simulation did not terminate (profile simulate).  All outputs are
+deterministic given the arguments; reals are written as shortest
+round-trip decimals.  profile build takes its grid defaults (--x-min,
+--h) from the library.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,123 +32,106 @@ from .analysis import ConvergenceError, DomainError
 from .serialize import load_profile, save_profile
 
 
-def _default_grid() -> tuple[float, float] | None:
-    raw = os.environ.get("PROFILE_LAB_DEFAULT_GRID")
-    if not raw:
-        return None
-    try:
-        x_min, h = (float(tok) for tok in raw.split(","))
-        return x_min, h
-    except ValueError as exc:
-        raise DomainError(
-            f"PROFILE_LAB_DEFAULT_GRID must be 'x_min,h', got {raw!r}") from exc
+def _points(args, name: str, lo: float, hi: float,
+            start: float | None = None) -> np.ndarray:
+    """Curve parameters: --NAME alone, or --steps points from --NAME-min to
+    --NAME-max, log-spaced with --log.
+
+    The range defaults to [lo, hi] and must lie within it, up to 1e-12.
+    With ``start`` it defaults to [start, hi], and its minimum may go below
+    ``start`` down to just above ``lo``.
+    """
+    if getattr(args, name) is not None:
+        return np.array([getattr(args, name)])
+    v_min = getattr(args, f"{name}_min")
+    v_max = getattr(args, f"{name}_max")
+    if v_min is None:
+        v_min = lo if start is None else start
+    if v_max is None:
+        v_max = hi
+    low_ok = lo - 1e-12 <= v_min if start is None else lo < v_min
+    if args.steps < 2 or not (low_ok and v_min < v_max <= hi + 1e-12):
+        raise DomainError(f"{name} range must lie within [{lo}, {hi}] "
+                          "with min < max and steps >= 2")
+    return (np.geomspace if args.log else np.linspace)(v_min, v_max,
+                                                       args.steps)
 
 
-def _grid_for(args, s: float, problem: str) -> tuple[float, float]:
-    env = _default_grid()
-    x_min, h = env if env else (bidding.DEFAULT_X_MIN, bidding.DEFAULT_H)
-    if env is None and problem == "bidding" and s < 0.1:
-        # keep the truncated tail mass negligible
-        x_min = bidding.DEFAULT_X_MIN / s
-    if args.x_min is not None:
-        x_min = args.x_min
-    if args.h is not None:
-        h = args.h
-    return x_min, h
+def _write_curve(path: str | Path | None, row, params,
+                 columns: dict[str, str] | None = None) -> None:
+    """Write ``row(p)`` for every parameter ``p`` as CSV, to ``path`` or stdout.
 
-
-def _srange(args, lo: float, hi: float) -> np.ndarray:
-    if args.s is not None:
-        return np.array([args.s])
-    s_min = args.s_min if args.s_min is not None else lo
-    s_max = args.s_max if args.s_max is not None else hi
-    steps = args.steps
-    if steps < 2 or not (lo - 1e-12 <= s_min < s_max <= hi + 1e-12):
-        raise DomainError(
-            f"range must satisfy {lo} <= min < max <= {hi} with steps >= 2")
-    if args.log:
-        return np.geomspace(s_min, s_max, steps)
-    return np.linspace(s_min, s_max, steps)
-
-
-def _write_rows(path: str | None, header: list[str],
-                rows: list[list[float]]) -> None:
+    ``columns`` maps each output header to a key of the row, in output
+    order; by default the row's own keys.  Every row is computed before the
+    output opens, so a domain error leaves no partial file.
+    """
+    rows = [row(float(p)) for p in params]
+    if columns is None:
+        columns = {key: key for key in rows[0]}
     out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+        writer.writerow(columns)
+        writer.writerows([repr(r[key]) for key in columns.values()]
+                         for r in rows)
     finally:
         if path:
             out.close()
 
 
+# One row function per curve: parameter -> {column: value}.
+
+def _bidding_row(s: float) -> dict[str, float]:
+    pt = analysis.bidding_tradeoff(s)
+    return {"s": pt.s, "rho": pt.rho, "chi": pt.chi}
+
+
+def _linear_row(s: float) -> dict[str, float]:
+    exc, strat = analysis.linear_tradeoff(s)
+    return {"s": exc.s, "rho_excursion": exc.rho, "chi_excursion": exc.chi,
+            "rho_ls": strat.rho, "chi_ls": strat.chi,
+            "K": analysis.solve_K(s)}
+
+
+def _lower_bound_row(t: float) -> dict[str, float]:
+    pt = analysis.linear_lower_bound(t)
+    return {"t": pt.t, "chi_ls": pt.chi_ls, "rho_ls_raw": pt.rho_ls_raw,
+            "rho_ls_clamped": pt.rho_ls}
+
+
 def cmd_tradeoff(args) -> int:
     if args.problem == "bidding":
-        ss = _srange(args, 0.035, 1.0)
-        rows = []
-        for s in ss:
-            pt = analysis.bidding_tradeoff(float(s))
-            rows.append([pt.s, pt.rho, pt.chi])
-        _write_rows(args.out, ["s", "rho", "chi"], rows)
+        _write_curve(args.out, _bidding_row, _points(args, "s", 0.035, 1.0))
     else:
-        ss = _srange(args, 0.0415, analysis.s_star())
-        rows = []
-        for s in ss:
-            exc, strat = analysis.linear_tradeoff(float(s))
-            rows.append([exc.s, exc.rho, exc.chi, strat.rho, strat.chi,
-                         analysis.solve_K(float(s))])
-        _write_rows(args.out, ["s", "rho_excursion", "chi_excursion",
-                               "rho_ls", "chi_ls", "K"], rows)
+        _write_curve(args.out, _linear_row,
+                     _points(args, "s", 0.0415, analysis.s_star()))
     return 0
 
 
 def cmd_lowerbound(args) -> int:
-    if args.t is not None:
-        ts = np.array([args.t])
-    else:
-        t_min = args.t_min if args.t_min is not None else 0.005
-        t_max = args.t_max if args.t_max is not None else 1.0
-        if not (0.0 < t_min < t_max <= 1.0) or args.steps < 2:
-            raise DomainError("t range must satisfy 0 < min < max <= 1 "
-                              "with steps >= 2")
-        ts = (np.geomspace(t_min, t_max, args.steps) if args.log
-              else np.linspace(t_min, t_max, args.steps))
-    rows = []
-    for t in ts:
-        pt = analysis.linear_lower_bound(float(t))
-        rows.append([pt.t, pt.chi_ls, pt.rho_ls_raw, pt.rho_ls])
-    _write_rows(args.out, ["t", "chi_ls", "rho_ls_raw", "rho_ls_clamped"],
-                rows)
+    _write_curve(args.out, _lower_bound_row,
+                 _points(args, "t", 0.0, 1.0, start=0.005))
     return 0
 
 
 def cmd_profile_build(args) -> int:
-    x_min, h = _grid_for(args, args.s, args.problem)
     if args.problem == "bidding":
-        p = bidding.build_profile(args.s, x_min=x_min, h=h, tol=args.tol)
+        build = bidding.build_profile
     else:
-        p = excursion.build_excursion_profile(args.s, x_min=x_min, h=h,
-                                              tol=args.tol)
+        build = excursion.build_excursion_profile
+    p = build(args.s, x_min=args.x_min, h=args.h, tol=args.tol)
     save_profile(p, args.out)
     print(f"wrote {args.problem} profile s={args.s} to {args.out} "
-          f"(x_min={x_min}, h={h}, sweeps={p.iterations}, "
+          f"(x_min={args.x_min}, h={args.h}, sweeps={p.iterations}, "
           f"final_delta={p.final_delta!r})")
     return 0
 
 
 def _print_report(rep) -> None:
-    print(f"passed={rep.passed}")
-    print(f"max_robustness_residual={rep.max_robustness_residual!r}")
-    print(f"max_relative_residual={rep.max_relative_residual!r}")
-    print(f"consistency_gap={rep.consistency_gap!r}")
-    print(f"tightness_residual={rep.tightness_residual!r}")
-    print(f"offset_ok={rep.offset_ok}")
-    print(f"monotone_ok={rep.monotone_ok}")
-    print(f"tail_bound={rep.tail_bound!r}")
-    print(f"grid_meta={rep.grid_meta!r}")
+    for name in ("passed", "max_robustness_residual", "max_relative_residual",
+                 "consistency_gap", "tightness_residual", "offset_ok",
+                 "monotone_ok", "tail_bound", "grid_meta"):
+        print(f"{name}={getattr(rep, name)!r}")
     for failure in rep.failures:
         print(f"failure: {failure}")
 
@@ -180,31 +163,21 @@ def cmd_figure(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "1a":
-        ss = np.geomspace(0.035, 1.0, args.steps)
-        rows = []
-        for s in ss:
-            pt = analysis.bidding_tradeoff(float(s))
-            rows.append([pt.s, pt.chi, pt.rho])
-        _write_rows(str(out_dir / "ours_upper.csv"), ["s", "chi", "rho"], rows)
-        _write_rows(str(out_dir / "competitive_point.csv"), ["chi", "rho"],
-                    [[math.e, math.e]])
+        _write_curve(out_dir / "ours_upper.csv", _bidding_row,
+                     np.geomspace(0.035, 1.0, args.steps),
+                     {"s": "s", "chi": "chi", "rho": "rho"})
+        point = math.e
     else:
-        ss = np.geomspace(0.0415, analysis.s_star(), args.steps)
-        rows = []
-        for s in ss:
-            _, strat = analysis.linear_tradeoff(float(s))
-            rows.append([strat.s, strat.chi, strat.rho])
-        _write_rows(str(out_dir / "ours_upper.csv"), ["s", "chi", "rho"], rows)
-        ts = np.geomspace(0.005, 1.0, args.steps)
-        rows = []
-        for t in ts:
-            pt = analysis.linear_lower_bound(float(t))
-            rows.append([pt.t, pt.chi_ls, pt.rho_ls, pt.rho_ls_raw])
-        _write_rows(str(out_dir / "lower_bound.csv"),
-                    ["t", "chi_ls", "rho_ls", "rho_ls_raw"], rows)
-        star = analysis.rho_ls_star()
-        _write_rows(str(out_dir / "competitive_point.csv"), ["chi", "rho"],
-                    [[star, star]])
+        _write_curve(out_dir / "ours_upper.csv", _linear_row,
+                     np.geomspace(0.0415, analysis.s_star(), args.steps),
+                     {"s": "s", "chi": "chi_ls", "rho": "rho_ls"})
+        _write_curve(out_dir / "lower_bound.csv", _lower_bound_row,
+                     np.geomspace(0.005, 1.0, args.steps),
+                     {"t": "t", "chi_ls": "chi_ls", "rho_ls": "rho_ls_clamped",
+                      "rho_ls_raw": "rho_ls_raw"})
+        point = analysis.rho_ls_star()
+    _write_curve(out_dir / "competitive_point.csv",
+                 lambda c: {"chi": c, "rho": c}, [point])
     print(f"wrote figure {args.which} series to {out_dir}")
     return 0
 
@@ -247,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--problem", choices=["bidding", "linsearch"],
                     required=True)
     sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--x-min", type=float, default=None)
-    sp.add_argument("--h", type=float, default=None)
+    sp.add_argument("--x-min", type=float, default=bidding.DEFAULT_X_MIN)
+    sp.add_argument("--h", type=float, default=bidding.DEFAULT_H)
     sp.add_argument("--tol", type=float, default=bidding.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_profile_build)
@@ -286,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -241,23 +241,8 @@ def weighted_psi_integral(s: float, psi: tuple[Piece, ...]) -> float:
     converged left parts.
     """
     two_s = 2.0 * s
-    total = 0.0
-    for piece in psi:
-        lo, hi = piece.lo, min(piece.hi, 1.0)
-        if hi <= lo:
-            continue
-        if piece.level != 0.0:
-            total += piece.level * (
-                math.exp(two_s) * (math.exp(-two_s * lo) - math.exp(-two_s * hi))
-                / two_s - (hi - lo))
-        for a, r, x0 in piece.terms:
-            if abs(r - two_s) < 1e-14:
-                total += a * math.exp(two_s - r * x0) * (hi - lo)
-            else:
-                total += a * math.exp(two_s - r * x0) * (
-                    math.exp((r - two_s) * hi) - math.exp((r - two_s) * lo)) \
-                    / (r - two_s)
-            total -= (a / r) * (math.exp(r * (hi - x0)) - math.exp(r * (lo - x0)))
+    total = sum(math.exp(two_s) * piece.weighted(two_s).integral(0.0, 1.0)
+                - piece.integral(0.0, 1.0) for piece in psi)
     return total / (1.0 + math.exp(s))
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import DomainError
+
 __all__ = ["Piece", "GridFunction", "make_grid", "GridSpec", "cumulative_integral"]
 
 
@@ -109,6 +111,22 @@ class Piece:
             total += (c / r) * (math.exp(r * (b - x0)) - math.exp(r * (a - x0)))
         return total
 
+    def weighted(self, w: float) -> "Piece":
+        """The piece e^{-w x} * self(x) on the same interval.
+
+        Products of rate 0 fold into ``level``, so :meth:`integral` never
+        divides by a zero rate.
+        """
+        level = 0.0
+        terms = []
+        for a, r, x0 in ((self.level, 0.0, 0.0),) + self.terms:
+            a, r = a * math.exp(-w * x0), r - w
+            if abs(r) < 1e-14:
+                level += a
+            else:
+                terms.append((a, r, x0))
+        return Piece(lo=self.lo, hi=self.hi, level=level, terms=tuple(terms))
+
     def crossing(self, target: float) -> float | None:
         """Smallest x in (lo, hi] with value(x) >= target, or None.
 
@@ -123,6 +141,8 @@ class Piece:
             hi = self.lo + 1.0
             while self.value(hi) < target:
                 hi = 2.0 * hi - self.lo + 1.0
+                if math.isinf(hi):
+                    return None  # bounded below the target
         elif self.value(hi) < target:
             return None
         if self.level == 0.0 and len(self.terms) == 1:
@@ -355,6 +375,7 @@ class GridFunction:
 
         Supremum semantics: a plateau at a value below ``target`` is included
         up to its right end; points where G equals ``target`` are excluded.
+        Raises DomainError when G stays below ``target`` everywhere.
         """
         if target <= 0.0:
             raise ValueError("tau requires a positive target")
@@ -383,24 +404,28 @@ class GridFunction:
                 if hi - lo <= 1e-16 * max(1.0, abs(hi)):
                     break
             return hi
-        x = 0.0
         for piece in self.right_pieces:
             c = piece.crossing(target)
             if c is not None:
                 return c
-            x = piece.hi
-        return x  # unreachable for profiles whose right part grows without bound
+        raise DomainError(f"the profile never reaches the target {target!r}")
 
     # -- invariants -------------------------------------------------------
 
-    def is_monotone(self, tol: float = 0.0) -> bool:
+    def is_monotone(self, tol: float = 0.0,
+                    junction_tol: float | None = None) -> bool:
+        """No drop larger than ``tol`` anywhere, except at the x = 0
+        junction of the grid and the right part, held to ``junction_tol``
+        (default ``tol``)."""
         if np.any(np.diff(self.left_values) < -tol):
             return False
         prev = float(self.left_values[-1])
+        drop_tol = tol if junction_tol is None else junction_tol
         for piece in self.right_pieces:
             lo_val = float(piece.value(np.nextafter(piece.lo, math.inf)))
-            if lo_val < prev - tol:
+            if lo_val < prev - drop_tol:
                 return False
+            drop_tol = tol
             hi = piece.hi if not math.isinf(piece.hi) else piece.lo + 50.0
             xs = np.linspace(piece.lo + 1e-12, hi, 257)
             vals = piece.value(xs)

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from profile_lab import excursion
+from profile_lab import excursion, simulate
 from profile_lab.analysis import ConvergenceError, rho_ls_star, s_star
+from profile_lab.bidding import DEFAULT_X_MIN
 from profile_lab.cli import main
 
 
@@ -49,6 +50,14 @@ class TestTradeoff:
                            "--s-min", "0.5", "--s-max", "0.1")
         assert code == 2
         assert "error" in err
+
+    def test_domain_error_writes_no_file(self, capsys, tmp_path):
+        out_file = tmp_path / "f.csv"
+        code, _, err = run(capsys, "tradeoff", "--problem", "bidding",
+                           "--s", "5", "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_file.exists()
 
 
 class TestLowerbound:
@@ -117,12 +126,15 @@ class TestProfileCommands:
         assert code == 1
 
     def test_linsearch_build_verify(self, capsys, tmp_path):
-        out_file = str(tmp_path / "l.json")
-        code, _, _ = run(capsys, "profile", "build", "--problem", "linsearch",
-                         "--s", "0.4", "--out", out_file)
-        assert code == 0
-        code, out, _ = run(capsys, "profile", "verify", out_file)
-        assert code == 0
+        # at h = 0.002 G-'s value at 0 overshoots K e^{-s} by ~2e-11
+        # (quadrature error), which verify must accept
+        for s, grid in (("0.4", []), ("0.6", ["--h", "0.002"])):
+            out_file = str(tmp_path / f"l{s}.json")
+            code, _, _ = run(capsys, "profile", "build", "--problem",
+                             "linsearch", "--s", s, "--out", out_file, *grid)
+            assert code == 0
+            code, out, _ = run(capsys, "profile", "verify", out_file)
+            assert code == 0, out
 
     def test_simulate_deterministic(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")
@@ -159,15 +171,54 @@ class TestProfileCommands:
         assert code == 3
         assert err.startswith("error: ")
 
-    def test_env_grid_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PROFILE_LAB_DEFAULT_GRID", "-25.0,0.002")
+    def test_simulate_failure_exit_4(self, capsys, tmp_path, monkeypatch):
+        out_file = str(tmp_path / "b.json")
+        run(capsys, "profile", "build", "--problem", "bidding",
+            "--s", "0.5", "--out", out_file)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("bidding simulation failed to terminate")
+
+        monkeypatch.setattr(simulate, "simulate_bidding", fail)
+        code, _, err = run(capsys, "profile", "simulate", out_file,
+                           "--target", "2.0", "--samples", "100")
+        assert code == 4
+        assert err.startswith("error: ")
+
+    def test_unreached_target_exit_2(self, capsys, tmp_path):
+        out_file = str(tmp_path / "b.json")
+        run(capsys, "profile", "build", "--problem", "bidding",
+            "--s", "0.5", "--out", out_file)
+        doc = json.loads(open(out_file).read())
+        # a right part that stays at 1 never reaches the target 2
+        doc["right_pieces"] = [{"lo": 0.0, "hi": None, "level": 1.0,
+                                "terms": []}]
+        with open(out_file, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "profile", "simulate", out_file,
+                           "--target", "2", "--samples", "100")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_grid_flags(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")
         code, out, _ = run(capsys, "profile", "build", "--problem", "bidding",
-                           "--s", "0.5", "--out", out_file)
+                           "--s", "0.5", "--out", out_file,
+                           "--x-min", "-25", "--h", "0.002")
         assert code == 0
         doc = json.loads(open(out_file).read())
         assert doc["x_min"] == -25.0
         assert doc["h"] == pytest.approx(0.002)
+
+    @pytest.mark.parametrize("s", ["0.01", "0.05"])
+    def test_small_s_uses_library_window(self, capsys, tmp_path, s):
+        out_file = str(tmp_path / "b.json")
+        code, out, _ = run(capsys, "profile", "build", "--problem", "bidding",
+                           "--s", s, "--out", out_file)
+        assert code == 0
+        assert json.loads(open(out_file).read())["x_min"] == DEFAULT_X_MIN
+        code, out, _ = run(capsys, "profile", "verify", out_file)
+        assert code == 0, out
 
 
 class TestFigure:
@@ -196,6 +247,32 @@ class TestFigure:
         t_last = [float(v) for v in lower[-1].split(",")]
         assert t_last[1] == pytest.approx(4.0)
         assert t_last[2] == pytest.approx(star, rel=1e-12)
+
+    def test_figure_1a_is_bidding_tradeoff(self, capsys, tmp_path):
+        run(capsys, "figure", "1a", "--steps", "40",
+            "--out-dir", str(tmp_path))
+        code, out, _ = run(capsys, "tradeoff", "--problem", "bidding",
+                           "--log", "--steps", "40")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        expect = "".join(f"{s},{chi},{rho}\r\n" for s, rho, chi in rows)
+        with open(tmp_path / "ours_upper.csv", newline="") as fh:
+            assert fh.read() == expect
+
+    def test_figure_1b_is_linsearch_tradeoff(self, capsys, tmp_path):
+        run(capsys, "figure", "1b", "--steps", "40",
+            "--out-dir", str(tmp_path))
+        code, out, _ = run(capsys, "tradeoff", "--problem", "linsearch",
+                           "--s-min", "0.0415", "--s-max", repr(s_star()),
+                           "--log", "--steps", "40")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["s", "rho_excursion", "chi_excursion", "rho_ls",
+                           "chi_ls", "K"]
+        expect = "s,chi,rho\r\n" + "".join(
+            f"{r[0]},{r[4]},{r[3]}\r\n" for r in rows[1:])
+        with open(tmp_path / "ours_upper.csv", newline="") as fh:
+            assert fh.read() == expect
 
     def test_lower_series_matches_lowerbound_cmd(self, capsys, tmp_path):
         run(capsys, "figure", "1b", "--steps", "40",

@@ -1,5 +1,6 @@
 """Excursion profile construction and verification for linear search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from profile_lab.excursion import (C_minus, C_plus, apply_F_pair,
                                    build_excursion_profile, psi_pieces,
                                    strategy_cost_linear, verify_excursion,
                                    weighted_psi_integral)
-from profile_lab.grids import make_grid
+from profile_lab.grids import GridFunction, make_grid
 
 S_K = solve_sK()
 S_STAR = s_star()
@@ -186,6 +187,22 @@ class TestVerify:
     def test_built_profiles_pass(self, s, excursion_profiles):
         rep = verify_excursion(excursion_profiles[s], tol_rel=1e-4)
         assert rep.passed, rep.failures
+
+    def test_raised_minus_value_at_zero_fails(self, excursion_profiles):
+        # the x = 0 junction is held to tol_rel: a G- left value at 0 that
+        # overshoots the right limit K e^{-s} by 1e-3 is not monotone
+        p = excursion_profiles[0.9]
+        gm = p.g_minus
+        left = gm.left_values.copy()
+        left[-1] *= 1.0 + 1e-3
+        raised = dataclasses.replace(
+            p, g_minus=GridFunction(grid=gm.grid, left_values=left,
+                                    right_pieces=gm.right_pieces,
+                                    tail_rate=gm.tail_rate,
+                                    kink_nodes=gm.kink_nodes))
+        rep = verify_excursion(raised, tol_rel=1e-4)
+        assert not rep.monotone_ok
+        assert any(f.startswith("monotone") for f in rep.failures)
 
     def test_boundary_identity(self, excursion_profiles):
         for s, p in excursion_profiles.items():

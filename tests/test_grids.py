@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profile_lab.analysis import DomainError
 from profile_lab.grids import (GridFunction, Piece, cumulative_integral,
                                make_grid)
 
@@ -93,6 +94,20 @@ class TestPiece:
         p = Piece.constant(1.0, 0.0, 2.0)
         assert p.crossing(1.5) is None
         assert p.crossing(0.5) == 0.0  # whole piece already above
+        assert Piece.constant(1.0, 0.0, math.inf).crossing(1.5) is None
+
+    @pytest.mark.parametrize("w", [0.5, 2.0])
+    def test_weighted_matches_quadrature(self, w):
+        # e^{-w x} times a constant, a term of rate w (folds into level)
+        # and a term of another rate
+        p = Piece(lo=0.2, hi=1.0, level=1.5,
+                  terms=((2.0, w, 1.0), (0.5, 0.3, 0.0)))
+        q = p.weighted(w)
+        assert all(r != 0.0 for _, r, _ in q.terms)
+        xs = np.linspace(0.2, 1.0, 20001)
+        ys = np.exp(-w * xs) * p.value(xs)
+        expect = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
+        assert q.integral(0.0, 1.0) == pytest.approx(expect, rel=1e-8)
 
 
 @pytest.fixture()
@@ -138,6 +153,15 @@ class TestGridFunction:
             tail_rate=1.0)
         assert g.tau(1.0) == pytest.approx(0.0, abs=1e-9)
         assert g.tau(1.0001) == pytest.approx(2.0 + math.log(1.0001), abs=1e-9)
+
+    def test_tau_rejects_unreached_target(self):
+        grid = make_grid(-5.0, 1e-2)
+        g = GridFunction(grid=grid, left_values=np.exp(grid.positions),
+                         right_pieces=(Piece.constant(1.0, 0.0, math.inf),),
+                         tail_rate=1.0)
+        assert g.tau(1.0) == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(DomainError):
+            g.tau(2.0)
 
     def test_monotonicity_probes(self, exp_grid_function):
         assert exp_grid_function.is_monotone()
