@@ -10,7 +10,6 @@ from .analysis import (
     ConvergenceError,
     DomainError,
     LowerBoundPoint,
-    Problem,
     TradeoffPoint,
     bidding_lb_chi,
     bidding_tradeoff,

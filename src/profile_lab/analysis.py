@@ -21,12 +21,10 @@ Linear search (s in (0, s_*], s_* = 1 + W0(1/e)), excursion-profile level:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 __all__ = [
-    "Problem",
     "TradeoffPoint",
     "LowerBoundPoint",
     "DomainError",
@@ -64,12 +62,6 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 
 
-class Problem(enum.Enum):
-    BIDDING = "bidding"
-    LINEAR_SEARCH_EXCURSION = "linsearch-excursion"
-    LINEAR_SEARCH_STRATEGY = "linsearch-strategy"
-
-
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One point on a robustness-consistency curve."""
@@ -77,7 +69,6 @@ class TradeoffPoint:
     s: float
     rho: float
     chi: float
-    problem: Problem
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,7 @@ def bidding_tradeoff(s: float) -> TradeoffPoint:
         chi = (math.exp(s) - 1.0) / s
     else:
         chi = solve_xi_bidding(s) / s
-    return TradeoffPoint(s=s, rho=rho, chi=chi, problem=Problem.BIDDING)
+    return TradeoffPoint(s=s, rho=rho, chi=chi)
 
 
 def bidding_lb_chi(s: float) -> float:
@@ -266,10 +257,8 @@ def linear_tradeoff(s: float) -> tuple[TradeoffPoint, TradeoffPoint]:
         K = solve_K(s)
         chi = (es * es + 1.0 + (1.0 + K) * math.log(K) - 2.0 * K - 2.0 * s) \
             / (2.0 * s * (1.0 + es))
-    excursion = TradeoffPoint(s=s, rho=rho, chi=chi,
-                              problem=Problem.LINEAR_SEARCH_EXCURSION)
-    strategy = TradeoffPoint(s=s, rho=1.0 + 2.0 * rho, chi=1.0 + 2.0 * chi,
-                             problem=Problem.LINEAR_SEARCH_STRATEGY)
+    excursion = TradeoffPoint(s=s, rho=rho, chi=chi)
+    strategy = TradeoffPoint(s=s, rho=1.0 + 2.0 * rho, chi=1.0 + 2.0 * chi)
     return excursion, strategy
 
 
@@ -324,6 +313,8 @@ def conjugate_rate_linear(s: float) -> float:
     rho = (1.0 + math.exp(s)) / (2.0 * s)
 
     def f(lam: float) -> float:
+        if 0.5 * lam > 709.0:  # e^{lam/2} overflows; it exceeds rho lam
+            return -math.inf
         return rho * lam - 1.0 - math.exp(0.5 * lam)
 
     lo = 2.0 * ss

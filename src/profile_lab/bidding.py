@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,6 +221,33 @@ def _iterate_to_fixed_point(step: Callable[..., tuple[np.ndarray, ...]],
         f"sweeps (last sup-norm delta {delta:.3e})")
 
 
+def _bidding_profile(s: float, grid: GridSpec, left) -> BiddingProfile:
+    """The bidding profile at ``s`` with left part ``left`` on ``grid``, the
+    one place where s fixes rho, chi, the right part, tail and kinks.
+
+    ``left`` is the grid values, or a solver ``left(rho, phi, tail_rate,
+    kinks) -> ((values,), iterations, final_delta)``.  At s = 1, where the
+    delayed equation is doubly resonant, the exact e^x (no kink, rate 1)
+    replaces the solver.
+    """
+    point = bidding_tradeoff(s)
+    if s == 1.0:
+        tail_rate, kinks = 1.0, ()
+        if callable(left):
+            left = lambda *_: ((np.exp(grid.positions),), 0, 0.0)
+    else:  # the right part jumps at 0, so G kinks at x = -1
+        tail_rate = conjugate_rate_bidding(s)
+        kinks = (grid.m - grid.steps_per_unit,)
+    (left,), iterations, final_delta = (
+        left(point.rho, phi_pieces(s, point.chi), tail_rate, kinks)
+        if callable(left) else ((left,), 0, math.nan))
+    g = GridFunction(grid=grid, left_values=left,
+                     right_pieces=right_pieces(s, point.chi),
+                     tail_rate=tail_rate, kink_nodes=kinks)
+    return BiddingProfile(s=s, rho=point.rho, chi=point.chi, g=g,
+                          iterations=iterations, final_delta=final_delta)
+
+
 def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
                   tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
@@ -234,30 +261,16 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     would feed a window-scale bias into the fixed point through the
     near-resonant mode.
     """
-    point = bidding_tradeoff(s)
-    rho, chi = point.rho, point.chi
     grid = make_grid(x_min, h)
-    tail_rate = conjugate_rate_bidding(s)
-    kinks = (grid.m - grid.steps_per_unit,)  # derivative jump at x = -1
-    if s == 1.0:
-        # Classical endpoint: G(x) = e^x is the exact profile, and the
-        # delayed equation is doubly resonant there (the iteration's
-        # contraction ratio degenerates), so the closed form is used
-        # directly; it also has no jump at 0, hence no kink.
-        left = np.exp(grid.positions)
-        g = GridFunction(grid=grid, left_values=left,
-                         right_pieces=right_pieces(s, chi), tail_rate=1.0)
-        return BiddingProfile(s=s, rho=rho, chi=chi, g=g,
-                              iterations=0, final_delta=0.0)
-    phi_cum = _piece_cumints(phi_pieces(s, chi), grid)
-    (left,), iterations, delta = _iterate_to_fixed_point(
-        lambda left: (_apply_F_fast(left, phi_cum, rho, grid, tail_rate, kinks),),
-        (np.zeros(grid.m + 1),), tol, max_iter)
-    g = GridFunction(grid=grid, left_values=left,
-                     right_pieces=right_pieces(s, chi), tail_rate=tail_rate,
-                     kink_nodes=kinks)
-    return BiddingProfile(s=s, rho=rho, chi=chi, g=g,
-                          iterations=iterations, final_delta=delta)
+
+    def sweep_from_zero(rho, phi, tail_rate, kinks):
+        phi_cum = _piece_cumints(phi, grid)
+        return _iterate_to_fixed_point(
+            lambda left: (_apply_F_fast(left, phi_cum, rho, grid, tail_rate,
+                                        kinks),),
+            (np.zeros(grid.m + 1),), tol, max_iter)
+
+    return _bidding_profile(s, grid, sweep_from_zero)
 
 
 def build_profile_backward(s: float, x_min: float = -10.0,
@@ -274,8 +287,7 @@ def build_profile_backward(s: float, x_min: float = -10.0,
     rho, chi = point.rho, point.chi
     grid = make_grid(x_min, h)
     n, m, hh = grid.steps_per_unit, grid.m, grid.h
-    phi = phi_pieces(s, chi)
-    phi_cum = _piece_cumints(phi, grid)
+    phi_cum = _piece_cumints(phi_pieces(s, chi), grid)
 
     val = np.empty(m + 1)
     val[m] = chi / rho
@@ -302,11 +314,7 @@ def build_profile_backward(s: float, x_min: float = -10.0,
                 f"backward recursion produced a negative value at x={bad:.6f}; "
                 "the grid is too coarse or the window too deep for this s")
         lo = new_lo
-    g = GridFunction(grid=grid, left_values=val,
-                     right_pieces=right_pieces(s, chi),
-                     tail_rate=conjugate_rate_bidding(s),
-                     kink_nodes=(grid.m - grid.steps_per_unit,))
-    return BiddingProfile(s=s, rho=rho, chi=chi, g=g)
+    return _bidding_profile(s, grid, val)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -431,9 +439,7 @@ def tighten(g: GridFunction, rho: float, tol: float = DEFAULT_TOL,
         lambda left: (_apply_F_fast(left, phi_cum, rho, g.grid, g.tail_rate,
                                     g.kink_nodes),),
         (g.left_values,), tol, max_iter)
-    return GridFunction(grid=g.grid, left_values=left,
-                        right_pieces=g.right_pieces, tail_rate=g.tail_rate,
-                        kink_nodes=g.kink_nodes)
+    return replace(g, left_values=left)
 
 
 def check_bpb(p: BiddingProfile) -> tuple[float, float]:

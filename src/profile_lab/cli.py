@@ -160,6 +160,8 @@ def cmd_profile_simulate(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    if args.steps < 2:
+        raise DomainError(f"figure needs --steps >= 2, got {args.steps}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "1a":
@@ -253,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError, OSError, KeyError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -46,8 +46,6 @@ from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 __all__ = [
     "ExcursionProfile",
     "psi_pieces",
-    "plus_right_pieces",
-    "minus_right_pieces",
     "apply_F_pair",
     "build_excursion_profile",
     "C_plus",
@@ -98,27 +96,6 @@ def psi_pieces(s: float, K: float) -> tuple[Piece, ...]:
             Piece.exponential(M, 2.0 * s, 1.0, xk, 1.0))
 
 
-def plus_right_pieces(s: float, K: float) -> tuple[Piece, ...]:
-    """Full right part of G+ on (0, inf)."""
-    M = max(1.0, K)
-    return psi_pieces(s, K) + (
-        Piece.exponential(M, 2.0 * s, 1.0, 1.0, math.inf),)
-
-
-def minus_right_pieces(s: float, K: float, rho: float) -> tuple[Piece, ...]:
-    """Right part of G- on (0, inf): M e^{-s} e^{2sx} + (K-M) e^{-s} e^{x/rho}.
-
-    The second term is a negative correction only when K < 1; the sum stays
-    positive and non-decreasing because 1/rho < 2s, and its value at 0+ is
-    K e^{-s}.
-    """
-    M = max(1.0, K)
-    terms = [(M * math.exp(-s), 2.0 * s, 0.0)]
-    if K != M:
-        terms.append(((K - M) * math.exp(-s), 1.0 / rho, 0.0))
-    return (Piece(lo=0.0, hi=math.inf, level=0.0, terms=tuple(terms)),)
-
-
 def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
                  psi: tuple[Piece, ...], rho: float, grid: GridSpec,
                  tail_rate: float,
@@ -157,6 +134,46 @@ def _apply_F_pair_fast(left_plus: np.ndarray, left_minus: np.ndarray,
     return new_plus, new_minus
 
 
+def _excursion_profile(s: float, grid: GridSpec, left) -> ExcursionProfile:
+    """The excursion profile at ``s`` with left parts ``left`` on ``grid``,
+    the one place where s fixes rho, chi, K, M, right parts, tail and kinks.
+
+    ``left`` is the pair ``(left_plus, left_minus)``, or a solver ``left(rho,
+    psi, tail_rate, minus_kinks) -> ((left_plus, left_minus), iterations,
+    final_delta)``.  At s = s_* (K reaches e^{2s}), where the pair equation is
+    doubly resonant, the exact pair G+ = e^{2s x}, G- = e^s G+ replaces it.
+    """
+    exc, _ = linear_tradeoff(s)
+    K = solve_K(s)
+    M = max(1.0, K)
+    if K >= math.exp(2.0 * s) * (1.0 - 1e-12):
+        tail_rate, minus_kinks = 2.0 * s, ()
+        if callable(left):
+            plus = np.exp(2.0 * s * grid.positions)
+            left = lambda *_: ((plus, math.exp(s) * plus), 0, 0.0)
+    else:
+        tail_rate = conjugate_rate_linear(s)
+        minus_kinks = (grid.m - grid.steps_per_unit,)  # G- kinks at x = -1
+    (left_plus, left_minus), iterations, final_delta = (
+        left(exc.rho, psi_pieces(s, K), tail_rate, minus_kinks)
+        if callable(left) else (left, 0, math.nan))
+    # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
+    # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
+    minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (
+        (((K - M) * math.exp(-s), 1.0 / exc.rho, 0.0),) if K != M else ())
+    g_plus = GridFunction(grid=grid, left_values=left_plus,
+                          right_pieces=psi_pieces(s, K) + (Piece.exponential(
+                              M, 2.0 * s, 1.0, 1.0, math.inf),),
+                          tail_rate=tail_rate)
+    g_minus = GridFunction(grid=grid, left_values=left_minus,
+                           right_pieces=(Piece(lo=0.0, hi=math.inf,
+                                               terms=minus_terms),),
+                           tail_rate=tail_rate, kink_nodes=minus_kinks)
+    return ExcursionProfile(s=s, rho=exc.rho, chi=exc.chi, K=K, M=M,
+                            g_plus=g_plus, g_minus=g_minus,
+                            iterations=iterations, final_delta=final_delta)
+
+
 def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
                             h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
@@ -164,45 +181,20 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
 
     Right parts are the closed forms with K = K(s); left parts are the
     minimal tight extension (monotone-from-zero limit of the pair
-    operator).  At the endpoint s = s_* the profile is the classical
-    exponential pair G+ = e^{2s x}, G- = e^s G+, which is used directly:
-    the pair equation is doubly resonant there and the profile is exact.
+    operator).  At the endpoint s = s_* the profile is the exact
+    exponential pair.
     """
-    exc, _ = linear_tradeoff(s)
-    rho, chi = exc.rho, exc.chi
-    K = solve_K(s)
-    M = max(1.0, K)
     grid = make_grid(x_min, h)
-    tail_rate = conjugate_rate_linear(s)
-    minus_kinks = (grid.m - grid.steps_per_unit,)  # G- kinks at x = -1
-    if K >= math.exp(2.0 * s) * (1.0 - 1e-12):
-        # endpoint: exact exponential pair, no plateau, no kink
-        left_plus = np.exp(2.0 * s * grid.positions)
-        left_minus = math.exp(s) * left_plus
-        g_plus = GridFunction(grid=grid, left_values=left_plus,
-                              right_pieces=plus_right_pieces(s, K),
-                              tail_rate=2.0 * s)
-        g_minus = GridFunction(grid=grid, left_values=left_minus,
-                               right_pieces=minus_right_pieces(s, K, rho),
-                               tail_rate=2.0 * s)
-        return ExcursionProfile(s=s, rho=rho, chi=chi, K=K, M=M,
-                                g_plus=g_plus, g_minus=g_minus,
-                                iterations=0, final_delta=0.0)
-    psi_cum = _piece_cumints(psi_pieces(s, K), grid)
-    zero = np.zeros(grid.m + 1)
-    (left_plus, left_minus), iterations, delta = _iterate_to_fixed_point(
-        lambda plus, minus: _apply_F_pair_fast(plus, minus, psi_cum, rho, grid,
-                                               tail_rate, minus_kinks),
-        (zero, zero), tol, max_iter)
-    g_plus = GridFunction(grid=grid, left_values=left_plus,
-                          right_pieces=plus_right_pieces(s, K),
-                          tail_rate=tail_rate)
-    g_minus = GridFunction(grid=grid, left_values=left_minus,
-                           right_pieces=minus_right_pieces(s, K, rho),
-                           tail_rate=tail_rate, kink_nodes=minus_kinks)
-    return ExcursionProfile(s=s, rho=rho, chi=chi, K=K, M=M,
-                            g_plus=g_plus, g_minus=g_minus,
-                            iterations=iterations, final_delta=delta)
+
+    def sweep_from_zero(rho, psi, tail_rate, minus_kinks):
+        psi_cum = _piece_cumints(psi, grid)
+        return _iterate_to_fixed_point(
+            lambda plus, minus: _apply_F_pair_fast(plus, minus, psi_cum, rho,
+                                                   grid, tail_rate,
+                                                   minus_kinks),
+            (np.zeros(grid.m + 1),) * 2, tol, max_iter)
+
+    return _excursion_profile(s, grid, sweep_from_zero)
 
 
 # -- cumulative search costs ----------------------------------------------

@@ -2,8 +2,8 @@
 
 A :class:`GridFunction` stores a profile G in three zones:
 
-* an analytic exponential tail ``coeff * exp(rate * (x - x_min))`` on
-  ``(-inf, x_min]``,
+* an analytic exponential tail ``G(x_min) * exp(rate * (x - x_min))`` on
+  ``(-inf, x_min]``, which continues the grid zone from its first value,
 * sampled values on a uniform grid over ``[x_min, 0]``, interpreted as the
   piecewise-linear interpolant (the stored value at 0 is the left limit
   G(0)),
@@ -175,8 +175,10 @@ class GridSpec:
 
 
 def make_grid(x_min: float, h: float) -> GridSpec:
-    if h <= 0 or x_min >= 0:
-        raise ValueError(f"need h > 0 and x_min < 0, got h={h}, x_min={x_min}")
+    if not (h > 0 and x_min < 0 and math.isfinite(x_min / h)
+            and math.isfinite(1.0 / h)):
+        raise ValueError(f"need h > 0 and x_min < 0 with finitely many steps, "
+                         f"got h={h}, x_min={x_min}")
     n = round(1.0 / h)
     if n < 8:
         raise ValueError(f"grid step {h} too coarse: fewer than 8 steps per unit")
@@ -191,6 +193,8 @@ def make_grid(x_min: float, h: float) -> GridSpec:
 class GridFunction:
     """A non-decreasing profile on the real line; immutable after creation.
 
+    Below the window the tail ``tail_coeff * exp(tail_rate * (x - x_min))``
+    continues the grid: ``tail_coeff`` is the first grid value.
     ``kink_nodes`` lists grid indices where the stored function has a
     derivative jump (profiles built from the delayed integral equation kink
     at x = -1 when the right part jumps at 0); integrals split the
@@ -204,7 +208,6 @@ class GridFunction:
     left_values: np.ndarray
     right_pieces: tuple[Piece, ...]
     tail_rate: float
-    tail_coeff: float | None = None  # defaults to left_values[0]
     kink_nodes: tuple[int, ...] = ()
 
     _cum: np.ndarray = field(init=False, repr=False)
@@ -215,8 +218,6 @@ class GridFunction:
         self.left_values = np.asarray(self.left_values, dtype=float)
         if self.left_values.shape != (self.grid.m + 1,):
             raise ValueError("left_values length does not match the grid")
-        if self.tail_coeff is None:
-            self.tail_coeff = float(self.left_values[0])
         # corrected cumulative integral over the grid zone,
         # _cum[i] = int_{x_min}^{x_i}
         self._cum = cumulative_integral(self.left_values, self.grid.h,
@@ -277,14 +278,14 @@ class GridFunction:
         return self.grid.h
 
     @property
+    def tail_coeff(self) -> float:
+        """The tail's value at x_min: the first grid value."""
+        return float(self.left_values[0])
+
+    @property
     def tail_mass(self) -> float:
         """Closed-form mass below x_min: coeff / rate."""
-        if self.tail_coeff == 0.0:
-            return 0.0
         return self.tail_coeff / self.tail_rate
-
-    def tail_value(self, x):
-        return self.tail_coeff * np.exp(self.tail_rate * (np.asarray(x, float) - self.x_min))
 
     def right_value_at_zero(self) -> float:
         """Right limit G(0+), from the first analytic piece."""
@@ -333,7 +334,8 @@ class GridFunction:
         tail = xa <= self.x_min
         mid = (xa > self.x_min) & (xa <= 0.0)
         if tail.any():
-            out[tail] = self.tail_value(xa[tail])
+            out[tail] = self.tail_coeff * np.exp(
+                self.tail_rate * (xa[tail] - self.x_min))
         if mid.any():
             out[mid] = self._hermite(xa[mid])
         rest = xa > 0.0
@@ -351,8 +353,6 @@ class GridFunction:
     def integral_to(self, x: float) -> float:
         """A(x) = integral of G over (-inf, x]; exact for the stored model."""
         if x <= self.x_min:
-            if self.tail_coeff == 0.0:
-                return 0.0
             return float(self.tail_mass * math.exp(self.tail_rate * (x - self.x_min)))
         total = self.tail_mass
         if x <= 0.0:
@@ -380,17 +380,11 @@ class GridFunction:
         if target <= 0.0:
             raise ValueError("tau requires a positive target")
         v = self.left_values
-        if target <= self.tail_coeff or (self.tail_coeff == 0.0 and target <= v[0]):
-            if self.tail_coeff == 0.0 or target <= 0.0:
-                return -math.inf
-            return self.x_min + math.log(target / self.tail_coeff) / self.tail_rate
+        if target <= v[0]:
+            return self.x_min + math.log(target / v[0]) / self.tail_rate
         if target <= v[-1]:
+            # v[i-1] < target <= v[i] with i >= 1: a crossing in (i-1, i]
             i = int(np.searchsorted(v, target, side="left"))
-            if i == 0:
-                # a stored tail below the first grid value: the whole grid
-                # already sits at or above the target
-                return self.x_min
-            # v[i-1] < target <= v[i]; crossing inside cell (i-1, i]
             lo = self.grid.positions[i - 1]
             hi = self.grid.positions[i]
             if v[i] == v[i - 1]:
@@ -436,8 +430,8 @@ class GridFunction:
 
     def is_nonnegative(self) -> bool:
         """No negative values anywhere; underflowed-to-zero tails allowed."""
-        return bool(np.all(self.left_values >= 0.0)) and self.tail_coeff >= 0.0 \
+        return bool(np.all(self.left_values >= 0.0)) \
             and float(self.left_values[-1]) > 0.0
 
     def is_strictly_positive(self) -> bool:
-        return bool(np.all(self.left_values > 0.0)) and self.tail_coeff > 0.0
+        return bool(np.all(self.left_values > 0.0))

@@ -3,7 +3,9 @@
 Profiles are stored as a self-describing JSON document.  All reals are
 emitted as shortest round-trip decimals (Python's float repr), so a
 save/load cycle reproduces every stored value bit-exactly.  Unbounded piece
-ends are encoded as null.
+ends are encoded as null.  Loading rebuilds the profile from its problem,
+s, grid and left values alone, and rejects (``ValueError``) a document that
+is malformed, non-finite, or not exactly what that profile saves.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from .bidding import BiddingProfile
-from .excursion import ExcursionProfile
-from .grids import GridFunction, Piece, make_grid
+from .bidding import BiddingProfile, _bidding_profile
+from .excursion import ExcursionProfile, _excursion_profile
+from .grids import GridFunction, GridSpec, Piece, make_grid
 
 __all__ = ["profile_to_dict", "profile_from_dict", "save_profile",
            "load_profile"]
@@ -31,64 +33,83 @@ def _piece_to_dict(p: Piece) -> dict[str, Any]:
     }
 
 
-def _piece_from_dict(d: dict[str, Any]) -> Piece:
-    return Piece(lo=d["lo"], hi=math.inf if d["hi"] is None else d["hi"],
-                 level=d["level"],
-                 terms=tuple(tuple(t) for t in d["terms"]))
-
-
-def _grid_function_to_dict(g: GridFunction) -> dict[str, Any]:
+def _grid_function_to_dict(g: GridFunction, left: bool) -> dict[str, Any]:
     return {
-        "left_values": [float(v) for v in g.left_values],
+        **({"left_values": g.left_values.tolist()} if left else {}),
         "right_pieces": [_piece_to_dict(p) for p in g.right_pieces],
         "left_tail": {"coeff": g.tail_coeff, "rate": g.tail_rate},
         "kink_nodes": list(g.kink_nodes),
     }
 
 
-def _grid_function_from_dict(d: dict[str, Any], x_min: float,
-                             h: float) -> GridFunction:
-    grid = make_grid(x_min, h)
-    values = np.asarray(d["left_values"], dtype=float)
-    if values.size != grid.m + 1:
-        raise ValueError("left_values length inconsistent with x_min and h")
-    return GridFunction(
-        grid=grid, left_values=values,
-        right_pieces=tuple(_piece_from_dict(p) for p in d["right_pieces"]),
-        tail_rate=d["left_tail"]["rate"], tail_coeff=d["left_tail"]["coeff"],
-        kink_nodes=tuple(d.get("kink_nodes", ())))
-
-
-def profile_to_dict(p: BiddingProfile | ExcursionProfile) -> dict[str, Any]:
+def _to_dict(p: BiddingProfile | ExcursionProfile,
+             left: bool) -> dict[str, Any]:
     if isinstance(p, BiddingProfile):
         return {
             "problem": "bidding",
             "s": p.s, "rho": p.rho, "chi": p.chi,
             "x_min": p.g.x_min, "h": p.g.h,
-            **_grid_function_to_dict(p.g),
+            **_grid_function_to_dict(p.g, left),
         }
     if isinstance(p, ExcursionProfile):
         return {
             "problem": "linsearch",
             "s": p.s, "rho": p.rho, "chi": p.chi, "K": p.K, "M": p.M,
             "x_min": p.g_plus.x_min, "h": p.g_plus.h,
-            "g_plus": _grid_function_to_dict(p.g_plus),
-            "g_minus": _grid_function_to_dict(p.g_minus),
+            "g_plus": _grid_function_to_dict(p.g_plus, left),
+            "g_minus": _grid_function_to_dict(p.g_minus, left),
         }
     raise TypeError(f"not a profile: {type(p)!r}")
 
 
+def profile_to_dict(p: BiddingProfile | ExcursionProfile) -> dict[str, Any]:
+    return _to_dict(p, left=True)
+
+
+def _left_values(d: Any, grid: GridSpec) -> np.ndarray:
+    v = np.asarray(d.get("left_values") if isinstance(d, dict) else None)
+    if v.dtype != np.float64 or v.shape != (grid.m + 1,) \
+            or not np.all(np.isfinite(v)):
+        raise ValueError("left_values must be finite reals, one per node of "
+                         "the grid given by x_min and h")
+    return v
+
+
+def _leaves(doc: Any, path: tuple = ()) -> dict[tuple, str]:
+    """The repr of each leaf of a document (an empty container counts as a
+    leaf) by its path of keys; left values are skipped."""
+    if not (isinstance(doc, (dict, list)) and doc):
+        return {path: repr(doc)}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return {p: r for k, v in items if k != "left_values"
+            for p, r in _leaves(v, path + (k,)).items()}
+
+
 def profile_from_dict(d: dict[str, Any]) -> BiddingProfile | ExcursionProfile:
+    """Rebuild a profile from its document, which must be exactly what
+    :func:`profile_to_dict` gives for the rebuilt profile; else raise
+    ``ValueError`` naming the first key that is malformed or differs."""
+    if not isinstance(d, dict):
+        raise ValueError("a profile document must be a JSON object")
     problem = d.get("problem")
+    if problem not in ("bidding", "linsearch"):
+        raise ValueError(f"unknown profile kind: {problem!r}")
+    s, x_min, h = reals = tuple(d.get(key) for key in ("s", "x_min", "h"))
+    if not all(isinstance(v, float) and math.isfinite(v) for v in reals):
+        raise ValueError("profile fields s, x_min and h must be finite reals")
+    grid = make_grid(x_min, h)
     if problem == "bidding":
-        g = _grid_function_from_dict(d, d["x_min"], d["h"])
-        return BiddingProfile(s=d["s"], rho=d["rho"], chi=d["chi"], g=g)
-    if problem == "linsearch":
-        return ExcursionProfile(
-            s=d["s"], rho=d["rho"], chi=d["chi"], K=d["K"], M=d["M"],
-            g_plus=_grid_function_from_dict(d["g_plus"], d["x_min"], d["h"]),
-            g_minus=_grid_function_from_dict(d["g_minus"], d["x_min"], d["h"]))
-    raise ValueError(f"unknown profile kind: {problem!r}")
+        p = _bidding_profile(s, grid, _left_values(d, grid))
+    else:
+        p = _excursion_profile(s, grid, (_left_values(d.get("g_plus"), grid),
+                                         _left_values(d.get("g_minus"), grid)))
+    # left values are the document's own; the rest must match in type and repr
+    got, want = _leaves(d), _leaves(_to_dict(p, left=False))
+    diff = next((k for k in (*want, *got) if got.get(k) != want.get(k)), None)
+    if diff is not None:
+        raise ValueError(f"profile field {'/'.join(map(str, diff))!r} does "
+                         f"not match the {problem} profile at s={s!r}")
+    return p
 
 
 def save_profile(p: BiddingProfile | ExcursionProfile, path: str) -> None:

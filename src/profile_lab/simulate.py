@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bidding import BiddingProfile, expected_cost
-from .excursion import C_minus, C_plus, ExcursionProfile, strategy_cost_linear
+from .bidding import BiddingProfile
+from .excursion import ExcursionProfile
 
 __all__ = [
     "SimReport",
@@ -115,11 +115,7 @@ def simulate_bidding(p: BiddingProfile, target: float, n: int,
     u = counter_uniforms(seed, 0, n)
     eps = 1e-9 * target
     x_lo = p.g.tau(eps)
-    if x_lo == -math.inf:
-        x_lo = p.g.x_min - 1.0
-        bias_bound = 0.0
-    else:
-        bias_bound = p.rho * eps
+    bias_bound = p.rho * eps
     k_start = np.floor(x_lo - u).astype(int) + 1
     k_stop = int(math.ceil(p.g.tau(target) + 2.0))
     costs = np.zeros(n)
@@ -149,10 +145,8 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     x = abs(target)
     u = counter_uniforms(seed, 0, n)
     eps = 1e-9 * x
-    lows = [g.tau(eps) for g in (p.g_plus, p.g_minus)]
-    finite = [v for v in lows if v != -math.inf]
-    x_lo = min(finite) if finite else p.g_plus.x_min - 1.0
-    bias_bound = 4.0 * p.rho * eps if finite else 0.0
+    x_lo = min(g.tau(eps) for g in (p.g_plus, p.g_minus))
+    bias_bound = 4.0 * p.rho * eps
     k_start = np.floor(x_lo - u).astype(int) + 1
     stop_tau = p.g_plus.tau(x) if target > 0 else p.g_minus.tau(x)
     k_stop = int(math.ceil(stop_tau + 2.0))

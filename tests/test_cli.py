@@ -200,6 +200,51 @@ class TestProfileCommands:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("problem, tamper", [
+        pytest.param("bidding", lambda d: d.update(s=0.6), id="s"),
+        pytest.param("bidding", lambda d: d.update(rho=d["rho"] * 1.01),
+                     id="rho"),
+        pytest.param("bidding", lambda d: d.update(chi=d["chi"] + 1e-3),
+                     id="chi"),
+        pytest.param("bidding", lambda d: d["left_tail"].update(
+            coeff=d["left_tail"]["coeff"] * 1e6), id="tail-coeff"),
+        pytest.param("bidding", lambda d: d["left_tail"].update(
+            rate=d["left_tail"]["rate"] * 0.5), id="tail-rate"),
+        pytest.param("bidding", lambda d: d.update(kink_nodes=[]),
+                     id="kink-nodes"),
+        pytest.param("bidding", lambda d: d["right_pieces"][-1].update(
+            level=0.5), id="right-piece"),
+        pytest.param("linsearch", lambda d: d.update(M=2.0), id="M"),
+        pytest.param("linsearch", lambda d: d.update(K=d["K"] * 1.01),
+                     id="K"),
+        pytest.param("linsearch", lambda d: d["g_minus"]["left_tail"].update(
+            coeff=d["g_minus"]["left_tail"]["coeff"] * 1e6),
+            id="minus-tail-coeff"),
+        pytest.param("bidding", lambda d: d.update(h="0.001"),
+                     id="h-string"),
+        pytest.param("bidding", lambda d: d.update(s=math.nan), id="s-nan"),
+        pytest.param("bidding",
+                     lambda d: d["left_values"].__setitem__(0, math.nan),
+                     id="left-value-nan"),
+        pytest.param("bidding", lambda d: [d], id="top-level-list"),
+    ])
+    def test_tampered_or_malformed_file_exit_2(self, capsys, tmp_path,
+                                                problem, tamper):
+        out_file = str(tmp_path / "p.json")
+        s = "0.5" if problem == "bidding" else "0.9"
+        run(capsys, "profile", "build", "--problem", problem, "--s", s,
+            "--out", out_file, "--x-min", "-12", "--h", repr(1 / 128))
+        doc = json.loads(open(out_file).read())
+        doc = tamper(doc) or doc
+        with open(out_file, "w") as fh:
+            json.dump(doc, fh)
+        for cmd in (["verify"], ["simulate", "--target", "2",
+                                 "--samples", "100"]):
+            code, out, err = run(capsys, "profile", cmd[0], out_file,
+                                 *cmd[1:])
+            assert code == 2, (cmd, out)
+            assert err.startswith("error: ")
+
     def test_grid_flags(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")
         code, out, _ = run(capsys, "profile", "build", "--problem", "bidding",
@@ -273,6 +318,15 @@ class TestFigure:
             f"{r[0]},{r[4]},{r[3]}\r\n" for r in rows[1:])
         with open(tmp_path / "ours_upper.csv", newline="") as fh:
             assert fh.read() == expect
+
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_too_few_steps_exit_2(self, capsys, tmp_path, steps):
+        out_dir = tmp_path / "fig"
+        code, _, err = run(capsys, "figure", "1a", "--steps", steps,
+                           "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_dir.exists()
 
     def test_lower_series_matches_lowerbound_cmd(self, capsys, tmp_path):
         run(capsys, "figure", "1b", "--steps", "40",

@@ -171,3 +171,20 @@ class TestGridFunction:
     def test_tail_mass(self, exp_grid_function):
         g = exp_grid_function
         assert g.tail_mass == pytest.approx(math.exp(-10.0), rel=1e-12)
+
+    def test_zero_first_value_has_no_tail(self):
+        # the tail continues the grid from its first value: an underflowed
+        # first value leaves no mass below the window, and every positive
+        # level is first crossed inside the grid
+        grid = make_grid(-5.0, 1e-2)
+        vals = np.exp(grid.positions)
+        vals[:50] = 0.0
+        g = GridFunction(grid=grid, left_values=vals,
+                         right_pieces=(Piece.exponential(
+                             1.0, 1.0, 0.0, 0.0, math.inf),),
+                         tail_rate=1.0)
+        assert g.tail_coeff == 0.0
+        assert g.tail_mass == 0.0
+        assert g.integral_to(-6.0) == 0.0
+        assert g.value(-6.0) == 0.0
+        assert grid.positions[49] <= g.tau(1e-300) <= grid.positions[50]

@@ -1,10 +1,16 @@
-"""Profile files round-trip bit-exactly and stay verifiable."""
+"""Profile files round-trip bit-exactly, stay verifiable, and are checked
+against their s when loaded."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from profile_lab.bidding import BiddingProfile, verify
-from profile_lab.excursion import ExcursionProfile, verify_excursion
+from profile_lab.bidding import BiddingProfile, build_profile, verify
+from profile_lab.excursion import (ExcursionProfile, build_excursion_profile,
+                                   verify_excursion)
 from profile_lab.serialize import (load_profile, profile_from_dict,
                                    profile_to_dict, save_profile)
 
@@ -57,3 +63,60 @@ def test_dict_identity(bidding_profiles):
     d = profile_to_dict(p)
     q = profile_from_dict(d)
     np.testing.assert_array_equal(q.g.left_values, p.g.left_values)
+
+
+def _leaves(doc, path=()):
+    """Paths of the leaves of a JSON document, left values excluded; an
+    empty list counts as a leaf."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items if key != "left_values"
+            for leaf in _leaves(value, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def small_docs(tmp_path_factory):
+    """Saved files of small profiles (x_min -12, h 1/128), as text."""
+    path = tmp_path_factory.mktemp("small") / "p.json"
+    docs = []
+    for build, s in ((build_profile, 0.5), (build_excursion_profile, 0.9)):
+        save_profile(build(s, x_min=-12.0, h=1 / 128), str(path))
+        docs.append(path.read_text())
+    return docs
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 1), pick=st.integers(0, 10**6),
+       value=_json_values)
+def test_any_changed_leaf_is_rejected(tmp_path_factory, small_docs, which,
+                                      pick, value):
+    doc = json.loads(small_docs[which])
+    leaves = _leaves(doc)
+    *parents, last = leaves[pick % len(leaves)]
+    node = doc
+    for key in parents:
+        node = node[key]
+    assume(json.dumps(value) != json.dumps(node[last]))
+    node[last] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_profile(str(path))
+
+
+def test_saved_documents_load(tmp_path, small_docs):
+    for text in small_docs:
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        assert profile_to_dict(load_profile(str(path))) == json.loads(text)
