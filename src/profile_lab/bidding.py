@@ -133,12 +133,16 @@ def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
 
 
 def _shifted_integrals(cum: np.ndarray, tail_mass: float,
-                       phi_cum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """A(x_i + 1) = integral_{-inf}^{x_i + 1} for every grid node x_i <= 0."""
+                       phi_cum: np.ndarray, grid: GridSpec,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """A(x_i + 1) = integral_{-inf}^{x_i + 1} for every grid node x_i <= 0,
+    written into ``out`` when given."""
     n, m = grid.steps_per_unit, grid.m
-    inside = tail_mass + cum[n:]                      # x_i + 1 <= 0
-    beyond = tail_mass + cum[m] + phi_cum[1:]         # x_i + 1 in (0, 1]
-    return np.concatenate([inside, beyond])
+    if out is None:
+        out = np.empty(m + 1)
+    np.add(tail_mass, cum[n:], out=out[:m + 1 - n])            # x_i + 1 <= 0
+    np.add(tail_mass + cum[m], phi_cum[1:], out=out[m + 1 - n:])  # in (0, 1]
+    return out
 
 
 def apply_F(left: np.ndarray, phi: tuple[Piece, ...], rho: float,
@@ -158,27 +162,45 @@ def apply_F(left: np.ndarray, phi: tuple[Piece, ...], rho: float,
     """
     phi_cum = _piece_cumints(phi, grid)
     return _apply_F_fast(np.asarray(left, float), phi_cum, rho, grid,
-                         tail_rate, kinks)
+                         tail_rate, kinks, np.empty(grid.m + 1),
+                         np.empty(grid.m + 1))
 
 
 def _apply_F_fast(left: np.ndarray, phi_cum: np.ndarray, rho: float,
-                  grid: GridSpec, tail_rate: float,
-                  kinks: tuple[int, ...] = ()) -> np.ndarray:
+                  grid: GridSpec, tail_rate: float, kinks: tuple[int, ...],
+                  cum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`apply_F` into ``out``, with ``cum`` holding the quadrature."""
     tail_mass = left[0] / tail_rate
-    cum = cumulative_integral(left, grid.h, kinks=kinks)
-    return _shifted_integrals(cum, tail_mass, phi_cum, grid) / rho
+    cumulative_integral(left, grid.h, kinks=kinks, out=cum)
+    _shifted_integrals(cum, tail_mass, phi_cum, grid, out=out)
+    out /= rho
+    return out
 
 
-def _iterate_to_fixed_point(step: Callable[..., tuple[np.ndarray, ...]],
+def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
+           tail_rate: float, kinks: tuple[int, ...]):
+    """The driver's ``step`` for the bidding operator, with its own
+    quadrature buffer."""
+    phi_cum = _piece_cumints(phi, grid)
+    cum = np.empty(grid.m + 1)
+    return lambda x, out: _apply_F_fast(x[0], phi_cum, rho, grid, tail_rate,
+                                        kinks, cum, out[0])
+
+
+def _iterate_to_fixed_point(step: Callable[..., object],
                             start: tuple[np.ndarray, ...], tol: float,
                             max_iter: int) -> tuple[tuple[np.ndarray, ...], int, float]:
     """Drive an operator to its fixed point by damped-ratio extrapolation.
 
     The iterate is a tuple of component arrays (one for the bidding
-    profile, (plus, minus) for the excursion pair) and ``step`` maps it to
-    the next sweep; the per-sweep delta is the sup-norm over all
-    components.  Plain sweeps converge geometrically; once the deltas show
-    a stable contraction ratio r, the remaining geometric tail
+    profile, (plus, minus) for the excursion pair).  ``step(x, out)``
+    writes the next sweep F(x) into the arrays of ``out``, which never
+    overlap those of ``x``; the per-sweep delta is the sup-norm over all
+    components.  The driver owns exactly two buffer sets: the iterate
+    starts as a copy of ``start`` (which is never written), each sweep is
+    written into the previous iterate's buffers, and those then hold the
+    sweep difference.  Plain sweeps converge geometrically; once the deltas
+    show a stable contraction ratio r, the remaining geometric tail
     diff * r/(1-r) is added in one jump and sweeping resumes.  Jumps move
     along the observed sweep direction only, which keeps the iterate inside
     the subspace the from-zero dynamics actually excites; the truncated
@@ -186,21 +208,24 @@ def _iterate_to_fixed_point(step: Callable[..., tuple[np.ndarray, ...]],
     artifact) that must not be touched, which rules out unconstrained
     residual minimizers like Anderson mixing here.
 
-    The returned components carry a direct certificate: the sup-norm
-    residual |F(x) - x| of the final accepted iterate is <= ``tol``.
+    The returned components are fresh arrays and carry a direct
+    certificate: the sup-norm residual |F(x) - x| of the final accepted
+    iterate is <= ``tol``.
     """
-    x = start
+    x = tuple(np.array(c, dtype=float) for c in start)
+    spare = tuple(np.empty_like(c) for c in x)
     ratios: list[float] = []
     prev_delta = None
     cooldown = 0
     delta = math.inf
     for it in range(1, max_iter + 1):
-        fx = step(*x)
-        # The previous iterate is kept and the sweep difference recomputed
-        # at a jump: keeping the differences of every sweep alive instead
-        # measured several times the page faults per sweep on the pair.
-        delta =max(float(np.max(np.abs(new - old))) for new, old in zip(fx, x))
-        x, prev = fx, x
+        step(x, spare)
+        # the old iterate's buffers take the sweep difference new - old:
+        # fresh temporaries per sweep cost page faults, not just time
+        for new, old in zip(spare, x):
+            np.subtract(new, old, out=old)
+        delta = max(max(float(d.max()), -float(d.min())) for d in x)
+        x, spare = spare, x
         if delta <= tol:
             return tuple(np.maximum(c, 0.0) for c in x), it, delta
         if prev_delta is not None and prev_delta > 0.0:
@@ -211,8 +236,10 @@ def _iterate_to_fixed_point(step: Callable[..., tuple[np.ndarray, ...]],
             tail = ratios[-8:]
             r = sum(tail) / 8.0
             if 0.2 < r < 0.9999 and max(tail) - min(tail) < 1e-4 * (1.0 - r):
-                x = tuple(c + (c - old) * (r / (1.0 - r))
-                          for c, old in zip(x, prev))
+                for c, diff in zip(x, spare):  # c + (c - old) * r/(1-r)
+                    diff *= r / (1.0 - r)
+                    diff += c
+                x, spare = spare, x
                 ratios.clear()
                 prev_delta = None
                 cooldown = 120
@@ -264,11 +291,9 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     grid = make_grid(x_min, h)
 
     def sweep_from_zero(rho, phi, tail_rate, kinks):
-        phi_cum = _piece_cumints(phi, grid)
         return _iterate_to_fixed_point(
-            lambda left: (_apply_F_fast(left, phi_cum, rho, grid, tail_rate,
-                                        kinks),),
-            (np.zeros(grid.m + 1),), tol, max_iter)
+            _sweep(phi, rho, grid, tail_rate, kinks), (np.zeros(grid.m + 1),),
+            tol, max_iter)
 
     return _bidding_profile(s, grid, sweep_from_zero)
 
@@ -356,12 +381,14 @@ def verify(p: BiddingProfile, tol_rel: float = 1e-4, tol_abs: float = 1e-4,
     denom = rho * np.maximum(g.left_values, 0.0) + atol_floor / tol_rel
     rel = resid / denom
 
-    xs_right = np.geomspace(max(g.h, 1e-4), 10.0, 400)
-    for x in xs_right:
+    resid_right, rel_right = [], []
+    for x in np.geomspace(max(g.h, 1e-4), 10.0, 400):
         gx = g.value(x)
         r = g.integral_to(x + 1.0) - rho * gx
-        resid = np.append(resid, r)
-        rel = np.append(rel, r / (rho * gx + atol_floor / tol_rel))
+        resid_right.append(r)
+        rel_right.append(r / (rho * gx + atol_floor / tol_rel))
+    resid = np.concatenate([resid, resid_right])
+    rel = np.concatenate([rel, rel_right])
 
     gap = float(g.integral_to(1.0) - chi)
     return _assemble_report(
@@ -434,11 +461,9 @@ def tighten(g: GridFunction, rho: float, tol: float = DEFAULT_TOL,
     the input's.
     """
     phi = tuple(p for p in g.right_pieces if p.lo < 1.0)
-    phi_cum = _piece_cumints(phi, g.grid)
     (left,), _, _ = _iterate_to_fixed_point(
-        lambda left: (_apply_F_fast(left, phi_cum, rho, g.grid, g.tail_rate,
-                                    g.kink_nodes),),
-        (g.left_values,), tol, max_iter)
+        _sweep(phi, rho, g.grid, g.tail_rate, g.kink_nodes), (g.left_values,),
+        tol, max_iter)
     return replace(g, left_values=left)
 
 

@@ -109,29 +109,37 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
     at x.  Order-preserving for the same reason as the scalar operator.
     """
     psi_cum = _piece_cumints(psi, grid)
+    bufs = tuple(np.empty(grid.m + 1) for _ in range(4))
     return _apply_F_pair_fast(np.asarray(left_plus, float),
                               np.asarray(left_minus, float),
-                              psi_cum, rho, grid, tail_rate, minus_kinks)
+                              psi_cum, rho, grid, tail_rate, minus_kinks,
+                              bufs[:2], bufs[2:])
 
 
 def _apply_F_pair_fast(left_plus: np.ndarray, left_minus: np.ndarray,
                        psi_cum: np.ndarray, rho: float, grid: GridSpec,
-                       tail_rate: float,
-                       minus_kinks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+                       tail_rate: float, minus_kinks: tuple[int, ...],
+                       cums: tuple[np.ndarray, np.ndarray],
+                       out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_F_pair` into ``out``, with ``cums`` holding A+ and A-."""
     n, m = grid.steps_per_unit, grid.m
     tail_p = left_plus[0] / tail_rate
     tail_m = left_minus[0] / tail_rate
-    A_plus = tail_p + cumulative_integral(left_plus, grid.h)
-    A_minus = tail_m + cumulative_integral(left_minus, grid.h,
-                                           kinks=minus_kinks)
-    new_plus = (A_plus + A_minus) / rho
+    A_plus = cumulative_integral(left_plus, grid.h, out=cums[0])
+    A_plus += tail_p
+    A_minus = cumulative_integral(left_minus, grid.h, kinks=minus_kinks,
+                                  out=cums[1])
+    A_minus += tail_m
+    new_plus, new_minus = out
+    np.add(A_plus, A_minus, out=new_plus)
+    new_plus /= rho
     # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
-    idx = np.minimum(np.arange(m + 1) + n, m)
-    plus_shifted = A_plus[idx]
-    psi_part = np.zeros(m + 1)
-    psi_part[m - n + 1:] = psi_cum[1:]
-    new_minus = (plus_shifted + psi_part + A_minus) / rho
-    return new_plus, new_minus
+    k = m - n + 1  # first node with x_i + 1 > 0
+    np.add(A_plus[n:], A_minus[:k], out=new_minus[:k])
+    np.add(A_plus[m], psi_cum[1:], out=new_minus[k:])
+    new_minus[k:] += A_minus[k:]
+    new_minus /= rho
+    return out
 
 
 def _excursion_profile(s: float, grid: GridSpec, left) -> ExcursionProfile:
@@ -188,10 +196,11 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
 
     def sweep_from_zero(rho, psi, tail_rate, minus_kinks):
         psi_cum = _piece_cumints(psi, grid)
+        cums = (np.empty(grid.m + 1), np.empty(grid.m + 1))
         return _iterate_to_fixed_point(
-            lambda plus, minus: _apply_F_pair_fast(plus, minus, psi_cum, rho,
-                                                   grid, tail_rate,
-                                                   minus_kinks),
+            lambda x, out: _apply_F_pair_fast(*x, psi_cum, rho, grid,
+                                              tail_rate, minus_kinks, cums,
+                                              out),
             (np.zeros(grid.m + 1),) * 2, tol, max_iter)
 
     return _excursion_profile(s, grid, sweep_from_zero)
@@ -272,23 +281,30 @@ def verify_excursion(p: ExcursionProfile, tol_rel: float = 1e-4,
     ])
     resid = np.concatenate([r_plus, r_minus])
 
-    xs_right = np.geomspace(max(p.g_plus.h, 1e-4), 10.0, 400)
+    resid_right, rel_right = [], []
     minus_tight_right = 0.0
-    for x in xs_right:
+    extra = []
+    for x in np.geomspace(max(p.g_plus.h, 1e-4), 10.0, 400):
         gp = p.g_plus.value(x)
         gm = p.g_minus.value(x)
         rp = C_plus(p, x) - rho * gp
         rm = C_minus(p, x) - rho * gm
-        resid = np.append(resid, (rp, rm))
-        rel = np.append(rel, (rp / (rho * gp + floor), rm / (rho * gm + floor)))
-        minus_tight_right = max(minus_tight_right, abs(rm) / (rho * gm))
+        resid_right.extend((rp, rm))
+        rel_right.extend((rp / (rho * gp + floor), rm / (rho * gm + floor)))
+        if gm <= 0.0:  # no relative tightness; report the first such x
+            if not extra:
+                extra.append(f"positivity: G- must be positive, is {gm!r} "
+                             f"at x = {x:.6g}")
+        else:
+            minus_tight_right = max(minus_tight_right, abs(rm) / (rho * gm))
+    resid = np.concatenate([resid, resid_right])
+    rel = np.concatenate([rel, rel_right])
 
     c0 = C_plus(p, 0.0)
     gap = float(c0 - chi)
     psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
     boundary_resid = abs(c0 + psi_mass - rho * p.K * math.exp(-p.s))
 
-    extra = []
     if minus_tight_right > tol_rel:
         extra.append(
             f"tightness: C- = rho G- fails on x > 0 ({minus_tight_right:.3e})")

@@ -32,7 +32,8 @@ __all__ = ["Piece", "GridFunction", "make_grid", "GridSpec", "cumulative_integra
 
 
 def cumulative_integral(values: np.ndarray, h: float,
-                        kinks: tuple[int, ...] = ()) -> np.ndarray:
+                        kinks: tuple[int, ...] = (),
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative integral of grid samples with endpoint-corrected trapezoid.
 
     Composite trapezoid plus the Euler-Maclaurin h^2 endpoint term
@@ -51,28 +52,48 @@ def cumulative_integral(values: np.ndarray, h: float,
     The first three entries skip the correction: their stencils would
     overlap, and windows start deep enough that nothing measurable lives
     there.
+
+    ``out``, when given, is a float array of ``values``' size that must not
+    overlap it; the integral is written there and returned, and the only
+    other array allocated is one derivative buffer.  The result is
+    bit-identical either way.
     """
     v = np.asarray(values, dtype=float)
-    out = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * h)))
     n = v.size
+    if out is None:
+        out = np.empty(n)
+    # every step below is an in-place form of the expression it names
+    if n >= 4:  # back[2:] = (3 v[2:] - 4 v[1:-1] + v[:-2]) / (2h), out as scratch
+        back = np.empty(n)
+        np.multiply(v[2:], 3.0, out=back[2:])
+        np.multiply(v[1:-1], 4.0, out=out[2:])
+        back[2:] -= out[2:]
+        back[2:] += v[:-2]
+        back[2:] /= 2.0 * h
+    # out = [0, cumsum(0.5 (v[1:] + v[:-1]) h)]
+    out[0] = 0.0
+    np.add(v[1:], v[:-1], out=out[1:])
+    out[1:] *= 0.5
+    out[1:] *= h
+    np.cumsum(out[1:], out=out[1:])
     if n < 4:
         return out
     c = h * h / 12.0
-    back = np.empty_like(v)
-    back[2:] = (3.0 * v[2:] - 4.0 * v[1:-1] + v[:-2]) / (2.0 * h)
     d0 = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[3:] -= c * (back[3:] - d0)
-    for k in kinks:
-        if k < 3 or k > n - 3:
-            continue
+    kinks = [k for k in kinks if 3 <= k <= n - 3]
+    at_kinks = [(back[k], back[k + 1]) for k in kinks]
+    back[3:] -= d0  # out[3:] -= c (back[3:] - d0)
+    back[3:] *= c
+    out[3:] -= back[3:]
+    for k, (back_k, back_k1) in zip(kinks, at_kinks):
         # split the correction at the kink: add the one-sided derivative
         # difference; at row k+1 the base endpoint stencil also straddles
         # the kink and the two fixes collapse to back[k+1] - back[k]
         # (all touched nodes stay at or below the integration endpoint,
         # keeping every composite weight non-negative)
         fwd_k = (-3.0 * v[k] + 4.0 * v[k + 1] - v[k + 2]) / (2.0 * h)
-        out[k + 2:] += c * (fwd_k - back[k])
-        out[k + 1] += c * (back[k + 1] - back[k])
+        out[k + 2:] += c * (fwd_k - back_k)
+        out[k + 1] += c * (back_k1 - back_k)
     return out
 
 
@@ -299,14 +320,16 @@ class GridFunction:
         t = (x - self.x_min) / self.h
         i = np.clip(t.astype(int), 0, self.grid.m - 1)
         u = t - i
-        p0 = self.left_values[i]
-        p1 = self.left_values[i + 1]
-        m0 = self._slope_right[i] * self.h
-        m1 = self._slope_left[i + 1] * self.h
+        del t
         u2 = u * u
         u3 = u2 * u
-        return ((2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * m0
-                + (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * m1)
+        # the four basis terms, summed left to right with one node gather
+        # alive at a time
+        out = (2.0 * u3 - 3.0 * u2 + 1.0) * self.left_values[i]
+        out = out + (u3 - 2.0 * u2 + u) * (self._slope_right[i] * self.h)
+        i += 1
+        out = out + (-2.0 * u3 + 3.0 * u2) * self.left_values[i]
+        return out + (u3 - u2) * (self._slope_left[i] * self.h)
 
     def _hermite_cell_integral(self, i: int, u: float) -> float:
         """Integral of the Hermite model over [x_i, x_i + u h], u in [0, 1]."""
@@ -329,7 +352,7 @@ class GridFunction:
         """
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa).copy()
+        xa = np.atleast_1d(xa)
         out = np.empty_like(xa)
         tail = xa <= self.x_min
         mid = (xa > self.x_min) & (xa <= 0.0)

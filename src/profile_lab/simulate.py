@@ -3,7 +3,11 @@
 The simulators draw the shared shift U ~ Unif(0, 1] from a counter-based
 generator keyed by (seed, sample index): sample i is a pure function of the
 key, so disjoint index ranges can be evaluated concurrently and reassembled
-deterministically, and identical seeds give bit-identical reports.
+deterministically, and identical seeds give bit-identical reports.  The
+oracles run the lanes (samples) in fixed blocks of ``_LANES``, each block
+over its own range of bid steps, so their memory is the samples and the
+costs plus one block's temporaries; a lane's cost is the same sum in the
+same order for any block size.
 
 The discrete machinery realizes the strategy-to-profile reduction at finite
 scale: a randomized strategy given as finitely many weighted bid sequences
@@ -40,15 +44,20 @@ __all__ = [
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
+# Lanes per block of a simulation: every per-step temporary of a block is
+# at most 64 KB, small enough for the allocator to reuse instead of
+# returning it to the system and faulting it in again at the next step.
+_LANES = 8192
+
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z + _GOLDEN).astype(np.uint64)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+    """The splitmix64 output function of the uint64 array ``z``, in place."""
+    z += _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -59,12 +68,15 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     (seed, i), mapped to the top 53 bits, so any index range can be
     produced independently of any other.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
     base = _splitmix64(np.array([seed % (1 << 64)], dtype=np.uint64))
-    with np.errstate(over="ignore"):
-        h = _splitmix64(idx ^ base[0])
+    # mixed in place: the samples are a simulation's largest array
+    h = np.arange(start, start + count, dtype=np.uint64)
+    h ^= base[0]
+    _splitmix64(h)
     # (k+1) * 2^-53 for k in [0, 2^53): exactly Unif(0, 1]
-    return ((h >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+    h >>= np.uint64(11)
+    h += np.uint64(1)
+    return h * (2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,33 @@ def _report(costs: np.ndarray, seed: int, target: float,
                      target=target, bias_bound=bias_bound)
 
 
+def _lane_costs(n: int, seed: int, x_lo: float, k_stop: int,
+                add_step, failure: str) -> np.ndarray:
+    """Per-lane sums of ``add_step`` over the steps k of each lane.
+
+    Lane i draws U_i = counter_uniforms(seed, 0, n)[i] and runs the steps
+    k >= k_start_i, the first integer with k + U_i > x_lo, up to k_stop or
+    until the lane is settled.  Lanes run in blocks of ``_LANES``, each from
+    its own smallest k_start; ``add_step(pos, started, alive, costs)`` adds
+    step k's cost at positions ``pos = k + U`` to the block's ``costs``
+    where ``started`` and clears the settled lanes from ``alive``.  A lane
+    sums the same terms in the same order for any block size.
+    """
+    u = counter_uniforms(seed, 0, n)
+    costs = np.zeros(n)
+    for lo in range(0, n, _LANES):
+        ub, cb = u[lo:lo + _LANES], costs[lo:lo + _LANES]
+        k_start = np.floor(x_lo - ub).astype(int) + 1
+        alive = np.ones(ub.size, dtype=bool)
+        for k in range(int(k_start.min()), k_stop + 1):
+            if not alive.any():
+                break
+            add_step(k + ub, alive & (k >= k_start), alive, cb)
+        if alive.any():
+            raise RuntimeError(failure)
+    return costs
+
+
 def simulate_bidding(p: BiddingProfile, target: float, n: int,
                      seed: int) -> SimReport:
     """Empirical mean cost of the profile-driven bidding strategy at ``target``.
@@ -112,24 +151,19 @@ def simulate_bidding(p: BiddingProfile, target: float, n: int,
     """
     if target <= 0.0 or n < 1:
         raise ValueError("need target > 0 and n >= 1")
-    u = counter_uniforms(seed, 0, n)
     eps = 1e-9 * target
     x_lo = p.g.tau(eps)
     bias_bound = p.rho * eps
-    k_start = np.floor(x_lo - u).astype(int) + 1
     k_stop = int(math.ceil(p.g.tau(target) + 2.0))
-    costs = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    for k in range(int(k_start.min()), k_stop + 1):
-        if not alive.any():
-            break
-        vals = p.g.value(k + u)
-        pay = alive & (k >= k_start)
+
+    def bid(pos, pay, alive, costs):
+        vals = p.g.value(pos)
         costs[pay] += vals[pay]
         alive &= ~(pay & (vals >= target))
-    if alive.any():
-        raise RuntimeError("bidding simulation failed to terminate; "
-                           "profile right part does not reach the target")
+
+    costs = _lane_costs(n, seed, x_lo, k_stop, bid,
+                        "bidding simulation failed to terminate; "
+                        "profile right part does not reach the target")
     return _report(costs, seed, target, bias_bound)
 
 
@@ -143,35 +177,28 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     if target == 0.0 or n < 1:
         raise ValueError("need target != 0 and n >= 1")
     x = abs(target)
-    u = counter_uniforms(seed, 0, n)
     eps = 1e-9 * x
     x_lo = min(g.tau(eps) for g in (p.g_plus, p.g_minus))
     bias_bound = 4.0 * p.rho * eps
-    k_start = np.floor(x_lo - u).astype(int) + 1
     stop_tau = p.g_plus.tau(x) if target > 0 else p.g_minus.tau(x)
     k_stop = int(math.ceil(stop_tau + 2.0))
-    costs = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    for k in range(int(k_start.min()), k_stop + 1):
-        if not alive.any():
-            break
-        pos = k + u
-        started = alive & (k >= k_start)
+
+    def excursion(pos, started, alive, costs):
         gp = p.g_plus.value(pos)
         gm = p.g_minus.value(pos)
         if target > 0.0:
             found = started & (gp >= x)
             pay = started & ~found
             costs[pay] += 2.0 * (gp[pay] + gm[pay])
-            alive &= ~found
         else:
             costs[started] += 2.0 * gp[started]
             found = started & (gm >= x)
             pay = started & ~found
             costs[pay] += 2.0 * gm[pay]
-            alive &= ~found
-    if alive.any():
-        raise RuntimeError("linear-search simulation failed to terminate")
+        alive &= ~found
+
+    costs = _lane_costs(n, seed, x_lo, k_stop, excursion,
+                        "linear-search simulation failed to terminate")
     costs += x
     return _report(costs, seed, target, bias_bound)
 

@@ -116,6 +116,39 @@ class TestBuildProfile:
             build(0.5, x_min=-30.0, h=1e-3, tol=1e-12, max_iter=3)
 
 
+class TestFixedPointDriver:
+    def test_affine_step_two_buffer_sets_and_a_jump(self):
+        # F(x) = x / 2 + 1 contracts at exactly r = 0.5 towards 2, so the
+        # ratio gate opens after nine sweeps and the jump lands on 2
+        outs = set()
+
+        def step(x, out):
+            assert not any(np.shares_memory(a, b) for a in x for b in out)
+            outs.add(tuple(id(c) for c in out))
+            for c, o in zip(x, out):
+                np.multiply(c, 0.5, out=o)
+                o += 1.0
+
+        start = (np.zeros(5), np.ones(3))
+        (a, b), it, delta = bd._iterate_to_fixed_point(step, start, 1e-12,
+                                                       100)
+        assert len(outs) <= 2
+        assert it < 20  # plain sweeps need about 40 to reach 1e-12
+        assert delta <= 1e-12
+        np.testing.assert_allclose(np.concatenate([a, b]), 2.0, atol=1e-12)
+        assert np.all(start[0] == 0.0) and np.all(start[1] == 1.0)
+
+    def test_builds_share_no_memory(self):
+        kw = dict(x_min=-12.0, h=1.0 / 128)
+        b1, b2 = build_profile(0.5, **kw), build_profile(0.5, **kw)
+        assert not np.shares_memory(b1.g.left_values, b2.g.left_values)
+        l1, l2 = (build_excursion_profile(0.9, **kw) for _ in range(2))
+        arrays = [g.left_values for p in (l1, l2)
+                  for g in (p.g_plus, p.g_minus)]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
 class TestBackwardConstruction:
     def test_matches_exponential(self):
         p = build_profile_backward(1.0, x_min=-10.0)
@@ -259,7 +292,9 @@ class TestTighten:
                                 tail_rate=g.tail_rate,
                                 kink_nodes=g.kink_nodes)
         chi_inflated = inflated.integral_to(1.0)
+        before = inflated.left_values.copy()
         g2 = tighten(inflated, p.rho)
+        assert inflated.left_values.tobytes() == before.tobytes()
         assert g2.integral_to(1.0) <= chi_inflated + 1e-12
         assert np.all(g2.left_values <= inflated.left_values + 1e-12)
 

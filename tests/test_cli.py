@@ -136,6 +136,16 @@ class TestProfileCommands:
             code, out, _ = run(capsys, "profile", "verify", out_file)
             assert code == 0, out
 
+    def test_tiny_s_linsearch_verify_names_failure(self, capsys, tmp_path):
+        out_file = str(tmp_path / "l.json")
+        code, _, _ = run(capsys, "profile", "build", "--problem", "linsearch",
+                         "--s", "1e-20", "--out", out_file)
+        assert code == 0
+        code, out, err = run(capsys, "profile", "verify", out_file)
+        assert code == 1
+        assert "failure: positivity: G-" in out
+        assert err == ""
+
     def test_simulate_deterministic(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")
         run(capsys, "profile", "build", "--problem", "bidding",

@@ -204,6 +204,13 @@ class TestVerify:
         assert not rep.monotone_ok
         assert any(f.startswith("monotone") for f in rep.failures)
 
+    def test_vanishing_minus_right_part_fails(self):
+        # at s = 1e-20 G-'s right part rounds to 0 and the build stops
+        # after one sweep; the relative tightness on x > 0 is undefined
+        rep = verify_excursion(build_excursion_profile(1e-20))
+        assert rep.passed is False
+        assert any(f.startswith("positivity: G-") for f in rep.failures)
+
     def test_boundary_identity(self, excursion_profiles):
         for s, p in excursion_profiles.items():
             psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)

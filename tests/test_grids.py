@@ -51,6 +51,16 @@ class TestCumulativeIntegral:
         assert np.max(np.abs(split - exact)) <= np.max(np.abs(plain - exact))
         assert np.max(np.abs(split - exact)) < 1e-12
 
+    @pytest.mark.parametrize("kinks", [(), (100,)])
+    def test_out_buffer(self, kinks):
+        x = np.arange(201) * 1e-2
+        f = np.where(x <= 1.0, np.exp(x), np.exp(3.0 * x - 2.0))
+        buf = np.full(f.size, np.nan)
+        got = cumulative_integral(f, 1e-2, kinks=kinks, out=buf)
+        assert got is buf
+        assert buf.tobytes() == cumulative_integral(f, 1e-2,
+                                                    kinks=kinks).tobytes()
+
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_order_preserving(self, seed):

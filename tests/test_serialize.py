@@ -53,6 +53,15 @@ def test_double_roundtrip_is_stable(tmp_path, bidding_profiles):
     assert open(a).read() == open(b).read()
 
 
+def test_saved_bytes_are_json_dumps(tmp_path, bidding_profiles,
+                                    excursion_profiles):
+    # the default grid's 30 001 left values are written in slices
+    for i, p in enumerate((bidding_profiles[0.8], excursion_profiles[0.9])):
+        path = tmp_path / f"{i}.json"
+        save_profile(p, str(path))
+        assert path.read_text() == json.dumps(profile_to_dict(p)) + "\n"
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         profile_from_dict({"problem": "mystery"})

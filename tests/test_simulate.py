@@ -1,12 +1,14 @@
 """Monte Carlo oracles, truncation, and the discrete conversion machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profile_lab import simulate
 from profile_lab.analysis import rho_ls_star, s_star
 from profile_lab.bidding import expected_cost
 from profile_lab.excursion import strategy_cost_linear
@@ -129,6 +131,40 @@ class TestSimulateLinear:
         p = excursion_profiles[0.2]
         assert (simulate_linear(p, 1.0, 10 ** 4, seed=6).line()
                 == simulate_linear(p, 1.0, 10 ** 4, seed=6).line())
+
+
+class TestLaneBlocks:
+    @pytest.mark.parametrize("n", [23, 20_000])
+    def test_reports_do_not_depend_on_block_size(self, n, monkeypatch,
+                                                 bidding_profiles,
+                                                 excursion_profiles):
+        # one block of every lane is the unblocked loop; n = 23 runs in
+        # blocks of 7 lanes, n = 20 000 in the default blocks, the last
+        # block ragged in both
+        bid, lin = bidding_profiles[0.5], excursion_profiles[0.9]
+
+        def reports():
+            return [simulate_bidding(bid, 2.5, n, 11).line(),
+                    simulate_linear(lin, 2.5, n, 12).line(),
+                    simulate_linear(lin, -2.5, n, 13).line()]
+
+        lanes = 7 if n == 23 else simulate._LANES
+        assert n > 2 * lanes and n % lanes
+        monkeypatch.setattr(simulate, "_LANES", 1 << 30)
+        whole = reports()
+        monkeypatch.setattr(simulate, "_LANES", lanes)
+        assert reports() == whole
+
+    def test_memory_is_the_samples_plus_one_megabyte(self, bidding_profiles):
+        n = 200_000
+        tracemalloc.start()
+        try:
+            simulate_bidding(bidding_profiles[0.5], 2.5, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the uniforms and the costs, 8 bytes per sample each
+        assert peak < 2 * 8 * n + (1 << 20)
 
 
 class TestTruncation:
