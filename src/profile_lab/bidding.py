@@ -56,6 +56,13 @@ DEFAULT_H = 1e-3
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 
+# Verification tolerances: robustness residuals must stay below TOL_REL
+# relative to rho G(x) plus ATOL_FLOOR absolute, and the realized
+# consistency may exceed chi by at most TOL_ABS.
+TOL_REL = 1e-4
+TOL_ABS = 1e-4
+ATOL_FLOOR = 1e-9
+
 
 @dataclass
 class BiddingProfile:
@@ -104,22 +111,28 @@ class VerificationReport:
     failures: tuple[str, ...] = ()
 
 
+def _rising_pieces(a: float, rate: float) -> tuple[Piece, ...]:
+    """max(1, a e^{rate(x-1)}) on (0, 1], then max(1, a) e^{rate(x-1)} on
+    (1, inf): the right part of G (a = s chi, rate s) and of G+ (a = K,
+    rate 2s)."""
+    if a <= 1.0:
+        head = (Piece.constant(1.0, 0.0, 1.0),)
+    else:
+        x0 = 1.0 - math.log(a) / rate  # plateau ends where a e^{rate(x-1)} = 1
+        head = ((Piece.exponential(a, rate, 1.0, 0.0, 1.0),) if x0 <= 0.0
+                else (Piece.constant(1.0, 0.0, x0),
+                      Piece.exponential(a, rate, 1.0, x0, 1.0)))
+    return head + (Piece.exponential(max(1.0, a), rate, 1.0, 1.0, math.inf),)
+
+
 def phi_pieces(s: float, chi: float) -> tuple[Piece, ...]:
     """Right part on (0, 1]: max(1, s chi e^{s(x-1)}) as analytic pieces."""
-    schi = s * chi
-    if schi <= 1.0:
-        return (Piece.constant(1.0, 0.0, 1.0),)
-    x0 = 1.0 - math.log(schi) / s  # plateau ends where s chi e^{s(x-1)} = 1
-    if x0 <= 0.0:
-        return (Piece.exponential(schi, s, 1.0, 0.0, 1.0),)
-    return (Piece.constant(1.0, 0.0, x0),
-            Piece.exponential(schi, s, 1.0, x0, 1.0))
+    return _rising_pieces(s * chi, s)[:-1]
 
 
 def right_pieces(s: float, chi: float) -> tuple[Piece, ...]:
     """Full right part on (0, inf): phi, then max(1, s chi) e^{s(x-1)}."""
-    return phi_pieces(s, chi) + (
-        Piece.exponential(max(1.0, s * chi), s, 1.0, 1.0, math.inf),)
+    return _rising_pieces(s * chi, s)
 
 
 def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
@@ -160,31 +173,27 @@ def apply_F(left: np.ndarray, phi: tuple[Piece, ...], rho: float,
     The operator is order-preserving: all quadrature weights are
     non-negative and the tail mass is increasing in ``left[0]``.
     """
-    phi_cum = _piece_cumints(phi, grid)
-    return _apply_F_fast(np.asarray(left, float), phi_cum, rho, grid,
-                         tail_rate, kinks, np.empty(grid.m + 1),
-                         np.empty(grid.m + 1))
-
-
-def _apply_F_fast(left: np.ndarray, phi_cum: np.ndarray, rho: float,
-                  grid: GridSpec, tail_rate: float, kinks: tuple[int, ...],
-                  cum: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`apply_F` into ``out``, with ``cum`` holding the quadrature."""
-    tail_mass = left[0] / tail_rate
-    cumulative_integral(left, grid.h, kinks=kinks, out=cum)
-    _shifted_integrals(cum, tail_mass, phi_cum, grid, out=out)
-    out /= rho
+    (out,) = _sweep(phi, rho, grid, tail_rate, kinks)(
+        (np.asarray(left, float),), (np.empty(grid.m + 1),))
     return out
 
 
 def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
            tail_rate: float, kinks: tuple[int, ...]):
-    """The driver's ``step`` for the bidding operator, with its own
-    quadrature buffer."""
+    """The bidding operator as the ``step(x, out)`` of
+    :func:`_iterate_to_fixed_point`: writes F of ``x[0]`` into ``out[0]``
+    (see :func:`apply_F`), with the quadrature in a buffer of its own."""
     phi_cum = _piece_cumints(phi, grid)
     cum = np.empty(grid.m + 1)
-    return lambda x, out: _apply_F_fast(x[0], phi_cum, rho, grid, tail_rate,
-                                        kinks, cum, out[0])
+
+    def step(x, out):
+        (left,), (new,) = x, out
+        cumulative_integral(left, grid.h, kinks=kinks, out=cum)
+        _shifted_integrals(cum, left[0] / tail_rate, phi_cum, grid, out=new)
+        new /= rho
+        return out
+
+    return step
 
 
 def _iterate_to_fixed_point(step: Callable[..., object],
@@ -248,28 +257,32 @@ def _iterate_to_fixed_point(step: Callable[..., object],
         f"sweeps (last sup-norm delta {delta:.3e})")
 
 
-def _bidding_profile(s: float, grid: GridSpec, left) -> BiddingProfile:
+def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
+                     tol: float = DEFAULT_TOL,
+                     max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
     """The bidding profile at ``s`` with left part ``left`` on ``grid``, the
     one place where s fixes rho, chi, the right part, tail and kinks.
 
-    ``left`` is the grid values, or a solver ``left(rho, phi, tail_rate,
-    kinks) -> ((values,), iterations, final_delta)``.  At s = 1, where the
-    delayed equation is doubly resonant, the exact e^x (no kink, rate 1)
-    replaces the solver.
+    ``left`` is the grid values, or None to sweep from zero until the
+    sup-norm change per sweep is at most ``tol`` (at most ``max_iter``
+    sweeps).  At s = 1, where the delayed equation is doubly resonant, the
+    exact e^x (no kink, rate 1) replaces the sweeps.
     """
     point = bidding_tradeoff(s)
+    right = _rising_pieces(s * point.chi, s)
+    iterations, final_delta = 0, math.nan
     if s == 1.0:
         tail_rate, kinks = 1.0, ()
-        if callable(left):
-            left = lambda *_: ((np.exp(grid.positions),), 0, 0.0)
+        if left is None:
+            left, final_delta = np.exp(grid.positions), 0.0
     else:  # the right part jumps at 0, so G kinks at x = -1
         tail_rate = conjugate_rate_bidding(s)
         kinks = (grid.m - grid.steps_per_unit,)
-    (left,), iterations, final_delta = (
-        left(point.rho, phi_pieces(s, point.chi), tail_rate, kinks)
-        if callable(left) else ((left,), 0, math.nan))
-    g = GridFunction(grid=grid, left_values=left,
-                     right_pieces=right_pieces(s, point.chi),
+    if left is None:
+        (left,), iterations, final_delta = _iterate_to_fixed_point(
+            _sweep(right[:-1], point.rho, grid, tail_rate, kinks),
+            (np.zeros(grid.m + 1),), tol, max_iter)
+    g = GridFunction(grid=grid, left_values=left, right_pieces=right,
                      tail_rate=tail_rate, kink_nodes=kinks)
     return BiddingProfile(s=s, rho=point.rho, chi=point.chi, g=g,
                           iterations=iterations, final_delta=final_delta)
@@ -288,14 +301,7 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     would feed a window-scale bias into the fixed point through the
     near-resonant mode.
     """
-    grid = make_grid(x_min, h)
-
-    def sweep_from_zero(rho, phi, tail_rate, kinks):
-        return _iterate_to_fixed_point(
-            _sweep(phi, rho, grid, tail_rate, kinks), (np.zeros(grid.m + 1),),
-            tol, max_iter)
-
-    return _bidding_profile(s, grid, sweep_from_zero)
+    return _bidding_profile(s, make_grid(x_min, h), None, tol, max_iter)
 
 
 def build_profile_backward(s: float, x_min: float = -10.0,
@@ -355,57 +361,48 @@ def expected_cost(p: BiddingProfile, target: float) -> float:
 # -- verification ---------------------------------------------------------
 
 
-def _grid_residuals(g: GridFunction, phi: tuple[Piece, ...],
-                    rho: float) -> np.ndarray:
-    """A(x+1) - rho G(x) at every grid node x <= 0."""
-    phi_cum = _piece_cumints(phi, g.grid)
-    A_shift = _shifted_integrals(g._cum, g.tail_mass, phi_cum, g.grid)
-    return A_shift - rho * g.left_values
-
-
-def verify(p: BiddingProfile, tol_rel: float = 1e-4, tol_abs: float = 1e-4,
-           atol_floor: float = 1e-9) -> VerificationReport:
+def verify(p: BiddingProfile) -> VerificationReport:
     """Check offset, monotonicity, robustness, consistency, and tightness.
 
-    Robustness is checked pointwise at every grid node and on a log grid
-    over (0, 10]; the profile passes if the positive residual stays below
-    ``tol_rel`` relative to rho G(x) (plus the absolute floor
-    ``atol_floor``, which keeps sub-resolution residuals deep in the tail,
-    where G underflows the build tolerance, from registering as violations),
-    the consistency integral exceeds chi by at most ``tol_abs``, and the
-    structural conditions hold.
+    Robustness is checked at every grid node, on the integrals the build's
+    sweep assembles, and on a log grid over (0, 10]; the profile passes if
+    the positive residual stays below ``TOL_REL`` (1e-4) relative to
+    rho G(x) plus the absolute floor ``ATOL_FLOOR`` (1e-9, which keeps
+    sub-resolution residuals deep in the tail, where G underflows the build
+    tolerance, from registering as violations), the consistency integral
+    exceeds chi by at most ``TOL_ABS`` (1e-4), and the structural
+    conditions hold.
     """
-    g, rho, chi = p.g, p.rho, p.chi
-    resid = _grid_residuals(g, p.phi, rho)
+    g, rho = p.g, p.rho
+    resid = _shifted_integrals(g._cum, g.tail_mass,
+                               _piece_cumints(p.phi, g.grid), g.grid)
+    resid -= rho * g.left_values
     tight = float(np.max(np.abs(resid)))
-    denom = rho * np.maximum(g.left_values, 0.0) + atol_floor / tol_rel
-    rel = resid / denom
 
-    resid_right, rel_right = [], []
+    resid_right, rho_g_right = [], []
     for x in np.geomspace(max(g.h, 1e-4), 10.0, 400):
-        gx = g.value(x)
-        r = g.integral_to(x + 1.0) - rho * gx
-        resid_right.append(r)
-        rel_right.append(r / (rho * gx + atol_floor / tol_rel))
-    resid = np.concatenate([resid, resid_right])
-    rel = np.concatenate([rel, rel_right])
+        rho_gx = rho * g.value(x)
+        resid_right.append(g.integral_to(x + 1.0) - rho_gx)
+        rho_g_right.append(rho_gx)
 
-    gap = float(g.integral_to(1.0) - chi)
     return _assemble_report(
-        (g,), resid, rel, gap, tight, tol_rel, tol_abs,
+        (g,), np.concatenate([resid, resid_right]),
+        np.concatenate([rho * np.maximum(g.left_values, 0.0), rho_g_right]),
+        float(g.integral_to(1.0) - p.chi), tight,
         consistency="integral",
         offset="offset: G must be < 1 left of 0 and >= 1 right of 0",
         monotone="monotone: G must be non-decreasing and positive")
 
 
 def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,
-                     rel: np.ndarray, gap: float, tight: float,
-                     tol_rel: float, tol_abs: float, *, consistency: str,
-                     offset: str, monotone: str,
+                     rho_g: np.ndarray, gap: float, tight: float, *,
+                     consistency: str, offset: str, monotone: str,
                      extra_failures: tuple[str, ...] = ()) -> VerificationReport:
     """Structural checks and the report shared by both verifications.
 
-    The offset condition applies to ``components[0]`` (G, or G+ for the
+    ``resid`` are the robustness residuals and ``rho_g`` the rho G(x) they
+    are relative to (plus ``ATOL_FLOOR``); ``rho_g`` is overwritten.  The
+    offset condition applies to ``components[0]`` (G, or G+ for the
     excursion pair); every component must be monotone and non-negative, at
     one tolerance scaled by the largest left value of any component.
     ``consistency`` names the realized consistency quantity; ``offset`` and
@@ -419,17 +416,18 @@ def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,
                      and g.right_value_at_zero() >= 1.0 - 1e-12)
     scale = max(1.0, *(float(np.max(c.left_values)) for c in components))
     # the grid value at 0 meets the closed-form right limit only to
-    # quadrature accuracy, so that junction is held to tol_rel
+    # quadrature accuracy, so that junction is held to TOL_REL
     monotone_ok = all(
         c.is_monotone(tol=1e-12 * scale,
-                      junction_tol=tol_rel * float(c.left_values[-1]))
+                      junction_tol=TOL_REL * float(c.left_values[-1]))
         and c.is_nonnegative() for c in components)
-    max_rel = float(np.max(rel))
+    rho_g += ATOL_FLOOR / TOL_REL
+    max_rel = float(np.max(np.divide(resid, rho_g, out=rho_g)))
 
     failures = []
-    if max_rel > tol_rel:
-        failures.append(f"robustness: relative residual {max_rel:.3e} > {tol_rel}")
-    if gap > tol_abs:
+    if max_rel > TOL_REL:
+        failures.append(f"robustness: relative residual {max_rel:.3e} > {TOL_REL}")
+    if gap > TOL_ABS:
         failures.append(f"consistency: {consistency} exceeds chi by {gap:.3e}")
     failures.extend(extra_failures)
     if not offset_ok:

@@ -14,7 +14,8 @@ did not converge (profile build raised ConvergenceError), 4 the Monte
 Carlo simulation did not terminate (profile simulate).  All outputs are
 deterministic given the arguments; reals are written as shortest
 round-trip decimals.  profile build takes its grid defaults (--x-min,
---h) from the library.
+--h) and its solver tolerance from the library; profile verify checks at
+the library's fixed tolerances (bidding.TOL_REL, TOL_ABS, ATOL_FLOOR).
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def cmd_profile_build(args) -> int:
         build = bidding.build_profile
     else:
         build = excursion.build_excursion_profile
-    p = build(args.s, x_min=args.x_min, h=args.h, tol=args.tol)
+    p = build(args.s, x_min=args.x_min, h=args.h)
     save_profile(p, args.out)
     print(f"wrote {args.problem} profile s={args.s} to {args.out} "
           f"(x_min={args.x_min}, h={args.h}, sweeps={p.iterations}, "
@@ -139,10 +140,9 @@ def _print_report(rep) -> None:
 def cmd_profile_verify(args) -> int:
     p = load_profile(args.profile)
     if isinstance(p, bidding.BiddingProfile):
-        rep = bidding.verify(p, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
+        rep = bidding.verify(p)
     else:
-        rep = excursion.verify_excursion(p, tol_rel=args.tol_rel,
-                                         tol_abs=args.tol_abs)
+        rep = excursion.verify_excursion(p)
     _print_report(rep)
     return 0 if rep.passed else 1
 
@@ -224,14 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--x-min", type=float, default=bidding.DEFAULT_X_MIN)
     sp.add_argument("--h", type=float, default=bidding.DEFAULT_H)
-    sp.add_argument("--tol", type=float, default=bidding.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_profile_build)
 
     sp = psub.add_parser("verify", help="check a stored profile")
     sp.add_argument("profile")
-    sp.add_argument("--tol-rel", type=float, default=1e-4)
-    sp.add_argument("--tol-abs", type=float, default=1e-4)
     sp.set_defaults(func=cmd_profile_verify)
 
     sp = psub.add_parser("simulate", help="Monte Carlo cost estimate")

@@ -38,9 +38,8 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_X_MIN,
-                      VerificationReport, _assemble_report,
-                      _iterate_to_fixed_point, _piece_cumints,
-                      _shifted_integrals)
+                      TOL_REL, VerificationReport, _assemble_report,
+                      _iterate_to_fixed_point, _piece_cumints, _rising_pieces)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -86,14 +85,7 @@ class ExcursionProfile:
 
 def psi_pieces(s: float, K: float) -> tuple[Piece, ...]:
     """Right part of G+ on (0, 1]: max(1, M e^{2s(x-1)})."""
-    M = max(1.0, K)
-    if M <= 1.0:
-        return (Piece.constant(1.0, 0.0, 1.0),)
-    xk = 1.0 - math.log(M) / (2.0 * s)  # plateau ends where M e^{2s(x-1)} = 1
-    if xk <= 0.0:
-        return (Piece.exponential(M, 2.0 * s, 1.0, 0.0, 1.0),)
-    return (Piece.constant(1.0, 0.0, xk),
-            Piece.exponential(M, 2.0 * s, 1.0, xk, 1.0))
+    return _rising_pieces(K, 2.0 * s)[:-1]
 
 
 def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
@@ -108,71 +100,87 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
     0, with the closed-form psi integral beyond) with the minus component
     at x.  Order-preserving for the same reason as the scalar operator.
     """
-    psi_cum = _piece_cumints(psi, grid)
-    bufs = tuple(np.empty(grid.m + 1) for _ in range(4))
-    return _apply_F_pair_fast(np.asarray(left_plus, float),
-                              np.asarray(left_minus, float),
-                              psi_cum, rho, grid, tail_rate, minus_kinks,
-                              bufs[:2], bufs[2:])
+    return _pair_sweep(psi, rho, grid, tail_rate, minus_kinks)(
+        (np.asarray(left_plus, float), np.asarray(left_minus, float)),
+        (np.empty(grid.m + 1), np.empty(grid.m + 1)))
 
 
-def _apply_F_pair_fast(left_plus: np.ndarray, left_minus: np.ndarray,
-                       psi_cum: np.ndarray, rho: float, grid: GridSpec,
-                       tail_rate: float, minus_kinks: tuple[int, ...],
-                       cums: tuple[np.ndarray, np.ndarray],
-                       out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`apply_F_pair` into ``out``, with ``cums`` holding A+ and A-."""
+def _pair_integrals(A_plus: np.ndarray, A_minus: np.ndarray,
+                    psi_cum: np.ndarray, grid: GridSpec,
+                    out: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(C+(x_i), C-(x_i)) at every grid node x_i <= 0, from A± the integrals
+    of G± up to the nodes, written into ``out`` when given."""
     n, m = grid.steps_per_unit, grid.m
-    tail_p = left_plus[0] / tail_rate
-    tail_m = left_minus[0] / tail_rate
-    A_plus = cumulative_integral(left_plus, grid.h, out=cums[0])
-    A_plus += tail_p
-    A_minus = cumulative_integral(left_minus, grid.h, kinks=minus_kinks,
-                                  out=cums[1])
-    A_minus += tail_m
-    new_plus, new_minus = out
-    np.add(A_plus, A_minus, out=new_plus)
-    new_plus /= rho
+    c_plus, c_minus = out or (np.empty(m + 1), np.empty(m + 1))
+    np.add(A_plus, A_minus, out=c_plus)
     # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
     k = m - n + 1  # first node with x_i + 1 > 0
-    np.add(A_plus[n:], A_minus[:k], out=new_minus[:k])
-    np.add(A_plus[m], psi_cum[1:], out=new_minus[k:])
-    new_minus[k:] += A_minus[k:]
-    new_minus /= rho
-    return out
+    np.add(A_plus[n:], A_minus[:k], out=c_minus[:k])
+    np.add(A_plus[m], psi_cum[1:], out=c_minus[k:])
+    c_minus[k:] += A_minus[k:]
+    return c_plus, c_minus
 
 
-def _excursion_profile(s: float, grid: GridSpec, left) -> ExcursionProfile:
+def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
+                tail_rate: float, minus_kinks: tuple[int, ...]):
+    """The pair operator as the ``step(x, out)`` of the fixed-point
+    iteration: writes F of the pair ``x`` into ``out`` (see
+    :func:`apply_F_pair`), with A+ and A- in buffers of its own."""
+    psi_cum = _piece_cumints(psi, grid)
+    cums = (np.empty(grid.m + 1), np.empty(grid.m + 1))
+
+    def step(x, out):
+        (plus, minus), (A_plus, A_minus) = x, cums
+        cumulative_integral(plus, grid.h, out=A_plus)
+        A_plus += plus[0] / tail_rate
+        cumulative_integral(minus, grid.h, kinks=minus_kinks, out=A_minus)
+        A_minus += minus[0] / tail_rate
+        for c in _pair_integrals(A_plus, A_minus, psi_cum, grid, out=out):
+            c /= rho
+        return out
+
+    return step
+
+
+def _excursion_profile(s: float, grid: GridSpec,
+                       left: tuple[np.ndarray, np.ndarray] | None,
+                       tol: float = DEFAULT_TOL,
+                       max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
     """The excursion profile at ``s`` with left parts ``left`` on ``grid``,
     the one place where s fixes rho, chi, K, M, right parts, tail and kinks.
 
-    ``left`` is the pair ``(left_plus, left_minus)``, or a solver ``left(rho,
-    psi, tail_rate, minus_kinks) -> ((left_plus, left_minus), iterations,
-    final_delta)``.  At s = s_* (K reaches e^{2s}), where the pair equation is
-    doubly resonant, the exact pair G+ = e^{2s x}, G- = e^s G+ replaces it.
+    ``left`` is the pair ``(left_plus, left_minus)``, or None to sweep from
+    zero until the sup-norm change per sweep is at most ``tol`` (at most
+    ``max_iter`` sweeps).  At s = s_* (K reaches e^{2s}), where the pair
+    equation is doubly resonant, the exact pair G+ = e^{2s x}, G- = e^s G+
+    replaces the sweeps.
     """
     exc, _ = linear_tradeoff(s)
     K = solve_K(s)
     M = max(1.0, K)
+    plus_right = _rising_pieces(K, 2.0 * s)
+    iterations, final_delta = 0, math.nan
     if K >= math.exp(2.0 * s) * (1.0 - 1e-12):
         tail_rate, minus_kinks = 2.0 * s, ()
-        if callable(left):
+        if left is None:
             plus = np.exp(2.0 * s * grid.positions)
-            left = lambda *_: ((plus, math.exp(s) * plus), 0, 0.0)
+            left, final_delta = (plus, math.exp(s) * plus), 0.0
     else:
         tail_rate = conjugate_rate_linear(s)
         minus_kinks = (grid.m - grid.steps_per_unit,)  # G- kinks at x = -1
-    (left_plus, left_minus), iterations, final_delta = (
-        left(exc.rho, psi_pieces(s, K), tail_rate, minus_kinks)
-        if callable(left) else (left, 0, math.nan))
+    if left is None:
+        left, iterations, final_delta = _iterate_to_fixed_point(
+            _pair_sweep(plus_right[:-1], exc.rho, grid, tail_rate,
+                        minus_kinks),
+            (np.zeros(grid.m + 1),) * 2, tol, max_iter)
+    left_plus, left_minus = left
     # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
     # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
     minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (
         (((K - M) * math.exp(-s), 1.0 / exc.rho, 0.0),) if K != M else ())
     g_plus = GridFunction(grid=grid, left_values=left_plus,
-                          right_pieces=psi_pieces(s, K) + (Piece.exponential(
-                              M, 2.0 * s, 1.0, 1.0, math.inf),),
-                          tail_rate=tail_rate)
+                          right_pieces=plus_right, tail_rate=tail_rate)
     g_minus = GridFunction(grid=grid, left_values=left_minus,
                            right_pieces=(Piece(lo=0.0, hi=math.inf,
                                                terms=minus_terms),),
@@ -192,18 +200,7 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
     operator).  At the endpoint s = s_* the profile is the exact
     exponential pair.
     """
-    grid = make_grid(x_min, h)
-
-    def sweep_from_zero(rho, psi, tail_rate, minus_kinks):
-        psi_cum = _piece_cumints(psi, grid)
-        cums = (np.empty(grid.m + 1), np.empty(grid.m + 1))
-        return _iterate_to_fixed_point(
-            lambda x, out: _apply_F_pair_fast(*x, psi_cum, rho, grid,
-                                              tail_rate, minus_kinks, cums,
-                                              out),
-            (np.zeros(grid.m + 1),) * 2, tol, max_iter)
-
-    return _excursion_profile(s, grid, sweep_from_zero)
+    return _excursion_profile(s, make_grid(x_min, h), None, tol, max_iter)
 
 
 # -- cumulative search costs ----------------------------------------------
@@ -250,68 +247,62 @@ def weighted_psi_integral(s: float, psi: tuple[Piece, ...]) -> float:
 def _pair_residuals(p: ExcursionProfile) -> tuple[np.ndarray, np.ndarray]:
     """(C+ - rho G+, C- - rho G-) at every grid node x <= 0."""
     gp, gm = p.g_plus, p.g_minus
-    A_plus = gp.tail_mass + gp._cum
-    A_minus = gm.tail_mass + gm._cum
-    psi_cum = _piece_cumints(p.psi, gp.grid)
-    plus_shifted = _shifted_integrals(gp._cum, gp.tail_mass, psi_cum, gp.grid)
-    r_plus = A_plus + A_minus - p.rho * gp.left_values
-    r_minus = plus_shifted + A_minus - p.rho * gm.left_values
+    r_plus, r_minus = _pair_integrals(gp.tail_mass + gp._cum,
+                                      gm.tail_mass + gm._cum,
+                                      _piece_cumints(p.psi, gp.grid), gp.grid)
+    r_plus -= p.rho * gp.left_values
+    r_minus -= p.rho * gm.left_values
     return r_plus, r_minus
 
 
-def verify_excursion(p: ExcursionProfile, tol_rel: float = 1e-4,
-                     tol_abs: float = 1e-4,
-                     atol_floor: float = 1e-9) -> VerificationReport:
+def verify_excursion(p: ExcursionProfile) -> VerificationReport:
     """Check the excursion-profile conditions and tightness identities.
 
-    Both robustness conditions are checked at every grid node and on a log
-    grid over (0, 10]; tightness (equality) is reported over x <= 0 for
-    both components and over x > 0 for the minus component, where the
-    construction is tight by design.  The boundary identity
-    chi + integral_0^1 G+ = rho K e^{-s} is reported as an absolute
-    residual and enforced at 1e-5.
+    Both robustness conditions are checked at every grid node, on the
+    integrals the build's sweep assembles, and on a log grid over (0, 10],
+    at the tolerances of :func:`~profile_lab.bidding.verify` (``TOL_REL``,
+    ``TOL_ABS`` and ``ATOL_FLOOR`` in ``bidding``).  Tightness (equality) is
+    reported over x <= 0 for both components and over x > 0 for the minus
+    component, where the construction is tight by design and must hold to
+    ``TOL_REL``.  The boundary identity chi + integral_0^1 G+ = rho K e^{-s}
+    is reported as an absolute residual and enforced at 1e-5.
     """
-    rho, chi = p.rho, p.chi
+    rho = p.rho
     r_plus, r_minus = _pair_residuals(p)
     tight = max(float(np.max(np.abs(r_plus))), float(np.max(np.abs(r_minus))))
-    floor = atol_floor / tol_rel
-    rel = np.concatenate([
-        r_plus / (rho * np.maximum(p.g_plus.left_values, 0.0) + floor),
-        r_minus / (rho * np.maximum(p.g_minus.left_values, 0.0) + floor),
-    ])
-    resid = np.concatenate([r_plus, r_minus])
 
-    resid_right, rel_right = [], []
+    resid_right, rho_g_right = [], []
     minus_tight_right = 0.0
     extra = []
     for x in np.geomspace(max(p.g_plus.h, 1e-4), 10.0, 400):
-        gp = p.g_plus.value(x)
+        rho_gp = rho * p.g_plus.value(x)
         gm = p.g_minus.value(x)
-        rp = C_plus(p, x) - rho * gp
         rm = C_minus(p, x) - rho * gm
-        resid_right.extend((rp, rm))
-        rel_right.extend((rp / (rho * gp + floor), rm / (rho * gm + floor)))
+        resid_right.extend((C_plus(p, x) - rho_gp, rm))
+        rho_g_right.extend((rho_gp, rho * gm))
         if gm <= 0.0:  # no relative tightness; report the first such x
             if not extra:
                 extra.append(f"positivity: G- must be positive, is {gm!r} "
                              f"at x = {x:.6g}")
         else:
             minus_tight_right = max(minus_tight_right, abs(rm) / (rho * gm))
-    resid = np.concatenate([resid, resid_right])
-    rel = np.concatenate([rel, rel_right])
 
     c0 = C_plus(p, 0.0)
-    gap = float(c0 - chi)
     psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
     boundary_resid = abs(c0 + psi_mass - rho * p.K * math.exp(-p.s))
 
-    if minus_tight_right > tol_rel:
+    if minus_tight_right > TOL_REL:
         extra.append(
             f"tightness: C- = rho G- fails on x > 0 ({minus_tight_right:.3e})")
     if boundary_resid > 1e-5:
         extra.append(f"boundary identity residual {boundary_resid:.3e} > 1e-5")
     return _assemble_report(
-        (p.g_plus, p.g_minus), resid, rel, gap, tight, tol_rel, tol_abs,
+        (p.g_plus, p.g_minus),
+        np.concatenate([r_plus, r_minus, resid_right]),
+        np.concatenate([rho * np.maximum(p.g_plus.left_values, 0.0),
+                        rho * np.maximum(p.g_minus.left_values, 0.0),
+                        rho_g_right]),
+        float(c0 - p.chi), tight,
         consistency="C+(0)",
         offset="plus-offset: G+ must be < 1 left of 0 and >= 1 right of 0",
         monotone="monotone: G+ and G- must be non-decreasing and positive",

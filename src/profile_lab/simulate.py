@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import DomainError
 from .bidding import BiddingProfile
 from .excursion import ExcursionProfile
 
@@ -149,8 +150,10 @@ def simulate_bidding(p: BiddingProfile, target: float, n: int,
     prefix is provably below 1e-9 rho T (by the robustness bound applied at
     the start position); that bound is reported, not silently dropped.
     """
-    if target <= 0.0 or n < 1:
-        raise ValueError("need target > 0 and n >= 1")
+    if not 0.0 < target < math.inf:
+        raise DomainError(f"target must be positive and finite, got {target!r}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     eps = 1e-9 * target
     x_lo = p.g.tau(eps)
     bias_bound = p.rho * eps
@@ -174,9 +177,11 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     Excursions alternate +G+(k+U), -G-(k+U) in increasing k; every failed
     excursion costs twice its length and the successful one costs |target|.
     """
-    if target == 0.0 or n < 1:
-        raise ValueError("need target != 0 and n >= 1")
     x = abs(target)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"target must be nonzero and finite, got {target!r}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     eps = 1e-9 * x
     x_lo = min(g.tau(eps) for g in (p.g_plus, p.g_minus))
     bias_bound = 4.0 * p.rho * eps
@@ -395,12 +400,7 @@ class StepProfile:
         if target <= 0.0:
             raise ValueError("tau requires a positive target")
         pos = self._below_edges[-1]
-        for value, width in reversed(self.below):
-            if value >= target:
-                return pos
-            pos += width
-        # pos is now 0
-        for value, width in self.above:
+        for value, width in (*reversed(self.below), *self.above):
             if value >= target:
                 return pos
             pos += width
@@ -412,13 +412,7 @@ class StepProfile:
             raise ValueError("integral beyond the packed support is undefined")
         total = 0.0
         lo = self._below_edges[-1]
-        for value, width in reversed(self.below):
-            hi = lo + width
-            if x <= lo:
-                return total
-            total += value * (min(x, hi) - lo)
-            lo = hi
-        for value, width in self.above:
+        for value, width in (*reversed(self.below), *self.above):
             hi = lo + width
             if x <= lo:
                 return total

@@ -53,7 +53,7 @@ def test_criterion_2_pareto_curve_verification():
     all_pass = True
     for s in [round(0.1 * k, 1) for k in range(1, 11)]:
         p = build_profile(s, x_min=-30.0 / max(s, 0.5), h=1e-3)
-        rep = verify(p, tol_rel=1e-4)
+        rep = verify(p)
         all_pass &= rep.passed
         rel = abs(p.g.integral_to(1.0) - p.chi) / p.chi
         worst_rel = max(worst_rel, rel)
@@ -93,7 +93,7 @@ def test_criterion_5_linear_search_verification(excursion_profiles):
     all_pass = True
     worst_boundary = 0.0
     for s, p in excursion_profiles.items():
-        rep = verify_excursion(p, tol_rel=1e-4)
+        rep = verify_excursion(p)
         all_pass &= rep.passed
         psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
         resid = abs(C_plus(p, 0.0) + psi_mass - p.rho * p.K * math.exp(-p.s))

@@ -245,9 +245,18 @@ class TestCost:
 class TestVerify:
     def test_built_profiles_pass(self, bidding_profiles):
         for p in bidding_profiles.values():
-            rep = verify(p, tol_rel=1e-4)
+            rep = verify(p)
             assert rep.passed, rep.failures
             assert rep.consistency_abs_gap <= 1e-6
+
+    def test_tightness_is_the_operator_residual(self, bidding_profiles):
+        p = bidding_profiles[0.5]
+        g = p.g
+        F = apply_F(g.left_values, p.phi, p.rho, g.grid, g.tail_rate,
+                    g.kink_nodes)
+        expect = float(np.max(np.abs(p.rho * (F - g.left_values))))
+        assert verify(p).tightness_residual == pytest.approx(expect, rel=0,
+                                                             abs=1e-14)
 
     def test_endpoint_tightness(self, bidding_profiles):
         rep = verify(bidding_profiles[1.0])

@@ -255,6 +255,44 @@ class TestProfileCommands:
             assert code == 2, (cmd, out)
             assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("problem, s", [("bidding", "0.5"),
+                                            ("linsearch", "0.9")])
+    def test_non_finite_target_exit_2(self, capsys, tmp_path, problem, s,
+                                      target):
+        out_file = str(tmp_path / "p.json")
+        run(capsys, "profile", "build", "--problem", problem, "--s", s,
+            "--out", out_file, "--x-min", "-12", "--h", repr(1 / 128))
+        code, out, err = run(capsys, "profile", "simulate", out_file,
+                             f"--target={target}", "--samples", "100")
+        assert code == 2
+        assert err.startswith("error: target must be")
+
+    def test_verify_tolerance_flags_are_gone(self, capsys, tmp_path):
+        out_file = str(tmp_path / "b.json")
+        run(capsys, "profile", "build", "--problem", "bidding", "--s", "0.5",
+            "--out", out_file, "--x-min", "-12", "--h", repr(1 / 128))
+        doc = json.loads(open(out_file).read())
+        doc["left_values"] = [v * 1.5 for v in doc["left_values"]]
+        doc["left_tail"]["coeff"] *= 1.5
+        with open(out_file, "w") as fh:
+            json.dump(doc, fh)
+        code, out, _ = run(capsys, "profile", "verify", out_file)
+        assert code == 1
+        assert "failure: consistency" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "verify", out_file,
+                  "--tol-rel", "nan", "--tol-abs", "nan"])
+        assert exc.value.code == 2
+
+    def test_build_tolerance_flag_is_gone(self, capsys, tmp_path):
+        out_file = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "build", "--problem", "bidding", "--s", "0.5",
+                  "--out", str(out_file), "--tol", "1"])
+        assert exc.value.code == 2
+        assert not out_file.exists()
+
     def test_grid_flags(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")
         code, out, _ = run(capsys, "profile", "build", "--problem", "bidding",

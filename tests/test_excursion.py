@@ -185,8 +185,18 @@ class TestCumulativeCosts:
 class TestVerify:
     @pytest.mark.parametrize("s", [0.2, S_K, 0.9, S_STAR])
     def test_built_profiles_pass(self, s, excursion_profiles):
-        rep = verify_excursion(excursion_profiles[s], tol_rel=1e-4)
+        rep = verify_excursion(excursion_profiles[s])
         assert rep.passed, rep.failures
+
+    def test_tightness_is_the_operator_residual(self, excursion_profiles):
+        p = excursion_profiles[0.9]
+        gp, gm = p.g_plus, p.g_minus
+        FP, FM = apply_F_pair(gp.left_values, gm.left_values, p.psi, p.rho,
+                              gp.grid, gp.tail_rate, gm.kink_nodes)
+        expect = max(float(np.max(np.abs(p.rho * (F - g.left_values))))
+                     for F, g in ((FP, gp), (FM, gm)))
+        assert verify_excursion(p).tightness_residual == pytest.approx(
+            expect, rel=0, abs=1e-14)
 
     def test_raised_minus_value_at_zero_fails(self, excursion_profiles):
         # the x = 0 junction is held to tol_rel: a G- left value at 0 that
@@ -200,7 +210,7 @@ class TestVerify:
                                     right_pieces=gm.right_pieces,
                                     tail_rate=gm.tail_rate,
                                     kink_nodes=gm.kink_nodes))
-        rep = verify_excursion(raised, tol_rel=1e-4)
+        rep = verify_excursion(raised)
         assert not rep.monotone_ok
         assert any(f.startswith("monotone") for f in rep.failures)
 

@@ -27,7 +27,7 @@ def test_bidding_roundtrip(tmp_path, bidding_profiles):
     assert q.g.tail_rate == p.g.tail_rate
     assert q.g.tail_coeff == p.g.tail_coeff
     assert q.g.kink_nodes == p.g.kink_nodes
-    assert verify(q, tol_rel=1e-4).passed
+    assert verify(q).passed
 
 
 def test_excursion_roundtrip(tmp_path, excursion_profiles):
@@ -41,7 +41,7 @@ def test_excursion_roundtrip(tmp_path, excursion_profiles):
     np.testing.assert_array_equal(q.g_minus.left_values,
                                   p.g_minus.left_values)
     assert q.g_minus.right_pieces == p.g_minus.right_pieces
-    assert verify_excursion(q, tol_rel=1e-4).passed
+    assert verify_excursion(q).passed
 
 
 def test_double_roundtrip_is_stable(tmp_path, bidding_profiles):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from profile_lab import simulate
-from profile_lab.analysis import rho_ls_star, s_star
+from profile_lab.analysis import DomainError, rho_ls_star, s_star
 from profile_lab.bidding import expected_cost
 from profile_lab.excursion import strategy_cost_linear
 from profile_lab.simulate import (AlgorithmBids, DiscreteStrategy, SimReport,
@@ -131,6 +131,18 @@ class TestSimulateLinear:
         p = excursion_profiles[0.2]
         assert (simulate_linear(p, 1.0, 10 ** 4, seed=6).line()
                 == simulate_linear(p, 1.0, 10 ** 4, seed=6).line())
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("oracle", ["bidding", "linear"])
+def test_oracles_reject_non_finite_target(oracle, target, bidding_profiles,
+                                          excursion_profiles):
+    if oracle == "bidding":
+        sim, p = simulate_bidding, bidding_profiles[0.5]
+    else:
+        sim, p = simulate_linear, excursion_profiles[0.9]
+    with pytest.raises(DomainError):
+        sim(p, target, 100, seed=0)
 
 
 class TestLaneBlocks:
