@@ -219,8 +219,12 @@ def _iterate_to_fixed_point(step: Callable[..., object],
 
     The returned components are fresh arrays and carry a direct
     certificate: the sup-norm residual |F(x) - x| of the final accepted
-    iterate is <= ``tol``.
+    iterate is <= ``tol``.  Raises DomainError, before the first sweep,
+    unless ``tol`` is finite and positive and ``max_iter`` >= 1.
     """
+    if not (math.isfinite(tol) and tol > 0.0 and max_iter >= 1):
+        raise DomainError(f"need a finite tol > 0 and max_iter >= 1, got "
+                          f"tol={tol!r}, max_iter={max_iter!r}")
     x = tuple(np.array(c, dtype=float) for c in start)
     spare = tuple(np.empty_like(c) for c in x)
     ratios: list[float] = []

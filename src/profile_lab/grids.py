@@ -28,7 +28,8 @@ import numpy as np
 
 from .analysis import DomainError
 
-__all__ = ["Piece", "GridFunction", "make_grid", "GridSpec", "cumulative_integral"]
+__all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
+           "cumulative_integral"]
 
 
 def cumulative_integral(values: np.ndarray, h: float,
@@ -210,6 +211,46 @@ def make_grid(x_min: float, h: float) -> GridSpec:
     return GridSpec(x_min=-m * h, h=h, m=m, steps_per_unit=n)
 
 
+def _hermite_basis(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cubic Hermite basis at in-cell fractions u: the weights of the
+    left value, left slope, right value and right slope (slopes in units of
+    one cell)."""
+    u2 = u * u
+    u3 = u2 * u
+    return (2.0 * u3 - 3.0 * u2 + 1.0, u3 - 2.0 * u2 + u,
+            -2.0 * u3 + 3.0 * u2, u3 - u2)
+
+
+class Lanes:
+    """The points k + u of fixed lanes u in (0, 1], for integer k, on one grid.
+
+    A unit holds ``steps_per_unit`` cells, so k + u lies in cell
+    ``m + k * steps_per_unit + cell`` at the same in-cell fraction for
+    every k.  The cells, the Hermite basis weights of the fractions (a
+    node is the right end of its cell) and each ``e^{rate u}`` are
+    computed once here; :meth:`GridFunction.lane_values` then evaluates a
+    step k from them.
+    """
+
+    def __init__(self, grid: GridSpec, u: np.ndarray):
+        t = u * grid.steps_per_unit
+        cell = np.ceil(t) - 1.0
+        self.grid = grid
+        self.u = u
+        self.u_min = float(u.min())
+        self.weights = _hermite_basis(t - cell)
+        self.cell = cell.astype(np.intp)
+        self.cell_range = (int(self.cell.min()), int(self.cell.max()))
+        self._growth: dict[float, np.ndarray] = {}
+
+    def growth(self, rate: float) -> np.ndarray:
+        """e^{rate u}, computed once per rate."""
+        g = self._growth.get(rate)
+        if g is None:
+            g = self._growth[rate] = np.exp(rate * self.u)
+        return g
+
+
 @dataclass
 class GridFunction:
     """A non-decreasing profile on the real line; immutable after creation.
@@ -243,7 +284,11 @@ class GridFunction:
         # _cum[i] = int_{x_min}^{x_i}
         self._cum = cumulative_integral(self.left_values, self.grid.h,
                                         kinks=self.kink_nodes)
+        # node slopes in units of one cell (derivative times h), as the
+        # Hermite basis weighs them
         self._slope_right, self._slope_left = self._fit_slopes()
+        self._slope_right *= self.h
+        self._slope_left *= self.h
 
     @staticmethod
     def _segment_slopes(v: np.ndarray, h: float) -> np.ndarray:
@@ -319,24 +364,27 @@ class GridFunction:
         """Cubic Hermite model on the grid zone; x within (x_min, 0]."""
         t = (x - self.x_min) / self.h
         i = np.clip(t.astype(int), 0, self.grid.m - 1)
-        u = t - i
+        weights = _hermite_basis(t - i)
         del t
-        u2 = u * u
-        u3 = u2 * u
-        # the four basis terms, summed left to right with one node gather
-        # alive at a time
-        out = (2.0 * u3 - 3.0 * u2 + 1.0) * self.left_values[i]
-        out = out + (u3 - 2.0 * u2 + u) * (self._slope_right[i] * self.h)
-        i += 1
-        out = out + (-2.0 * u3 + 3.0 * u2) * self.left_values[i]
-        return out + (u3 - u2) * (self._slope_left[i] * self.h)
+        return self._hermite_sum(weights, i)
+
+    def _hermite_sum(self, weights: tuple[np.ndarray, ...],
+                     i: np.ndarray) -> np.ndarray:
+        """The Hermite model at basis ``weights`` in cells ``i``: the four
+        terms summed left to right with one node gather alive at a time."""
+        w0, w1, w2, w3 = weights
+        out = w0 * self.left_values[i]
+        out += w1 * self._slope_right[i]
+        out += w2 * self.left_values[1:][i]
+        out += w3 * self._slope_left[1:][i]
+        return out
 
     def _hermite_cell_integral(self, i: int, u: float) -> float:
         """Integral of the Hermite model over [x_i, x_i + u h], u in [0, 1]."""
         p0 = self.left_values[i]
         p1 = self.left_values[i + 1]
-        m0 = self._slope_right[i] * self.h
-        m1 = self._slope_left[i + 1] * self.h
+        m0 = self._slope_right[i]
+        m1 = self._slope_left[i + 1]
         u2 = u * u
         u3 = u2 * u
         u4 = u3 * u
@@ -372,6 +420,30 @@ class GridFunction:
                     res[sel] = piece.value(xr[sel])
             out[rest] = res
         return float(out[0]) if scalar else out
+
+    def lane_values(self, lanes: Lanes, k: int) -> np.ndarray:
+        """G(k + u) for the ``lanes`` u, as ``value(k + lanes.u)`` up to
+        rounding.
+
+        A step whose points all lie in the grid zone is an index add, four
+        gathers and a weighted sum; one whose points all lie on the last
+        right piece is a scalar per term times ``e^{rate u}``.  A step that
+        crosses a zone boundary or lands elsewhere calls :meth:`value`.
+        """
+        if lanes.grid != self.grid:
+            raise ValueError("lanes were laid out on another grid")
+        m = self.grid.m
+        base = m + k * self.grid.steps_per_unit
+        lo, hi = lanes.cell_range
+        if base + lo >= 0 and base + hi < m:
+            return self._hermite_sum(lanes.weights, lanes.cell + base)
+        last = self.right_pieces[-1]
+        if k + lanes.u_min > last.lo:
+            out = np.full(lanes.u.size, last.level)
+            for a, r, x0 in last.terms:
+                out += lanes.growth(r) * (a * np.exp(r * (k - x0)))
+            return out
+        return self.value(k + lanes.u)
 
     def integral_to(self, x: float) -> float:
         """A(x) = integral of G over (-inf, x]; exact for the stored model."""

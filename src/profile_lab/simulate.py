@@ -7,7 +7,13 @@ deterministically, and identical seeds give bit-identical reports.  The
 oracles run the lanes (samples) in fixed blocks of ``_LANES``, each block
 over its own range of bid steps, so their memory is the samples and the
 costs plus one block's temporaries; a lane's cost is the same sum in the
-same order for any block size.
+same order for any block size.  A unit step moves every bid position k + U
+by a whole number of grid cells, so a block locates its lanes once (cell
+and Hermite basis weights, :class:`~profile_lab.grids.Lanes`) and every
+later step on the grid is an index shift and a weighted sum of four
+gathered node values; the oracles read profiles only through point
+evaluation and ``tau``, never through the analytic integrals and costs
+they check.
 
 The discrete machinery realizes the strategy-to-profile reduction at finite
 scale: a randomized strategy given as finitely many weighted bid sequences
@@ -27,6 +33,7 @@ import numpy as np
 from .analysis import DomainError
 from .bidding import BiddingProfile
 from .excursion import ExcursionProfile
+from .grids import GridSpec, Lanes
 
 __all__ = [
     "SimReport",
@@ -114,31 +121,48 @@ def _report(costs: np.ndarray, seed: int, target: float,
                      target=target, bias_bound=bias_bound)
 
 
-def _lane_costs(n: int, seed: int, x_lo: float, k_stop: int,
+def _lane_costs(n: int, seed: int, grid: GridSpec, x_lo: float, k_stop: int,
                 add_step, failure: str) -> np.ndarray:
     """Per-lane sums of ``add_step`` over the steps k of each lane.
 
     Lane i draws U_i = counter_uniforms(seed, 0, n)[i] and runs the steps
     k >= k_start_i, the first integer with k + U_i > x_lo, up to k_stop or
     until the lane is settled.  Lanes run in blocks of ``_LANES``, each from
-    its own smallest k_start; ``add_step(pos, started, alive, costs)`` adds
-    step k's cost at positions ``pos = k + U`` to the block's ``costs``
-    where ``started`` and clears the settled lanes from ``alive``.  A lane
-    sums the same terms in the same order for any block size.
+    its own smallest k_start, and a block lays its U out on ``grid`` once
+    (:class:`~profile_lab.grids.Lanes`).  ``add_step(lanes, k, started,
+    alive, costs)`` evaluates the profile at k + U by
+    ``lane_values(lanes, k)``: a unit step keeps every lane's in-cell
+    fraction, so a step on the grid is an index shift and four gathers
+    under the block's Hermite weights, and a step on the last right piece
+    one scalar per term times the block's ``e^{rate U}``.  It adds step
+    k's cost to the block's ``costs`` where ``started`` and clears the
+    settled lanes from ``alive``.  A lane sums the same terms in the same
+    order for any block size.
     """
     u = counter_uniforms(seed, 0, n)
     costs = np.zeros(n)
     for lo in range(0, n, _LANES):
-        ub, cb = u[lo:lo + _LANES], costs[lo:lo + _LANES]
-        k_start = np.floor(x_lo - ub).astype(int) + 1
-        alive = np.ones(ub.size, dtype=bool)
+        lanes = Lanes(grid, u[lo:lo + _LANES])
+        cb = costs[lo:lo + _LANES]
+        k_start = np.floor(x_lo - lanes.u).astype(int) + 1
+        alive = np.ones(lanes.u.size, dtype=bool)
         for k in range(int(k_start.min()), k_stop + 1):
             if not alive.any():
                 break
-            add_step(k + ub, alive & (k >= k_start), alive, cb)
+            add_step(lanes, k, alive & (k >= k_start), alive, cb)
         if alive.any():
             raise RuntimeError(failure)
+        del lanes  # before the next block lays its lanes out
     return costs
+
+
+def _add_where(costs: np.ndarray, vals: np.ndarray, mask: np.ndarray) -> None:
+    """costs += vals where ``mask``, overwriting ``vals``: the other lanes
+    add +0.0 (zeroed, not multiplied by the mask, which would turn an
+    infinite bid into a nan), which leaves their costs bit for bit at a
+    fraction of the price of a gather and a scatter."""
+    np.putmask(vals, ~mask, 0.0)
+    costs += vals
 
 
 def simulate_bidding(p: BiddingProfile, target: float, n: int,
@@ -159,12 +183,12 @@ def simulate_bidding(p: BiddingProfile, target: float, n: int,
     bias_bound = p.rho * eps
     k_stop = int(math.ceil(p.g.tau(target) + 2.0))
 
-    def bid(pos, pay, alive, costs):
-        vals = p.g.value(pos)
-        costs[pay] += vals[pay]
+    def bid(lanes, k, pay, alive, costs):
+        vals = p.g.lane_values(lanes, k)
         alive &= ~(pay & (vals >= target))
+        _add_where(costs, vals, pay)
 
-    costs = _lane_costs(n, seed, x_lo, k_stop, bid,
+    costs = _lane_costs(n, seed, p.g.grid, x_lo, k_stop, bid,
                         "bidding simulation failed to terminate; "
                         "profile right part does not reach the target")
     return _report(costs, seed, target, bias_bound)
@@ -188,21 +212,23 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     stop_tau = p.g_plus.tau(x) if target > 0 else p.g_minus.tau(x)
     k_stop = int(math.ceil(stop_tau + 2.0))
 
-    def excursion(pos, started, alive, costs):
-        gp = p.g_plus.value(pos)
-        gm = p.g_minus.value(pos)
+    def excursion(lanes, k, started, alive, costs):
+        gp = p.g_plus.lane_values(lanes, k)
         if target > 0.0:
             found = started & (gp >= x)
-            pay = started & ~found
-            costs[pay] += 2.0 * (gp[pay] + gm[pay])
+            gp += p.g_minus.lane_values(lanes, k)
+            gp *= 2.0
+            _add_where(costs, gp, started & ~found)
         else:
-            costs[started] += 2.0 * gp[started]
+            gp *= 2.0
+            _add_where(costs, gp, started)
+            gm = p.g_minus.lane_values(lanes, k)
             found = started & (gm >= x)
-            pay = started & ~found
-            costs[pay] += 2.0 * gm[pay]
+            gm *= 2.0
+            _add_where(costs, gm, started & ~found)
         alive &= ~found
 
-    costs = _lane_costs(n, seed, x_lo, k_stop, excursion,
+    costs = _lane_costs(n, seed, p.g_plus.grid, x_lo, k_stop, excursion,
                         "linear-search simulation failed to terminate")
     costs += x
     return _report(costs, seed, target, bias_bound)

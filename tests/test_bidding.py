@@ -149,6 +149,29 @@ class TestFixedPointDriver:
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
+@pytest.mark.parametrize("tol,max_iter", [(math.nan, 100), (0.0, 100),
+                                           (-1.0, 100), (math.inf, 100),
+                                           (1e-12, 0)])
+@pytest.mark.parametrize("entry", ["driver", "bidding", "linsearch",
+                                   "tighten"])
+def test_driver_rejects_bad_tolerance_before_sweeping(entry, tol, max_iter,
+                                                      bidding_profiles):
+    def no_sweep(x, out):
+        raise AssertionError("swept with an invalid tol or max_iter")
+
+    kw = dict(tol=tol, max_iter=max_iter)
+    with pytest.raises(DomainError, match="max_iter >= 1"):
+        if entry == "driver":
+            bd._iterate_to_fixed_point(no_sweep, (np.zeros(3),), **kw)
+        elif entry == "bidding":
+            build_profile(0.5, x_min=-12.0, h=1.0 / 128, **kw)
+        elif entry == "linsearch":
+            build_excursion_profile(0.9, x_min=-12.0, h=1.0 / 128, **kw)
+        else:
+            p = bidding_profiles[0.5]
+            tighten(p.g, p.rho, **kw)
+
+
 class TestBackwardConstruction:
     def test_matches_exponential(self):
         p = build_profile_backward(1.0, x_min=-10.0)

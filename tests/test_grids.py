@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profile_lab import build_excursion_profile, build_profile, s_star
 from profile_lab.analysis import DomainError
-from profile_lab.grids import (GridFunction, Piece, cumulative_integral,
-                               make_grid)
+from profile_lab.grids import (GridFunction, Lanes, Piece,
+                               cumulative_integral, make_grid)
+from profile_lab.simulate import counter_uniforms
 
 
 def test_grid_snapping():
@@ -198,3 +200,48 @@ class TestGridFunction:
         assert g.integral_to(-6.0) == 0.0
         assert g.value(-6.0) == 0.0
         assert grid.positions[49] <= g.tau(1e-300) <= grid.positions[50]
+
+
+class TestLaneValues:
+    # the extremes of Unif(0, 1], its midpoint and a block of the oracle's
+    # draws
+    U = np.concatenate(([2.0 ** -53, 0.5, 1.0], counter_uniforms(5, 0, 8192)))
+
+    def test_agree_with_value_at_every_step(self, bidding_profiles,
+                                            excursion_profiles, monkeypatch):
+        # a window that is not a whole number of units: its first step
+        # straddles x_min
+        ragged = dict(x_min=-12.3, h=1.0 / 128)
+        profiles = [bidding_profiles[0.5], bidding_profiles[1.0],
+                    excursion_profiles[0.9], excursion_profiles[s_star()],
+                    build_profile(0.5, **ragged),
+                    build_excursion_profile(0.9, **ragged)]
+        calls = []
+        value = GridFunction.value
+        monkeypatch.setattr(GridFunction, "value",
+                            lambda g, x: calls.append(x) or value(g, x))
+        for p in profiles:
+            gs = (p.g,) if hasattr(p, "g") else (p.g_plus, p.g_minus)
+            lanes = Lanes(gs[0].grid, self.U)
+            for g in gs:
+                lo = g.right_pieces[-1].lo
+                for k in range(math.floor(g.x_min) - 1, math.ceil(lo) + 4):
+                    before = len(calls)
+                    got = g.lane_values(lanes, k)
+                    fell_back = len(calls) > before
+                    np.testing.assert_allclose(got, g.value(k + self.U),
+                                               rtol=1e-13, atol=0.0)
+                    # whole steps inside the grid zone or past the last
+                    # piece's lower end never locate their points again
+                    if math.ceil(g.x_min) <= k <= -1 or k >= lo + 1:
+                        assert not fell_back, (g.x_min, k)
+        # the step (-13, -12] straddles the ragged window's x_min = -12.3
+        g = profiles[4].g
+        before = len(calls)
+        g.lane_values(Lanes(g.grid, self.U), -13)
+        assert len(calls) > before
+
+    def test_rejects_lanes_of_another_grid(self, bidding_profiles):
+        lanes = Lanes(make_grid(-12.0, 1.0 / 128), self.U)
+        with pytest.raises(ValueError):
+            bidding_profiles[0.5].g.lane_values(lanes, -1)

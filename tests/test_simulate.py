@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profile_lab import simulate
+import profile_lab
+from profile_lab import bidding, excursion, grids, simulate
 from profile_lab.analysis import DomainError, rho_ls_star, s_star
 from profile_lab.bidding import expected_cost
 from profile_lab.excursion import strategy_cost_linear
@@ -167,16 +168,45 @@ class TestLaneBlocks:
         monkeypatch.setattr(simulate, "_LANES", lanes)
         assert reports() == whole
 
-    def test_memory_is_the_samples_plus_one_megabyte(self, bidding_profiles):
+    def test_memory_is_the_samples_plus_one_megabyte(self, bidding_profiles,
+                                                     excursion_profiles):
         n = 200_000
-        tracemalloc.start()
-        try:
-            simulate_bidding(bidding_profiles[0.5], 2.5, n, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the uniforms and the costs, 8 bytes per sample each
-        assert peak < 2 * 8 * n + (1 << 20)
+        cases = [(simulate_bidding, bidding_profiles[0.5], 2.5),
+                 (simulate_linear, excursion_profiles[0.9], 2.5),
+                 (simulate_linear, excursion_profiles[0.9], -2.5)]
+        for sim, p, target in cases:
+            tracemalloc.start()
+            try:
+                sim(p, target, n, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the uniforms and the costs, 8 bytes per sample each
+            assert peak < 2 * 8 * n + (1 << 20), (sim.__name__, target)
+
+
+def test_oracles_call_no_analytic_cost(monkeypatch, bidding_profiles,
+                                       excursion_profiles):
+    # the oracle checks the analytic cost path, so it must not run it
+    bid, lin = bidding_profiles[0.5], excursion_profiles[0.9]
+
+    def reports():
+        return [simulate_bidding(bid, 2.5, 20_000, 11),
+                simulate_linear(lin, 2.5, 20_000, 12),
+                simulate_linear(lin, -2.5, 20_000, 13)]
+
+    before = reports()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Monte Carlo oracle called an analytic cost")
+
+    monkeypatch.setattr(grids.GridFunction, "integral_to", forbidden)
+    for name, module in (("expected_cost", bidding),
+                         ("strategy_cost_linear", excursion),
+                         ("C_plus", excursion), ("C_minus", excursion)):
+        for owner in (module, simulate, profile_lab):
+            monkeypatch.setattr(owner, name, forbidden, raising=False)
+    assert reports() == before
 
 
 class TestTruncation:

@@ -6,6 +6,7 @@ names must fail here, not only in a traced benchmark run.
 """
 
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
     import tracing
+    from workloads import MC, TINY
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -26,3 +28,27 @@ def test_trace_binding_resolves(binding):
     for part in path:
         owner = getattr(owner, part)
     assert callable(owner.__dict__.get(attr)), binding.label
+
+
+@pytest.fixture()
+def perfbench_run(monkeypatch):
+    """perfbench's ``run`` module; what importing and running it changes in
+    this process (environment, import path, the re-imported library) is
+    undone afterwards."""
+    env = dict(os.environ)
+    for name in [m for m in sys.modules if m.split(".")[0] == "profile_lab"]:
+        monkeypatch.setitem(sys.modules, name, sys.modules[name])
+    monkeypatch.setattr(sys, "path", [PERFBENCH, *sys.path])
+    try:
+        yield importlib.import_module("run")
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+
+
+def test_traced_mc_crosscheck_reaches_every_binding(perfbench_run, tmp_path):
+    # the Monte Carlo oracle must still reach the bindings that name it as
+    # a home (grids.value, grids.tau), or its layer metrics read nothing
+    out = perfbench_run.run(MC, seed=5, seconds=0, trace=True, sizes=TINY,
+                            out_dir=tmp_path)
+    assert out["meta"]["self_check_problems"] == []
