@@ -86,8 +86,7 @@ class LowerBoundPoint:
     rho_ls_raw: float
 
 
-def bisect(f, lo: float, hi: float, *, tol: float = _BISECT_TOL,
-           max_iter: int = _BISECT_MAX_ITER) -> float:
+def bisect(f, lo: float, hi: float, *, tol: float = _BISECT_TOL) -> float:
     """Root of ``f`` on [lo, hi] by bisection; endpoints must straddle zero.
 
     ``f`` must be monotone or at least single-signed on each side of the
@@ -103,7 +102,7 @@ def bisect(f, lo: float, hi: float, *, tol: float = _BISECT_TOL,
         raise ConvergenceError(
             f"bisection bracket [{lo}, {hi}] does not straddle zero "
             f"(f(lo)={flo:.3e}, f(hi)={fhi:.3e})")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol * max(1.0, abs(mid)):
             return mid

@@ -53,8 +53,8 @@ __all__ = [
 
 DEFAULT_X_MIN = -30.0
 DEFAULT_H = 1e-3
-DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
 
 # Verification tolerances: robustness residuals must stay below TOL_REL
 # relative to rho G(x) plus ATOL_FLOOR absolute, and the realized
@@ -197,7 +197,7 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
 
 
 def _iterate_to_fixed_point(step: Callable[..., object],
-                            start: tuple[np.ndarray, ...], tol: float,
+                            start: tuple[np.ndarray, ...],
                             max_iter: int) -> tuple[tuple[np.ndarray, ...], int, float]:
     """Drive an operator to its fixed point by damped-ratio extrapolation.
 
@@ -219,12 +219,11 @@ def _iterate_to_fixed_point(step: Callable[..., object],
 
     The returned components are fresh arrays and carry a direct
     certificate: the sup-norm residual |F(x) - x| of the final accepted
-    iterate is <= ``tol``.  Raises DomainError, before the first sweep,
-    unless ``tol`` is finite and positive and ``max_iter`` >= 1.
+    iterate is <= ``SWEEP_TOL``.  Raises DomainError, before the first
+    sweep, unless ``max_iter`` >= 1.
     """
-    if not (math.isfinite(tol) and tol > 0.0 and max_iter >= 1):
-        raise DomainError(f"need a finite tol > 0 and max_iter >= 1, got "
-                          f"tol={tol!r}, max_iter={max_iter!r}")
+    if not max_iter >= 1:
+        raise DomainError(f"need max_iter >= 1, got max_iter={max_iter!r}")
     x = tuple(np.array(c, dtype=float) for c in start)
     spare = tuple(np.empty_like(c) for c in x)
     ratios: list[float] = []
@@ -239,7 +238,7 @@ def _iterate_to_fixed_point(step: Callable[..., object],
             np.subtract(new, old, out=old)
         delta = max(max(float(d.max()), -float(d.min())) for d in x)
         x, spare = spare, x
-        if delta <= tol:
+        if delta <= SWEEP_TOL:
             return tuple(np.maximum(c, 0.0) for c in x), it, delta
         if prev_delta is not None and prev_delta > 0.0:
             ratios.append(delta / prev_delta)
@@ -257,20 +256,19 @@ def _iterate_to_fixed_point(step: Callable[..., object],
                 prev_delta = None
                 cooldown = 120
     raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol} after {max_iter} "
-        f"sweeps (last sup-norm delta {delta:.3e})")
+        f"fixed-point iteration did not reach tol={SWEEP_TOL} after "
+        f"{max_iter} sweeps (last sup-norm delta {delta:.3e})")
 
 
 def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
-                     tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
     """The bidding profile at ``s`` with left part ``left`` on ``grid``, the
     one place where s fixes rho, chi, the right part, tail and kinks.
 
-    ``left`` is the grid values, or None to sweep from zero until the
-    sup-norm change per sweep is at most ``tol`` (at most ``max_iter``
-    sweeps).  At s = 1, where the delayed equation is doubly resonant, the
-    exact e^x (no kink, rate 1) replaces the sweeps.
+    ``left`` is the grid values, or None to sweep from zero to
+    ``SWEEP_TOL`` (at most ``max_iter`` sweeps).  At s = 1, where the
+    delayed equation is doubly resonant, the exact e^x (no kink, rate 1)
+    replaces the sweeps.
     """
     point = bidding_tradeoff(s)
     right = _rising_pieces(s * point.chi, s)
@@ -285,7 +283,7 @@ def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
     if left is None:
         (left,), iterations, final_delta = _iterate_to_fixed_point(
             _sweep(right[:-1], point.rho, grid, tail_rate, kinks),
-            (np.zeros(grid.m + 1),), tol, max_iter)
+            (np.zeros(grid.m + 1),), max_iter)
     g = GridFunction(grid=grid, left_values=left, right_pieces=right,
                      tail_rate=tail_rate, kink_nodes=kinks)
     return BiddingProfile(s=s, rho=point.rho, chi=point.chi, g=g,
@@ -293,19 +291,18 @@ def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
 
 
 def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
-                  tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
     """Construct the optimal (rho(s), chi(s))-bidding profile.
 
     The right part is the closed form; the left part is the monotone limit
     of operator sweeps starting from zero, stopped once the sup-norm change
-    per sweep falls below ``tol``.  The tail below ``x_min`` extends the
+    per sweep is at most ``SWEEP_TOL``.  The tail below ``x_min`` extends the
     profile at its true asymptotic decay rate, the conjugate root of the
     delayed equation's characteristic equation; a mismatched tail rate
     would feed a window-scale bias into the fixed point through the
     near-resonant mode.
     """
-    return _bidding_profile(s, make_grid(x_min, h), None, tol, max_iter)
+    return _bidding_profile(s, make_grid(x_min, h), None, max_iter)
 
 
 def build_profile_backward(s: float, x_min: float = -10.0,
@@ -454,18 +451,17 @@ def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,
     )
 
 
-def tighten(g: GridFunction, rho: float, tol: float = DEFAULT_TOL,
-            max_iter: int = DEFAULT_MAX_ITER) -> GridFunction:
+def tighten(g: GridFunction, rho: float) -> GridFunction:
     """Minimal tight left part compatible with g's right part at this rho.
 
     Operator sweeps from a valid profile form a pointwise non-increasing
     sequence; the limit is tight and its consistency integral never exceeds
-    the input's.
+    the input's.  Sweeps stop as a build's do, at ``SWEEP_TOL``.
     """
     phi = tuple(p for p in g.right_pieces if p.lo < 1.0)
     (left,), _, _ = _iterate_to_fixed_point(
         _sweep(phi, rho, g.grid, g.tail_rate, g.kink_nodes), (g.left_values,),
-        tol, max_iter)
+        DEFAULT_MAX_ITER)
     return replace(g, left_values=left)
 
 
@@ -483,13 +479,13 @@ def check_bpb(p: BiddingProfile) -> tuple[float, float]:
     return lhs, rhs
 
 
-def check_phi_lb(p: BiddingProfile, samples: int = 2001) -> float:
+def check_phi_lb(p: BiddingProfile) -> float:
     """Largest violation of phi(x) >= max(1, s chi e^{s(x-1)}) on (0, 1].
 
-    Returns max over a fine grid of (bound - phi); non-positive values mean
+    Returns max over 2001 points of (bound - phi); non-positive values mean
     the bound holds.  Built profiles satisfy it with equality.
     """
-    xs = np.linspace(1e-9, 1.0, samples)
+    xs = np.linspace(1e-9, 1.0, 2001)
     phi_vals = p.g.value(xs)
     bound = np.maximum(1.0, p.s * p.chi * np.exp(p.s * (xs - 1.0)))
     return float(np.max(bound - phi_vals))

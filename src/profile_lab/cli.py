@@ -14,8 +14,8 @@ did not converge (profile build raised ConvergenceError), 4 the Monte
 Carlo simulation did not terminate (profile simulate).  All outputs are
 deterministic given the arguments; reals are written as shortest
 round-trip decimals.  profile build takes its grid defaults (--x-min,
---h) and its solver tolerance from the library; profile verify checks at
-the library's fixed tolerances (bidding.TOL_REL, TOL_ABS, ATOL_FLOOR).
+--h) and its sweep tolerance (bidding.SWEEP_TOL) from the library; profile
+verify checks at its fixed tolerances (bidding.TOL_REL, TOL_ABS, ATOL_FLOOR).
 """
 
 from __future__ import annotations

@@ -37,9 +37,10 @@ import numpy as np
 
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
-from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_X_MIN,
-                      TOL_REL, VerificationReport, _assemble_report,
-                      _iterate_to_fixed_point, _piece_cumints, _rising_pieces)
+from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, TOL_REL,
+                      VerificationReport, _assemble_report,
+                      _iterate_to_fixed_point, _piece_cumints, _rising_pieces,
+                      _shifted_integrals)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -111,14 +112,11 @@ def _pair_integrals(A_plus: np.ndarray, A_minus: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(C+(x_i), C-(x_i)) at every grid node x_i <= 0, from A± the integrals
     of G± up to the nodes, written into ``out`` when given."""
-    n, m = grid.steps_per_unit, grid.m
-    c_plus, c_minus = out or (np.empty(m + 1), np.empty(m + 1))
+    c_plus, c_minus = out or (np.empty(grid.m + 1), np.empty(grid.m + 1))
     np.add(A_plus, A_minus, out=c_plus)
     # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
-    k = m - n + 1  # first node with x_i + 1 > 0
-    np.add(A_plus[n:], A_minus[:k], out=c_minus[:k])
-    np.add(A_plus[m], psi_cum[1:], out=c_minus[k:])
-    c_minus[k:] += A_minus[k:]
+    _shifted_integrals(A_plus, 0.0, psi_cum, grid, out=c_minus)
+    c_minus += A_minus
     return c_plus, c_minus
 
 
@@ -145,16 +143,14 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
 
 def _excursion_profile(s: float, grid: GridSpec,
                        left: tuple[np.ndarray, np.ndarray] | None,
-                       tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
     """The excursion profile at ``s`` with left parts ``left`` on ``grid``,
     the one place where s fixes rho, chi, K, M, right parts, tail and kinks.
 
     ``left`` is the pair ``(left_plus, left_minus)``, or None to sweep from
-    zero until the sup-norm change per sweep is at most ``tol`` (at most
-    ``max_iter`` sweeps).  At s = s_* (K reaches e^{2s}), where the pair
-    equation is doubly resonant, the exact pair G+ = e^{2s x}, G- = e^s G+
-    replaces the sweeps.
+    zero to ``bidding.SWEEP_TOL`` (at most ``max_iter`` sweeps).  At
+    s = s_* (K reaches e^{2s}), where the pair equation is doubly resonant,
+    the exact pair G+ = e^{2s x}, G- = e^s G+ replaces the sweeps.
     """
     exc, _ = linear_tradeoff(s)
     K = solve_K(s)
@@ -173,7 +169,7 @@ def _excursion_profile(s: float, grid: GridSpec,
         left, iterations, final_delta = _iterate_to_fixed_point(
             _pair_sweep(plus_right[:-1], exc.rho, grid, tail_rate,
                         minus_kinks),
-            (np.zeros(grid.m + 1),) * 2, tol, max_iter)
+            (np.zeros(grid.m + 1),) * 2, max_iter)
     left_plus, left_minus = left
     # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
     # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
@@ -191,16 +187,16 @@ def _excursion_profile(s: float, grid: GridSpec,
 
 
 def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
-                            h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
+                            h: float = DEFAULT_H,
                             max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
     """Construct the near-optimal excursion profile at parameter s.
 
     Right parts are the closed forms with K = K(s); left parts are the
     minimal tight extension (monotone-from-zero limit of the pair
-    operator).  At the endpoint s = s_* the profile is the exact
-    exponential pair.
+    operator, swept to ``bidding.SWEEP_TOL``).  At the endpoint s = s_* the
+    profile is the exact exponential pair.
     """
-    return _excursion_profile(s, make_grid(x_min, h), None, tol, max_iter)
+    return _excursion_profile(s, make_grid(x_min, h), None, max_iter)
 
 
 # -- cumulative search costs ----------------------------------------------

@@ -396,29 +396,24 @@ class GridFunction:
         """Evaluate G(x); left-continuous, vectorized.
 
         At grid nodes the stored value is returned (at x = 0 this is the
-        left limit); between nodes the monotone cubic Hermite model.
+        left limit); between nodes the monotone cubic Hermite model.  A nan
+        point lies in no zone and gives nan.
         """
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
-        out = np.empty_like(xa)
-        tail = xa <= self.x_min
-        mid = (xa > self.x_min) & (xa <= 0.0)
-        if tail.any():
-            out[tail] = self.tail_coeff * np.exp(
-                self.tail_rate * (xa[tail] - self.x_min))
-        if mid.any():
-            out[mid] = self._hermite(xa[mid])
-        rest = xa > 0.0
-        if rest.any():
-            xr = xa[rest]
-            res = np.empty_like(xr)
-            res.fill(np.nan)
-            for piece in self.right_pieces:
-                sel = (xr > piece.lo) & (xr <= piece.hi)
-                if sel.any():
-                    res[sel] = piece.value(xr[sel])
-            out[rest] = res
+        out = np.full_like(xa, np.nan)
+        zone = xa <= self.x_min
+        if zone.any():
+            out[zone] = self.tail_coeff * np.exp(
+                self.tail_rate * (xa[zone] - self.x_min))
+        zone = (xa > self.x_min) & (xa <= 0.0)
+        if zone.any():
+            out[zone] = self._hermite(xa[zone])
+        for piece in self.right_pieces:
+            zone = (xa > piece.lo) & (xa <= piece.hi)
+            if zone.any():
+                out[zone] = piece.value(xa[zone])
         return float(out[0]) if scalar else out
 
     def lane_values(self, lanes: Lanes, k: int) -> np.ndarray:
@@ -466,22 +461,25 @@ class GridFunction:
         return float(total)
 
     def tau(self, target: float) -> float:
-        """sup { t : G(t) < target } for target > 0.
+        """sup { t : G(t) < target } for a positive finite target.
 
         Supremum semantics: a plateau at a value below ``target`` is included
         up to its right end; points where G equals ``target`` are excluded.
-        Raises DomainError when G stays below ``target`` everywhere.
+        Raises DomainError for any other target, or when G stays below
+        ``target`` everywhere.
         """
-        if target <= 0.0:
-            raise ValueError("tau requires a positive target")
+        if not 0.0 < target < math.inf:
+            raise DomainError(
+                f"tau requires a positive finite target, got {target!r}")
         v = self.left_values
         if target <= v[0]:
             return self.x_min + math.log(target / v[0]) / self.tail_rate
         if target <= v[-1]:
             # v[i-1] < target <= v[i] with i >= 1: a crossing in (i-1, i]
             i = int(np.searchsorted(v, target, side="left"))
-            lo = self.grid.positions[i - 1]
-            hi = self.grid.positions[i]
+            # grid.positions[i - 1] and [i], without building the positions
+            lo = (i - 1 - self.grid.m) * self.h
+            hi = (i - self.grid.m) * self.h
             if v[i] == v[i - 1]:
                 return hi
             for _ in range(80):

@@ -261,18 +261,18 @@ class AlgorithmBids:
                 return out
             i += 1
 
-    def discarded_prefix(self, rel_tol: float = 1e-15) -> float:
+    def discarded_prefix(self) -> float:
         """Sum of the strategy bids below the cutoff (all positive).
 
         The prefix decays geometrically (robustness bound), so the sum is
-        truncated once terms stop contributing at ``rel_tol`` relative.
+        truncated once terms stop contributing at 1e-15 relative.
         """
         total = 0.0
         i = self.first_index - 1
         while True:
             b = float(self.profile.g.value(i + self.shift))
             total += b
-            if b <= rel_tol * max(total, 1e-300) or b == 0.0:
+            if b <= 1e-15 * max(total, 1e-300) or b == 0.0:
                 return total
             i -= 1
 
@@ -389,14 +389,13 @@ def aggregate_measure(ds: DiscreteStrategy) -> dict[float, float]:
 class StepProfile:
     """Left-continuous step function from the quantile construction.
 
-    Values below the anchor stack leftward from 0 in decreasing order
-    (width = mass); values at or above the anchor stack rightward in
+    Values below the prediction 1 stack leftward from 0 in decreasing
+    order (width = mass); values at or above 1 stack rightward in
     increasing order.  G is 0 below the stacked support and has no bids
     above it; costs are defined for targets the unit-mass packing can
     cover.
     """
 
-    anchor: float
     below: tuple[tuple[float, float], ...]  # (value, width), decreasing values
     above: tuple[tuple[float, float], ...]  # (value, width), increasing values
 
@@ -460,29 +459,28 @@ class StepProfile:
         return total
 
 
-def inverse_profile(mu: dict[float, float], anchor: float = 1.0) -> StepProfile:
+def inverse_profile(mu: dict[float, float]) -> StepProfile:
     """Quantile construction of the profile equivalent to a bid measure.
 
-    For x < 0 the profile takes the largest value v < anchor whose
-    accumulated mass from above reaches -x; for x >= 0 the smallest value
-    v >= anchor whose accumulated mass from the anchor reaches x.  The
+    Around the prediction 1: for x < 0 the profile takes the largest value
+    v < 1 whose accumulated mass from above reaches -x; for x >= 0 the
+    smallest value v >= 1 whose accumulated mass from 1 reaches x.  The
     pushforward of Lebesgue measure under the result is exactly ``mu``.
     """
     if not mu or any(v <= 0.0 or w <= 0.0 for v, w in mu.items()):
         raise ValueError("measure must carry positive mass on positive values")
     items = sorted(mu.items())
-    below = tuple((v, w) for v, w in reversed(items) if v < anchor)
-    above = tuple((v, w) for v, w in items if v >= anchor)
-    return StepProfile(anchor=anchor, below=below, above=above)
+    below = tuple((v, w) for v, w in reversed(items) if v < 1.0)
+    above = tuple((v, w) for v, w in items if v >= 1.0)
+    return StepProfile(below=below, above=above)
 
 
 @dataclass(frozen=True)
 class DominanceReport:
     """Per-target comparison of a discrete strategy against its inverse
-    profile; the profile may only improve."""
+    profile; the profile may only improve, up to 1e-10 of rounding."""
 
     rows: tuple[tuple[float, float, float], ...]  # (target, direct, profile)
-    tol: float
 
     @property
     def max_violation(self) -> float:
@@ -491,11 +489,11 @@ class DominanceReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.max_violation <= self.tol
+        return self.max_violation <= 1e-10
 
 
-def cost_dominance_check(ds: DiscreteStrategy, targets: list[float],
-                         tol: float = 1e-10) -> DominanceReport:
+def cost_dominance_check(ds: DiscreteStrategy,
+                         targets: list[float]) -> DominanceReport:
     """Certify that the inverse-profile strategy never costs more than the
     discrete strategy it was derived from, at each requested target."""
     profile = inverse_profile(aggregate_measure(ds))
@@ -504,4 +502,4 @@ def cost_dominance_check(ds: DiscreteStrategy, targets: list[float],
         direct = ds.expected_cost(t)
         prof = profile.expected_cost(t)
         rows.append((t, direct, prof))
-    return DominanceReport(rows=tuple(rows), tol=tol)
+    return DominanceReport(rows=tuple(rows))

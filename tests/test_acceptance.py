@@ -37,7 +37,7 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_endpoint_exactness():
     start = time.perf_counter()
-    p = build_profile(1.0, x_min=-30.0, h=1e-3, tol=1e-13)
+    p = build_profile(1.0, x_min=-30.0, h=1e-3)
     sup = float(np.max(np.abs(p.g.left_values - np.exp(p.g.grid.positions))))
     worst = max(abs(expected_cost(p, float(T)) / T - math.e)
                 for T in np.geomspace(1e-2, 1e2, 50))

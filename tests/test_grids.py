@@ -143,6 +143,29 @@ class TestGridFunction:
         np.testing.assert_allclose(g.value(xs),
                                    [g.value(float(x)) for x in xs])
 
+    @pytest.mark.parametrize("which", ["bidding", "plus", "minus"])
+    def test_nan_points_give_nan(self, which):
+        kw = dict(x_min=-12.0, h=1.0 / 128)
+        g = (build_profile(0.5, **kw).g if which == "bidding" else
+             getattr(build_excursion_profile(0.9, **kw), f"g_{which}"))
+        assert math.isnan(g.value(math.nan))
+        # a freed buffer of the same size must not show through
+        finite = np.array([7.0, -1.0, 3.0, 0.5])
+        g.value(finite)
+        assert np.all(np.isnan(g.value(np.full(4, math.nan))))
+        xs = np.array([math.nan, -13.0, math.nan, -0.5, 0.5, 7.0, math.nan])
+        got = g.value(xs)
+        nan = np.isnan(xs)
+        assert np.all(np.isnan(got[nan]))
+        assert got[~nan].tobytes() == g.value(xs[~nan]).tobytes()
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0,
+                                        -1.0])
+    def test_tau_rejects_a_non_finite_or_non_positive_target(
+            self, exp_grid_function, target):
+        with pytest.raises(DomainError, match="positive finite target"):
+            exp_grid_function.tau(target)
+
     def test_integral(self, exp_grid_function):
         g = exp_grid_function
         for x in (-11.0, -2.345, 0.0, 2.5):

@@ -351,8 +351,8 @@ class TestDominance:
         ds = DiscreteStrategy(outcomes=outcomes)
         targets = sorted({b for _, bids in ds.outcomes for b in bids
                           if b <= ds.t_max})
-        rep = cost_dominance_check(ds, targets, tol=1e-9)
-        assert rep.all_ok, rep.rows
+        rep = cost_dominance_check(ds, targets)
+        assert rep.max_violation <= 1e-9, rep.rows
 
 
 class TestReportsAndText:

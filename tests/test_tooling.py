@@ -9,14 +9,17 @@ import importlib
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from profile_lab import analysis, bidding, excursion
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
     import tracing
-    from workloads import MC, TINY
+    from workloads import MC, TINY, CertifyCurve
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -52,3 +55,14 @@ def test_traced_mc_crosscheck_reaches_every_binding(perfbench_run, tmp_path):
     out = perfbench_run.run(MC, seed=5, seconds=0, trace=True, sizes=TINY,
                             out_dir=tmp_path)
     assert out["meta"]["self_check_problems"] == []
+
+
+def test_certify_curve_reads_both_builders_max_iter(tmp_path):
+    # certify-curve's set-up reads each builder's max_iter default by
+    # signature (a failed build counts that many sweeps); a builder without
+    # the parameter would crash the benchmark, not a tier-1 test
+    wl = CertifyCurve(seed=1, sizes=TINY, scratch=tmp_path)
+    wl.setup(SimpleNamespace(analysis=analysis, bidding=bidding,
+                             excursion=excursion))
+    assert wl.max_iter == {"bidding": bidding.DEFAULT_MAX_ITER,
+                           "linsearch": bidding.DEFAULT_MAX_ITER}
