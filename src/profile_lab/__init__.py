@@ -11,9 +11,7 @@ from .analysis import (
     DomainError,
     LowerBoundPoint,
     TradeoffPoint,
-    bidding_lb_chi,
     bidding_tradeoff,
-    invert_bidding_chi,
     invert_linear_strategy_chi,
     lambert_w0,
     linear_lower_bound,
@@ -47,18 +45,20 @@ from .excursion import (
     weighted_psi_integral,
 )
 from .grids import GridFunction, GridSpec, Piece, make_grid
-from .serialize import load_profile, save_profile
-from .simulate import (
+from .reduction import (
     DiscreteStrategy,
-    SimReport,
     StepProfile,
     aggregate_measure,
     cost_dominance_check,
-    counter_uniforms,
     inverse_profile,
+    truncate_to_algorithm,
+)
+from .serialize import load_profile, save_profile
+from .simulate import (
+    SimReport,
+    counter_uniforms,
     simulate_bidding,
     simulate_linear,
-    truncate_to_algorithm,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ __all__ = [
     "lambert_w0",
     "solve_xi_bidding",
     "bidding_tradeoff",
-    "bidding_lb_chi",
     "s_star",
     "solve_sK",
     "solve_K",
@@ -41,7 +40,6 @@ __all__ = [
     "linear_lower_bound",
     "conjugate_rate_bidding",
     "conjugate_rate_linear",
-    "invert_bidding_chi",
     "invert_linear_strategy_chi",
     "rho_ls_star",
     "LN2",
@@ -169,14 +167,6 @@ def bidding_tradeoff(s: float) -> TradeoffPoint:
     else:
         chi = solve_xi_bidding(s) / s
     return TradeoffPoint(s=s, rho=rho, chi=chi)
-
-
-def bidding_lb_chi(s: float) -> float:
-    """Consistency lower bound for tight bidding profiles at robustness e^s/s.
-
-    Coincides with the achievable chi(s): the upper and lower curves meet.
-    """
-    return bidding_tradeoff(s).chi
 
 
 def s_star() -> float:
@@ -323,17 +313,6 @@ def conjugate_rate_linear(s: float) -> float:
     while f(hi) > 0.0:
         hi = 2.0 * hi
     return bisect(f, lo, hi)
-
-
-def invert_bidding_chi(chi: float) -> float:
-    """Parameter s in (0, 1] whose bidding consistency equals ``chi``.
-
-    chi(s) is continuous and strictly increasing from 1 (s -> 0) to e, so a
-    bisection over s recovers the parameter.
-    """
-    if not (1.0 < chi <= math.e + 1e-12):
-        raise DomainError(f"bidding chi must lie in (1, e], got {chi}")
-    return bisect(lambda s: bidding_tradeoff(s).chi - chi, 1e-8, 1.0)
 
 
 def invert_linear_strategy_chi(chi_ls: float) -> float:

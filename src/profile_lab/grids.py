@@ -107,6 +107,19 @@ class Piece:
     level: float = 0.0
     terms: tuple[tuple[float, float, float], ...] = ()  # (a, rate, anchor)
 
+    # The sum's limit where terms of both signs overflow (inf - inf = nan):
+    # that of the fastest-growing term.  None when the signs agree, so such
+    # a piece never overflows into a nan and its values pay no guard.
+    _far_limit: float | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        limit = None
+        if (any(a > 0.0 for a, _, _ in self.terms)
+                and any(a < 0.0 for a, _, _ in self.terms)):
+            a = max(self.terms, key=lambda term: term[1])[0]
+            limit = math.copysign(math.inf, a)
+        object.__setattr__(self, "_far_limit", limit)
+
     @staticmethod
     def constant(level: float, lo: float, hi: float) -> "Piece":
         return Piece(lo=lo, hi=hi, level=level)
@@ -117,10 +130,21 @@ class Piece:
         return Piece(lo=lo, hi=hi, terms=((a, rate, anchor),))
 
     def value(self, x):
-        out = np.full_like(np.asarray(x, dtype=float), self.level)
-        for a, r, x0 in self.terms:
-            out = out + a * np.exp(r * (np.asarray(x, dtype=float) - x0))
+        xa = np.asarray(x, dtype=float)
+        if self._far_limit is None:
+            out = self._sum(xa)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self._sum(xa)
+            out = np.where(np.isnan(out) & ~np.isnan(xa), self._far_limit,
+                           out)
         return out if out.ndim else float(out)
+
+    def _sum(self, xa: np.ndarray):
+        out = np.full_like(xa, self.level)
+        for a, r, x0 in self.terms:
+            out = out + a * np.exp(r * (xa - x0))
+        return out
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b] intersected with (lo, hi]."""
@@ -525,6 +549,3 @@ class GridFunction:
         """No negative values anywhere; underflowed-to-zero tails allowed."""
         return bool(np.all(self.left_values >= 0.0)) \
             and float(self.left_values[-1]) > 0.0
-
-    def is_strictly_positive(self) -> bool:
-        return bool(np.all(self.left_values > 0.0))

@@ -1,4 +1,4 @@
-"""Monte Carlo oracles, strategy truncation, and discrete strategy conversion.
+"""Monte Carlo oracles for the expected costs of profile-driven strategies.
 
 The simulators draw the shared shift U ~ Unif(0, 1] from a counter-based
 generator keyed by (seed, sample index): sample i is a pure function of the
@@ -14,19 +14,12 @@ later step on the grid is an index shift and a weighted sum of four
 gathered node values; the oracles read profiles only through point
 evaluation and ``tau``, never through the analytic integrals and costs
 they check.
-
-The discrete machinery realizes the strategy-to-profile reduction at finite
-scale: a randomized strategy given as finitely many weighted bid sequences
-is collapsed value-wise into an aggregate measure, the measure is unfolded
-into a left-continuous step profile by the quantile construction around the
-prediction at 1, and the profile-driven strategy is certified to cost no
-more than the original at every target.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +28,8 @@ from .bidding import BiddingProfile
 from .excursion import ExcursionProfile
 from .grids import GridSpec, Lanes
 
-__all__ = [
-    "SimReport",
-    "DiscreteStrategy",
-    "counter_uniforms",
-    "simulate_bidding",
-    "simulate_linear",
-    "AlgorithmBids",
-    "truncate_to_algorithm",
-    "aggregate_measure",
-    "StepProfile",
-    "inverse_profile",
-    "DominanceReport",
-    "cost_dominance_check",
-]
+__all__ = ["SimReport", "counter_uniforms", "simulate_bidding",
+           "simulate_linear"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -233,273 +214,3 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     costs += x
     return _report(costs, seed, target, bias_bound)
 
-
-@dataclass
-class AlgorithmBids:
-    """Suffix of a profile-driven bid sequence, starting at the first bid
-    of value at least the cutoff; lazily extensible."""
-
-    profile: BiddingProfile
-    shift: float
-    first_index: int
-
-    def bid(self, i: int) -> float:
-        """i-th bid of the algorithm (0-based from the cutoff)."""
-        return float(self.profile.g.value(self.first_index + i + self.shift))
-
-    def take(self, count: int) -> list[float]:
-        return [self.bid(i) for i in range(count)]
-
-    def bids_until(self, target: float) -> list[float]:
-        """All bids up to and including the first one of value >= target."""
-        out = []
-        i = 0
-        while True:
-            b = self.bid(i)
-            out.append(b)
-            if b >= target:
-                return out
-            i += 1
-
-    def discarded_prefix(self) -> float:
-        """Sum of the strategy bids below the cutoff (all positive).
-
-        The prefix decays geometrically (robustness bound), so the sum is
-        truncated once terms stop contributing at 1e-15 relative.
-        """
-        total = 0.0
-        i = self.first_index - 1
-        while True:
-            b = float(self.profile.g.value(i + self.shift))
-            total += b
-            if b <= 1e-15 * max(total, 1e-300) or b == 0.0:
-                return total
-            i -= 1
-
-
-def truncate_to_algorithm(p: BiddingProfile, cutoff: float,
-                          u: float) -> AlgorithmBids:
-    """Algorithm obtained by dropping all strategy bids below ``cutoff``.
-
-    For any target T >= cutoff the algorithm pays exactly the strategy cost
-    minus the (positive) discarded prefix, so all guarantees carry over.
-    """
-    if cutoff <= 0.0 or not (0.0 < u <= 1.0):
-        raise ValueError("need cutoff > 0 and u in (0, 1]")
-    k = math.floor(p.g.tau(cutoff) - u) + 1
-    while p.g.value(k + u) < cutoff:
-        k += 1
-    while k > -10_000 and p.g.value(k - 1 + u) >= cutoff:
-        k -= 1
-    return AlgorithmBids(profile=p, shift=u, first_index=k)
-
-
-# -- discrete strategies ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteStrategy:
-    """Finite randomized bidding strategy: weighted increasing bid lists.
-
-    ``t_max`` is the largest target every outcome can reach (the smallest
-    final bid across outcomes); costs are only defined for targets in
-    (0, t_max].
-    """
-
-    outcomes: tuple[tuple[float, tuple[float, ...]], ...]
-
-    def __post_init__(self):
-        if not self.outcomes:
-            raise ValueError("strategy needs at least one outcome")
-        total = 0.0
-        for prob, bids in self.outcomes:
-            if prob <= 0.0:
-                raise ValueError("outcome probabilities must be positive")
-            if not bids or any(b <= 0.0 for b in bids):
-                raise ValueError("bids must be positive and non-empty")
-            if any(b2 <= b1 for b1, b2 in zip(bids, bids[1:])):
-                raise ValueError("bids must be strictly increasing")
-            total += prob
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-    @property
-    def t_min(self) -> float:
-        return min(bids[0] for _, bids in self.outcomes)
-
-    @property
-    def t_max(self) -> float:
-        return min(bids[-1] for _, bids in self.outcomes)
-
-    def expected_cost(self, target: float) -> float:
-        """Enumerated expected cost: bids below the target plus the
-        stopping bid, per outcome."""
-        if not (0.0 < target <= self.t_max):
-            raise ValueError(f"target must lie in (0, {self.t_max}]")
-        total = 0.0
-        for prob, bids in self.outcomes:
-            run = 0.0
-            for b in bids:
-                run += b
-                if b >= target:
-                    break
-            total += prob * run
-        return total
-
-    @staticmethod
-    def from_text(text: str) -> "DiscreteStrategy":
-        """Parse lines of the form 'p b1 b2 ... bk'; '#' starts a comment."""
-        outcomes = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [float(tok) for tok in line.split()]
-            if len(parts) < 2:
-                raise ValueError(f"malformed outcome line: {line!r}")
-            outcomes.append((parts[0], tuple(parts[1:])))
-        return DiscreteStrategy(outcomes=tuple(outcomes))
-
-    def to_text(self) -> str:
-        return "\n".join(
-            " ".join([repr(prob)] + [repr(b) for b in bids])
-            for prob, bids in self.outcomes) + "\n"
-
-    @staticmethod
-    def load(path: str) -> "DiscreteStrategy":
-        with open(path, "r", encoding="utf-8") as fh:
-            return DiscreteStrategy.from_text(fh.read())
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-
-def aggregate_measure(ds: DiscreteStrategy) -> dict[float, float]:
-    """Value-wise accumulation of bid mass: each bid value receives the
-    total probability of the outcomes containing it."""
-    mu: dict[float, float] = {}
-    for prob, bids in ds.outcomes:
-        for b in bids:
-            mu[b] = mu.get(b, 0.0) + prob
-    return dict(sorted(mu.items()))
-
-
-@dataclass
-class StepProfile:
-    """Left-continuous step function from the quantile construction.
-
-    Values below the prediction 1 stack leftward from 0 in decreasing
-    order (width = mass); values at or above 1 stack rightward in
-    increasing order.  G is 0 below the stacked support and has no bids
-    above it; costs are defined for targets the unit-mass packing can
-    cover.
-    """
-
-    below: tuple[tuple[float, float], ...]  # (value, width), decreasing values
-    above: tuple[tuple[float, float], ...]  # (value, width), increasing values
-
-    _below_edges: np.ndarray = field(init=False, repr=False)
-    _above_edges: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._below_edges = np.concatenate(
-            ([0.0], -np.cumsum([w for _, w in self.below])))
-        self._above_edges = np.concatenate(
-            ([0.0], np.cumsum([w for _, w in self.above])))
-
-    def value(self, x: float) -> float:
-        """G(x); 0 below the support, inf past the last packed bid."""
-        if x <= self._below_edges[-1]:
-            return 0.0
-        if x <= 0.0:
-            i = int(np.searchsorted(-self._below_edges, -x, side="left"))
-            return self.below[i - 1][0]
-        if x > self._above_edges[-1]:
-            return math.inf
-        i = int(np.searchsorted(self._above_edges, x, side="left"))
-        return self.above[i - 1][0]
-
-    def tau(self, target: float) -> float:
-        """sup { t : G(t) < target }."""
-        if target <= 0.0:
-            raise ValueError("tau requires a positive target")
-        pos = self._below_edges[-1]
-        for value, width in (*reversed(self.below), *self.above):
-            if value >= target:
-                return pos
-            pos += width
-        return pos
-
-    def integral_to(self, x: float) -> float:
-        """Integral of G over (-inf, x]; x must not exceed the packed range."""
-        if x > self._above_edges[-1] + 1e-12:
-            raise ValueError("integral beyond the packed support is undefined")
-        total = 0.0
-        lo = self._below_edges[-1]
-        for value, width in (*reversed(self.below), *self.above):
-            hi = lo + width
-            if x <= lo:
-                return total
-            total += value * (min(x, hi) - lo)
-            lo = hi
-        return total
-
-    def expected_cost(self, target: float) -> float:
-        """Cost of the profile-driven strategy: integral to tau(target) + 1."""
-        return self.integral_to(self.tau(target) + 1.0)
-
-    def pushforward_mass(self, lo: float, hi: float) -> float:
-        """Lebesgue measure of G^{-1}([lo, hi]): total width of step values
-        in [lo, hi]; exact for step functions."""
-        total = 0.0
-        for value, width in self.below + self.above:
-            if lo <= value <= hi:
-                total += width
-        return total
-
-
-def inverse_profile(mu: dict[float, float]) -> StepProfile:
-    """Quantile construction of the profile equivalent to a bid measure.
-
-    Around the prediction 1: for x < 0 the profile takes the largest value
-    v < 1 whose accumulated mass from above reaches -x; for x >= 0 the
-    smallest value v >= 1 whose accumulated mass from 1 reaches x.  The
-    pushforward of Lebesgue measure under the result is exactly ``mu``.
-    """
-    if not mu or any(v <= 0.0 or w <= 0.0 for v, w in mu.items()):
-        raise ValueError("measure must carry positive mass on positive values")
-    items = sorted(mu.items())
-    below = tuple((v, w) for v, w in reversed(items) if v < 1.0)
-    above = tuple((v, w) for v, w in items if v >= 1.0)
-    return StepProfile(below=below, above=above)
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Per-target comparison of a discrete strategy against its inverse
-    profile; the profile may only improve, up to 1e-10 of rounding."""
-
-    rows: tuple[tuple[float, float, float], ...]  # (target, direct, profile)
-
-    @property
-    def max_violation(self) -> float:
-        return max((prof - direct for _, direct, prof in self.rows),
-                   default=-math.inf)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.max_violation <= 1e-10
-
-
-def cost_dominance_check(ds: DiscreteStrategy,
-                         targets: list[float]) -> DominanceReport:
-    """Certify that the inverse-profile strategy never costs more than the
-    discrete strategy it was derived from, at each requested target."""
-    profile = inverse_profile(aggregate_measure(ds))
-    rows = []
-    for t in targets:
-        direct = ds.expected_cost(t)
-        prof = profile.expected_cost(t)
-        rows.append((t, direct, prof))
-    return DominanceReport(rows=tuple(rows))

@@ -25,9 +25,9 @@ from profile_lab.excursion import (C_plus, apply_F_pair,
                                    strategy_cost_linear, verify_excursion,
                                    weighted_psi_integral)
 from profile_lab.grids import make_grid
-from profile_lab.simulate import (cost_dominance_check, simulate_bidding,
-                                  simulate_linear)
-from test_simulate import fixture_targets, random_strategy
+from profile_lab.reduction import cost_dominance_check
+from profile_lab.simulate import simulate_bidding, simulate_linear
+from test_reduction import fixture_targets, random_strategy
 
 
 def check(criterion: int, ok: bool, detail: str) -> None:

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from profile_lab import analysis
-from profile_lab.analysis import (DomainError, bidding_lb_chi,
-                                  bidding_tradeoff, bisect,
+from profile_lab.analysis import (DomainError, bidding_tradeoff, bisect,
                                   conjugate_rate_bidding,
-                                  conjugate_rate_linear, invert_bidding_chi,
+                                  conjugate_rate_linear,
                                   invert_linear_strategy_chi, lambert_w0,
                                   linear_lower_bound, linear_tradeoff,
                                   rho_ls_star, s_star, solve_K, solve_sK,
@@ -111,10 +110,6 @@ class TestBiddingTradeoff:
             if s * chi > 1.0:
                 x0 = 1.0 - math.log(s * chi) / s
                 assert 0.0 <= x0 < 1.0
-
-    def test_lb_chi_equals_curve(self):
-        for s in np.linspace(0.02, 1.0, 50):
-            assert bidding_lb_chi(float(s)) == bidding_tradeoff(float(s)).chi
 
     def test_domain(self):
         for bad in (0.0, -0.1, 1.2):
@@ -260,11 +255,6 @@ class TestRates:
 
 
 class TestInversion:
-    def test_bidding_roundtrip(self):
-        for s in (0.1, 0.4, 0.9):
-            chi = bidding_tradeoff(s).chi
-            assert invert_bidding_chi(chi) == pytest.approx(s, abs=1e-10)
-
     def test_linear_roundtrip(self):
         for s in (0.2, 0.7, 1.1):
             chi = linear_tradeoff(s)[1].chi

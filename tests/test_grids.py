@@ -1,13 +1,15 @@
 """Grid function plumbing: quadrature, evaluation, level crossings."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profile_lab import build_excursion_profile, build_profile, s_star
+from profile_lab import (build_excursion_profile, build_profile, s_star,
+                         solve_sK)
 from profile_lab.analysis import DomainError
 from profile_lab.grids import (GridFunction, Lanes, Piece,
                                cumulative_integral, make_grid)
@@ -121,6 +123,24 @@ class TestPiece:
         expect = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
         assert q.integral(0.0, 1.0) == pytest.approx(expect, rel=1e-8)
 
+    @pytest.mark.parametrize("s", [0.2, solve_sK(), 0.9],
+                             ids=["0.2", "sK", "0.9"])
+    def test_terms_of_both_signs_tend_to_inf(self, s, excursion_profiles):
+        # at s = 0.2 (K < 1) G- is M e^{-s} e^{2sx} + (K - M) e^{-s} e^{x/rho}
+        # with K - M < 0: far right both terms overflow, and the sum is the
+        # limit of the faster one, +inf, not inf - inf = nan
+        g = excursion_profiles[s].g_minus
+        piece, = g.right_pieces
+        xs = np.array([3900.0, 3940.0, 4000.0, 1e6, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.value(math.inf) == math.inf
+            with np.errstate(over="ignore"):  # a lone overflow is inf
+                assert np.all(g.value(xs) == math.inf)
+                assert g.value(4000.0) == math.inf
+        assert math.isnan(piece.value(math.nan))
+        assert 0.0 < g.value(50.0) < math.inf
+
 
 @pytest.fixture()
 def exp_grid_function():
@@ -201,7 +221,6 @@ class TestGridFunction:
     def test_monotonicity_probes(self, exp_grid_function):
         assert exp_grid_function.is_monotone()
         assert exp_grid_function.is_nonnegative()
-        assert exp_grid_function.is_strictly_positive()
 
     def test_tail_mass(self, exp_grid_function):
         g = exp_grid_function
