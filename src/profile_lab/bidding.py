@@ -51,7 +51,7 @@ __all__ = [
     "check_phi_lb",
 ]
 
-DEFAULT_X_MIN = -30.0
+DEFAULT_X_MIN = -10.0  # below it, the tail at the conjugate rate
 DEFAULT_H = 1e-3
 DEFAULT_MAX_ITER = 10_000
 SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
@@ -305,7 +305,7 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     return _bidding_profile(s, make_grid(x_min, h), None, max_iter)
 
 
-def build_profile_backward(s: float, x_min: float = -10.0,
+def build_profile_backward(s: float, x_min: float = DEFAULT_X_MIN,
                            h: float = DEFAULT_H) -> BiddingProfile:
     """Cross-check construction by backward recursion over unit blocks.
 

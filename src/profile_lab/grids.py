@@ -431,13 +431,15 @@ class GridFunction:
         if zone.any():
             out[zone] = self.tail_coeff * np.exp(
                 self.tail_rate * (xa[zone] - self.x_min))
-        zone = (xa > self.x_min) & (xa <= 0.0)
+        right = xa > 0.0
+        zone = (xa > self.x_min) & ~right
         if zone.any():
             out[zone] = self._hermite(xa[zone])
-        for piece in self.right_pieces:
-            zone = (xa > piece.lo) & (xa <= piece.hi)
-            if zone.any():
-                out[zone] = piece.value(xa[zone])
+        if right.any():
+            for piece in self.right_pieces:
+                zone = (xa > piece.lo) & (xa <= piece.hi)
+                if zone.any():
+                    out[zone] = piece.value(xa[zone])
         return float(out[0]) if scalar else out
 
     def lane_values(self, lanes: Lanes, k: int) -> np.ndarray:

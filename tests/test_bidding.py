@@ -7,12 +7,12 @@ import pytest
 
 from profile_lab import bidding as bd
 from profile_lab.analysis import (ConvergenceError, DomainError,
-                                  bidding_tradeoff)
+                                  bidding_tradeoff, s_star)
 from profile_lab.bidding import (apply_F, build_profile,
                                  build_profile_backward, check_bpb,
                                  check_phi_lb, expected_cost, phi_pieces,
                                  right_pieces, tighten, verify)
-from profile_lab.excursion import build_excursion_profile
+from profile_lab.excursion import build_excursion_profile, verify_excursion
 from profile_lab.grids import GridFunction, Piece, make_grid
 
 # Profile values read off the published representative-profile figure; its
@@ -148,6 +148,23 @@ class TestFixedPointDriver:
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
+@pytest.mark.parametrize("build, check, s", [
+    (build_profile, verify, 0.999),
+    (build_excursion_profile, verify_excursion, 1.25),
+    (build_excursion_profile, verify_excursion, 1.27),
+    (build_excursion_profile, verify_excursion, s_star() - 1e-4),
+], ids=["bidding-0.999", "linsearch-1.25", "linsearch-1.27",
+        "linsearch-s_star-1e-4"])
+def test_near_resonant_default_builds(build, check, s):
+    # next to the doubly resonant endpoints the sweeps contract slowest;
+    # the default window still converges there, and the build verifies
+    p = build(s)
+    assert p.iterations < bd.DEFAULT_MAX_ITER
+    rep = check(p)
+    assert rep.passed, rep.failures
+    assert abs(rep.consistency_gap) <= 1e-8
+
+
 # case ids read (sweep tolerance, max_iter)
 @pytest.mark.parametrize("max_iter", [0], ids=[f"{bd.SWEEP_TOL}-0"])
 @pytest.mark.parametrize("entry", ["driver", "bidding", "linsearch"])
@@ -177,6 +194,12 @@ class TestBackwardConstruction:
         pf = bidding_profiles.get(s) or build_profile(s)
         tail = pf.g.left_values[-(pb.g.grid.m + 1):]
         assert np.max(np.abs(tail - pb.g.left_values)) <= 1e-5
+
+    @pytest.mark.parametrize("s", [0.95, 0.999])
+    def test_matches_forward_on_the_default_grid(self, s):
+        pb, pf = build_profile_backward(s), build_profile(s)
+        assert pb.g.grid == pf.g.grid
+        assert np.max(np.abs(pf.g.left_values - pb.g.left_values)) <= 1e-9
 
 
 class TestEvaluation:
@@ -429,11 +452,13 @@ def test_tail_extension_consistent_with_window(bidding_profiles):
 
 
 def test_bpb_tail_term_vanishes(bidding_profiles):
-    # e^{-s x} A(x) evaluated at the window edge is negligible next to chi,
-    # so the consistency identity of check_bpb holds with equality
+    # e^{-s x} A(x) is negligible next to chi deep in the tail (at x = -30,
+    # below the default window, where the model is the analytic tail), so
+    # the consistency identity of check_bpb holds with equality
+    x = -30.0
     for s in (0.3, 0.5, 0.8):
         p = bidding_profiles[s]
-        proxy = math.exp(-s * p.g.x_min) * p.g.integral_to(p.g.x_min)
+        proxy = math.exp(-s * x) * p.g.integral_to(x)
         assert proxy <= 1e-6 * p.chi
 
 

@@ -64,6 +64,15 @@ class TestSimulateBidding:
         rep = simulate_bidding(p, 2.5, self.N, seed=3)
         assert abs(rep.mean - expected_cost(p, 2.5)) <= 4.0 * rep.stderr
 
+    def test_start_in_the_tail(self, bidding_profiles):
+        # at a small target the summation starts below the grid window, so
+        # the first steps evaluate the analytic tail
+        p, target = bidding_profiles[0.5], 0.3
+        assert p.g.tau(1e-9 * target) < p.g.x_min
+        rep = simulate_bidding(p, target, 2 * 10 ** 5, seed=11)
+        assert (abs(rep.mean - expected_cost(p, target))
+                <= 4.0 * rep.stderr + rep.bias_bound)
+
     def test_bit_identical_reports(self, bidding_profiles):
         p = bidding_profiles[0.5]
         r1 = simulate_bidding(p, 1.3, 10 ** 4, seed=5)
