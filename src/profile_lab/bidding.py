@@ -27,6 +27,7 @@ consistency.  Both directions are used below.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -137,11 +138,10 @@ def right_pieces(s: float, chi: float) -> tuple[Piece, ...]:
 
 def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
     """Exact integral of the pieces from 0 to k h, for k = 0 .. steps_per_unit."""
-    n = grid.steps_per_unit
-    out = np.empty(n + 1)
-    for k in range(n + 1):
-        y = k * grid.h
-        out[k] = sum(p.integral(0.0, y) for p in pieces)
+    ys = np.arange(grid.steps_per_unit + 1) * grid.h
+    out = np.zeros(ys.size)
+    for p in pieces:
+        out += p.integrals(0.0, ys)
     return out
 
 
@@ -183,17 +183,43 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
     """The bidding operator as the ``step(x, out)`` of
     :func:`_iterate_to_fixed_point`: writes F of ``x[0]`` into ``out[0]``
     (see :func:`apply_F`), with the quadrature in a buffer of its own."""
-    phi_cum = _piece_cumints(phi, grid)
+    phi_cum = _piece_cumints(phi, grid) / rho
+    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cum = np.empty(grid.m + 1)
 
     def step(x, out):
         (left,), (new,) = x, out
-        cumulative_integral(left, grid.h, kinks=kinks, out=cum)
-        _shifted_integrals(cum, left[0] / tail_rate, phi_cum, grid, out=new)
-        new /= rho
+        cumulative_integral(left, h, kinks=kinks, out=cum)
+        _shifted_integrals(cum, left[0] / (tail_rate * rho), phi_cum, grid,
+                           out=new)
         return out
 
     return step
+
+
+def _stable_ratio(deltas: deque[float]) -> float | None:
+    """The contraction ratio r of the latest sweeps, or None while it is not
+    stable enough to extrapolate with.
+
+    ``deltas`` are the sweep deltas since the last jump.  r is read two
+    ways: as the mean of the last 8 sweep ratios, and as the mean of the
+    last 3 ratios over blocks of 8 sweeps (geometric means of 8 sweep
+    ratios).  A reading is stable when its ratios spread less than
+    1e-4 (1 - r), for 0.2 < r < 0.9999.  A sweep ratio carries roundoff of
+    order eps max|x| / delta: after a first jump near resonance (deltas
+    about 1e-9, 1 - r about 4e-3 at linear search s = 1.25) that alone
+    exceeds the tolerance, and a second jump would fire only by chance.  A
+    block ratio carries an eighth of it.
+    """
+    for block, count in ((1, 8), (8, 3)):
+        if len(deltas) <= block * count:
+            return None
+        ratios = [(deltas[-1 - i * block] / deltas[-1 - (i + 1) * block])
+                  ** (1.0 / block) for i in range(count)]
+        r = sum(ratios) / count
+        if 0.2 < r < 0.9999 and max(ratios) - min(ratios) < 1e-4 * (1.0 - r):
+            return r
+    return None
 
 
 def _iterate_to_fixed_point(step: Callable[..., object],
@@ -209,13 +235,19 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     starts as a copy of ``start`` (which is never written), each sweep is
     written into the previous iterate's buffers, and those then hold the
     sweep difference.  Plain sweeps converge geometrically; once the deltas
-    show a stable contraction ratio r, the remaining geometric tail
-    diff * r/(1-r) is added in one jump and sweeping resumes.  Jumps move
-    along the observed sweep direction only, which keeps the iterate inside
-    the subspace the from-zero dynamics actually excites; the truncated
+    show a stable contraction ratio r (see :func:`_stable_ratio`), the
+    remaining geometric tail diff * r/(1-r) is added in one jump, and
+    sweeping resumes after a cooldown of 120 sweeps.  Jumps move along the
+    observed sweep direction only, which keeps the iterate inside the
+    subspace the from-zero dynamics actually excites; the truncated
     operator carries a spurious near-unit eigenmode (a window-truncation
-    artifact) that must not be touched, which rules out unconstrained
-    residual minimizers like Anderson mixing here.
+    artifact) that must not be touched.  Measured at x_min = -10 with the
+    sweep as the matrix-vector product: full GMRES lands 1.2e-6 (s = 1.1)
+    to 8.8e-5 (s = 1.27) off the from-zero sweeps on the pair and fails
+    ``verify_excursion`` (chi gap -6.0e-5 at s = 1.25), restarted GMRES(k),
+    k = 2..8, stalls at a 10 000 matrix-vector cap at most pair s, and
+    Anderson(6) lands 3.5e-3 off; only on bidding is GMRES safe (21
+    products against 267-281 sweeps).
 
     The returned components are fresh arrays and carry a direct
     certificate: the sup-norm residual |F(x) - x| of the final accepted
@@ -226,8 +258,8 @@ def _iterate_to_fixed_point(step: Callable[..., object],
         raise DomainError(f"need max_iter >= 1, got max_iter={max_iter!r}")
     x = tuple(np.array(c, dtype=float) for c in start)
     spare = tuple(np.empty_like(c) for c in x)
-    ratios: list[float] = []
-    prev_delta = None
+    # the deltas since the last jump, as many as _stable_ratio reads
+    deltas: deque[float] = deque(maxlen=8 * 3 + 1)
     cooldown = 0
     delta = math.inf
     for it in range(1, max_iter + 1):
@@ -240,21 +272,16 @@ def _iterate_to_fixed_point(step: Callable[..., object],
         x, spare = spare, x
         if delta <= SWEEP_TOL:
             return tuple(np.maximum(c, 0.0) for c in x), it, delta
-        if prev_delta is not None and prev_delta > 0.0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
+        deltas.append(delta)
         cooldown -= 1
-        if cooldown <= 0 and len(ratios) >= 8:
-            tail = ratios[-8:]
-            r = sum(tail) / 8.0
-            if 0.2 < r < 0.9999 and max(tail) - min(tail) < 1e-4 * (1.0 - r):
-                for c, diff in zip(x, spare):  # c + (c - old) * r/(1-r)
-                    diff *= r / (1.0 - r)
-                    diff += c
-                x, spare = spare, x
-                ratios.clear()
-                prev_delta = None
-                cooldown = 120
+        r = _stable_ratio(deltas) if cooldown <= 0 else None
+        if r is not None:
+            for c, diff in zip(x, spare):  # c + (c - old) * r/(1-r)
+                diff *= r / (1.0 - r)
+                diff += c
+            x, spare = spare, x
+            deltas.clear()
+            cooldown = 120
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={SWEEP_TOL} after "
         f"{max_iter} sweeps (last sup-norm delta {delta:.3e})")
@@ -380,11 +407,9 @@ def verify(p: BiddingProfile) -> VerificationReport:
     resid -= rho * g.left_values
     tight = float(np.max(np.abs(resid)))
 
-    resid_right, rho_g_right = [], []
-    for x in np.geomspace(max(g.h, 1e-4), 10.0, 400):
-        rho_gx = rho * g.value(x)
-        resid_right.append(g.integral_to(x + 1.0) - rho_gx)
-        rho_g_right.append(rho_gx)
+    xs = _right_checkpoints(g.h)
+    rho_g_right = rho * g.value(xs)
+    resid_right = g.integrals_right(xs + 1.0) - rho_g_right
 
     return _assemble_report(
         (g,), np.concatenate([resid, resid_right]),
@@ -393,6 +418,12 @@ def verify(p: BiddingProfile) -> VerificationReport:
         consistency="integral",
         offset="offset: G must be < 1 left of 0 and >= 1 right of 0",
         monotone="monotone: G must be non-decreasing and positive")
+
+
+def _right_checkpoints(h: float) -> np.ndarray:
+    """The 400 points of a log grid over (0, 10] where both verifications
+    check the right part."""
+    return np.geomspace(max(h, 1e-4), 10.0, 400)
 
 
 def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,

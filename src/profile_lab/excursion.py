@@ -39,8 +39,8 @@ from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, TOL_REL,
                       VerificationReport, _assemble_report,
-                      _iterate_to_fixed_point, _piece_cumints, _rising_pieces,
-                      _shifted_integrals)
+                      _iterate_to_fixed_point, _piece_cumints,
+                      _right_checkpoints, _rising_pieces, _shifted_integrals)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -107,15 +107,17 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
 
 
 def _pair_integrals(A_plus: np.ndarray, A_minus: np.ndarray,
-                    psi_cum: np.ndarray, grid: GridSpec,
+                    tail_mass: float, psi_cum: np.ndarray, grid: GridSpec,
                     out: tuple[np.ndarray, np.ndarray] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(C+(x_i), C-(x_i)) at every grid node x_i <= 0, from A± the integrals
-    of G± up to the nodes, written into ``out`` when given."""
+    of G± from x_min up to the nodes and ``tail_mass`` the mass of both
+    below x_min, written into ``out`` when given."""
     c_plus, c_minus = out or (np.empty(grid.m + 1), np.empty(grid.m + 1))
     np.add(A_plus, A_minus, out=c_plus)
+    c_plus += tail_mass
     # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
-    _shifted_integrals(A_plus, 0.0, psi_cum, grid, out=c_minus)
+    _shifted_integrals(A_plus, tail_mass, psi_cum, grid, out=c_minus)
     c_minus += A_minus
     return c_plus, c_minus
 
@@ -125,18 +127,17 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
     """The pair operator as the ``step(x, out)`` of the fixed-point
     iteration: writes F of the pair ``x`` into ``out`` (see
     :func:`apply_F_pair`), with A+ and A- in buffers of its own."""
-    psi_cum = _piece_cumints(psi, grid)
+    psi_cum = _piece_cumints(psi, grid) / rho
+    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cums = (np.empty(grid.m + 1), np.empty(grid.m + 1))
 
     def step(x, out):
         (plus, minus), (A_plus, A_minus) = x, cums
-        cumulative_integral(plus, grid.h, out=A_plus)
-        A_plus += plus[0] / tail_rate
-        cumulative_integral(minus, grid.h, kinks=minus_kinks, out=A_minus)
-        A_minus += minus[0] / tail_rate
-        for c in _pair_integrals(A_plus, A_minus, psi_cum, grid, out=out):
-            c /= rho
-        return out
+        cumulative_integral(plus, h, out=A_plus)
+        cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
+        return _pair_integrals(A_plus, A_minus,
+                               (plus[0] + minus[0]) / (tail_rate * rho),
+                               psi_cum, grid, out=out)
 
     return step
 
@@ -243,8 +244,8 @@ def weighted_psi_integral(s: float, psi: tuple[Piece, ...]) -> float:
 def _pair_residuals(p: ExcursionProfile) -> tuple[np.ndarray, np.ndarray]:
     """(C+ - rho G+, C- - rho G-) at every grid node x <= 0."""
     gp, gm = p.g_plus, p.g_minus
-    r_plus, r_minus = _pair_integrals(gp.tail_mass + gp._cum,
-                                      gm.tail_mass + gm._cum,
+    r_plus, r_minus = _pair_integrals(gp._cum, gm._cum,
+                                      gp.tail_mass + gm.tail_mass,
                                       _piece_cumints(p.psi, gp.grid), gp.grid)
     r_plus -= p.rho * gp.left_values
     r_minus -= p.rho * gm.left_values
@@ -267,21 +268,21 @@ def verify_excursion(p: ExcursionProfile) -> VerificationReport:
     r_plus, r_minus = _pair_residuals(p)
     tight = max(float(np.max(np.abs(r_plus))), float(np.max(np.abs(r_minus))))
 
-    resid_right, rho_g_right = [], []
-    minus_tight_right = 0.0
+    gp, gm = p.g_plus, p.g_minus
+    xs = _right_checkpoints(gp.h)
+    gm_right = gm.value(xs)
+    rho_gp, rho_gm = rho * gp.value(xs), rho * gm_right
+    a_minus = gm.integrals_right(xs)
+    r_plus_right = gp.integrals_right(xs) + a_minus - rho_gp
+    r_minus_right = gp.integrals_right(xs + 1.0) + a_minus - rho_gm
     extra = []
-    for x in np.geomspace(max(p.g_plus.h, 1e-4), 10.0, 400):
-        rho_gp = rho * p.g_plus.value(x)
-        gm = p.g_minus.value(x)
-        rm = C_minus(p, x) - rho * gm
-        resid_right.extend((C_plus(p, x) - rho_gp, rm))
-        rho_g_right.extend((rho_gp, rho * gm))
-        if gm <= 0.0:  # no relative tightness; report the first such x
-            if not extra:
-                extra.append(f"positivity: G- must be positive, is {gm!r} "
-                             f"at x = {x:.6g}")
-        else:
-            minus_tight_right = max(minus_tight_right, abs(rm) / (rho * gm))
+    positive = gm_right > 0.0  # no relative tightness elsewhere
+    if not positive.all():
+        i = int(np.argmin(positive))  # report the first such x
+        extra.append(f"positivity: G- must be positive, is "
+                     f"{float(gm_right[i])!r} at x = {xs[i]:.6g}")
+    minus_tight_right = float(np.max(
+        np.abs(r_minus_right[positive]) / rho_gm[positive], initial=0.0))
 
     c0 = C_plus(p, 0.0)
     psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
@@ -293,11 +294,11 @@ def verify_excursion(p: ExcursionProfile) -> VerificationReport:
     if boundary_resid > 1e-5:
         extra.append(f"boundary identity residual {boundary_resid:.3e} > 1e-5")
     return _assemble_report(
-        (p.g_plus, p.g_minus),
-        np.concatenate([r_plus, r_minus, resid_right]),
-        np.concatenate([rho * np.maximum(p.g_plus.left_values, 0.0),
-                        rho * np.maximum(p.g_minus.left_values, 0.0),
-                        rho_g_right]),
+        (gp, gm),
+        np.concatenate([r_plus, r_minus, r_plus_right, r_minus_right]),
+        np.concatenate([rho * np.maximum(gp.left_values, 0.0),
+                        rho * np.maximum(gm.left_values, 0.0),
+                        rho_gp, rho_gm]),
         float(c0 - p.chi), tight,
         consistency="C+(0)",
         offset="plus-offset: G+ must be < 1 left of 0 and >= 1 right of 0",

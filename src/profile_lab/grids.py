@@ -31,6 +31,10 @@ from .analysis import DomainError
 __all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
            "cumulative_integral"]
 
+# h times these weights is the corrected trapezoid's increment into node j
+# from v[j], v[j-1], v[j-2], v[j-3] (np.convolve reverses the kernel)
+_ADAMS_MOULTON = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+
 
 def cumulative_integral(values: np.ndarray, h: float,
                         kinks: tuple[int, ...] = (),
@@ -45,56 +49,56 @@ def cumulative_integral(values: np.ndarray, h: float,
     derivative difference.  For smooth integrands this is O(h^4) accurate;
     undeclared kinks degrade it gracefully to the trapezoid's O(h^2).
 
-    Every composite weight remains non-negative (the corrections shift node
-    weights by at most h/8 + h/6 against a base of h/2 or h), so
-    integration preserves pointwise order between integrands - a property
-    the profile operator relies on.
+    Telescoped, the correction leaves a fixed increment per step: the
+    integral to node j >= 4 adds h (9 v[j] + 19 v[j-1] - 5 v[j-2]
+    + v[j-3]) / 24 to the one before (the Adams-Moulton weights), and the
+    integral to node 3 is Simpson's 3/8 rule.  So the integral is one
+    4-tap convolution, a few scalar edits (the first entries and the kink
+    fixes) and one cumulative sum.
+
+    Every composite weight remains non-negative: without kinks each node
+    at or below the endpoint weighs between 3h/8 and 7h/6, and a kink fix
+    shifts weights by at most 7h/24, so integration preserves pointwise
+    order between integrands - a property the profile operator relies on.
 
     The first three entries skip the correction: their stencils would
     overlap, and windows start deep enough that nothing measurable lives
     there.
 
-    ``out``, when given, is a float array of ``values``' size that must not
-    overlap it; the integral is written there and returned, and the only
-    other array allocated is one derivative buffer.  The result is
-    bit-identical either way.
+    The result is h times a sum of the values, so a step of h / rho
+    integrates values / rho.  ``out``, when given, is a float array of
+    ``values``' size that must not overlap it; the integral is written there
+    and returned, and the only other array allocated is the convolution's.
+    The result is bit-identical either way.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     if out is None:
         out = np.empty(n)
-    # every step below is an in-place form of the expression it names
-    if n >= 4:  # back[2:] = (3 v[2:] - 4 v[1:-1] + v[:-2]) / (2h), out as scratch
-        back = np.empty(n)
-        np.multiply(v[2:], 3.0, out=back[2:])
-        np.multiply(v[1:-1], 4.0, out=out[2:])
-        back[2:] -= out[2:]
-        back[2:] += v[:-2]
-        back[2:] /= 2.0 * h
-    # out = [0, cumsum(0.5 (v[1:] + v[:-1]) h)]
     out[0] = 0.0
-    np.add(v[1:], v[:-1], out=out[1:])
-    out[1:] *= 0.5
-    out[1:] *= h
-    np.cumsum(out[1:], out=out[1:])
-    if n < 4:
+    if n < 4:  # the plain trapezoid
+        np.add(v[1:], v[:-1], out=out[1:])
+        out[1:] *= 0.5 * h
+        np.cumsum(out[1:], out=out[1:])
         return out
-    c = h * h / 12.0
-    d0 = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    kinks = [k for k in kinks if 3 <= k <= n - 3]
-    at_kinks = [(back[k], back[k + 1]) for k in kinks]
-    back[3:] -= d0  # out[3:] -= c (back[3:] - d0)
-    back[3:] *= c
-    out[3:] -= back[3:]
-    for k, (back_k, back_k1) in zip(kinks, at_kinks):
-        # split the correction at the kink: add the one-sided derivative
-        # difference; at row k+1 the base endpoint stencil also straddles
-        # the kink and the two fixes collapse to back[k+1] - back[k]
-        # (all touched nodes stay at or below the integration endpoint,
-        # keeping every composite weight non-negative)
-        fwd_k = (-3.0 * v[k] + 4.0 * v[k + 1] - v[k + 2]) / (2.0 * h)
-        out[k + 2:] += c * (fwd_k - back_k)
-        out[k + 1] += c * (back_k1 - back_k)
+    out[1] = 0.5 * h * (v[0] + v[1])
+    out[2] = out[1] + 0.5 * h * (v[1] + v[2])
+    # inc[j - 3] is the increment into node j; node 3's becomes its integral
+    inc = np.convolve(v, _ADAMS_MOULTON * h, "valid")
+    inc[0] = 0.375 * h * (v[0] + v[3] + 3.0 * (v[1] + v[2]))
+    c = h / 24.0  # (h^2 / 12) times the stencils' 1 / (2h)
+    for k in kinks:
+        if 3 <= k <= n - 3:
+            # split the correction at the kink: each side takes its own
+            # one-sided derivative; at node k+1 the endpoint stencil also
+            # straddles the kink (every touched node stays at or below the
+            # endpoint, keeping every composite weight non-negative)
+            back_k = 3.0 * v[k] - 4.0 * v[k - 1] + v[k - 2]
+            back_k1 = 3.0 * v[k + 1] - 4.0 * v[k] + v[k - 1]
+            fwd_k = -3.0 * v[k] + 4.0 * v[k + 1] - v[k + 2]
+            inc[k - 2] += c * (back_k1 - back_k)
+            inc[k - 1] += c * (fwd_k - back_k1)
+    np.cumsum(inc, out=out[3:])
     return out
 
 
@@ -156,6 +160,23 @@ class Piece:
         for c, r, x0 in self.terms:
             total += (c / r) * (math.exp(r * (b - x0)) - math.exp(r * (a - x0)))
         return total
+
+    def integrals(self, a: float, b: np.ndarray) -> np.ndarray:
+        """:meth:`integral` over [a, b_i] for each b_i of an array, equal to
+        it bit for bit.
+
+        The exponentials are math.exp's, as in :meth:`integral`: np.exp
+        rounds differently on some inputs, and the integrals reach 1e11 on
+        the verification grid, where a last-bit change is 1e-5.
+        """
+        a = max(a, self.lo)
+        b = np.minimum(b, self.hi)
+        total = self.level * (b - a)
+        for c, r, x0 in self.terms:
+            grow = np.fromiter(map(math.exp, (r * (b - x0)).tolist()), float,
+                               b.size)
+            total += (c / r) * (grow - math.exp(r * (a - x0)))
+        return np.where(b > a, total, 0.0)
 
     def weighted(self, w: float) -> "Piece":
         """The piece e^{-w x} * self(x) on the same interval.
@@ -485,6 +506,15 @@ class GridFunction:
                 break
             total += piece.integral(piece.lo, x)
         return float(total)
+
+    def integrals_right(self, x: np.ndarray) -> np.ndarray:
+        """A(x) at every point of an array x > 0, as :meth:`integral_to`
+        sums it one point at a time."""
+        total = np.full(x.shape, self.tail_mass)
+        total += self._cum[self.grid.m]
+        for piece in self.right_pieces:
+            total += piece.integrals(piece.lo, x)
+        return total
 
     def tau(self, target: float) -> float:
         """sup { t : G(t) < target } for a positive finite target.

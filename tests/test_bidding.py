@@ -148,18 +148,23 @@ class TestFixedPointDriver:
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
-@pytest.mark.parametrize("build, check, s", [
-    (build_profile, verify, 0.999),
-    (build_excursion_profile, verify_excursion, 1.25),
-    (build_excursion_profile, verify_excursion, 1.27),
-    (build_excursion_profile, verify_excursion, s_star() - 1e-4),
-], ids=["bidding-0.999", "linsearch-1.25", "linsearch-1.27",
-        "linsearch-s_star-1e-4"])
-def test_near_resonant_default_builds(build, check, s):
+# Sweep ceilings 10% above the sweeps taken when they were set, and 1200 in
+# the s ~ 1.25 band, where a build needs a second extrapolation jump to
+# finish in about 1100 sweeps and takes over 3100 without one.
+@pytest.mark.parametrize("build, check, s, max_sweeps", [
+    (build_profile, verify, 0.999, 322),
+    (build_excursion_profile, verify_excursion, 1.248, 1200),
+    (build_excursion_profile, verify_excursion, 1.25, 1200),
+    (build_excursion_profile, verify_excursion, 1.252, 1200),
+    (build_excursion_profile, verify_excursion, 1.27, 1254),
+    (build_excursion_profile, verify_excursion, s_star() - 1e-4, 1265),
+], ids=["bidding-0.999", "linsearch-1.248", "linsearch-1.25",
+        "linsearch-1.252", "linsearch-1.27", "linsearch-s_star-1e-4"])
+def test_near_resonant_default_builds(build, check, s, max_sweeps):
     # next to the doubly resonant endpoints the sweeps contract slowest;
     # the default window still converges there, and the build verifies
     p = build(s)
-    assert p.iterations < bd.DEFAULT_MAX_ITER
+    assert p.iterations <= max_sweeps
     rep = check(p)
     assert rep.passed, rep.failures
     assert abs(rep.consistency_gap) <= 1e-8
