@@ -21,6 +21,7 @@ Linear search (s in (0, s_*], s_* = 1 + W0(1/e)), excursion-profile level:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,22 +164,25 @@ def bidding_tradeoff(s: float) -> TradeoffPoint:
         raise DomainError(f"bidding trade-off requires s in (0, 1], got {s}")
     rho = math.exp(s) / s
     if s < LN2:
-        chi = (math.exp(s) - 1.0) / s
+        chi = math.expm1(s) / s  # e^s - 1 would cancel as s -> 0
     else:
         chi = solve_xi_bidding(s) / s
     return TradeoffPoint(s=s, rho=rho, chi=chi)
 
 
+@functools.cache
 def s_star() -> float:
     """Right endpoint of the linear-search parameter range: 1 + W0(1/e)."""
     return 1.0 + lambert_w0(math.exp(-1.0))
 
 
+@functools.cache
 def rho_ls_star() -> float:
     """Classical optimal competitive ratio for linear search, 1 + 1/W0(1/e)."""
     return 1.0 + 1.0 / lambert_w0(math.exp(-1.0))
 
 
+@functools.cache
 def solve_sK() -> float:
     """Unique positive root s_K of e^s (e^{2s} - 1 + 2s e^s) = (1 + e^s)^2.
 
@@ -203,6 +207,7 @@ def _K_equation(s: float, xi: float) -> float:
     return (es - xi) * math.log(xi) + xi * (3.0 + 1.0 / es) - es * (es + 2.0 * s - 1.0)
 
 
+@functools.lru_cache(maxsize=1)
 def solve_K(s: float) -> float:
     """Excursion-profile scale K(s) on (0, s_*].
 
@@ -210,7 +215,9 @@ def solve_K(s: float) -> float:
     beyond s_K, K(s) is the unique root xi in [1, e^{2s}] of
     (e^s - xi) ln xi + xi (3 + e^{-s}) = e^s (e^s + 2s - 1), found by
     bisection (the left side minus the right is strictly increasing in xi
-    on that interval).  K is continuous and strictly increasing.
+    on that interval).  K is continuous and strictly increasing.  The last
+    K is kept, so a caller that needs K next to :func:`linear_tradeoff` at
+    the same s (a curve row, a profile build) solves it once.
     """
     ss = s_star()
     if not (0.0 < s <= ss + 1e-12):

@@ -207,7 +207,7 @@ def _stable_ratio(deltas: deque[float]) -> float | None:
     ratios).  A reading is stable when its ratios spread less than
     1e-4 (1 - r), for 0.2 < r < 0.9999.  A sweep ratio carries roundoff of
     order eps max|x| / delta: after a first jump near resonance (deltas
-    about 1e-9, 1 - r about 4e-3 at linear search s = 1.25) that alone
+    about 2e-9, 1 - r about 6e-3 at linear search s = 1.25) that alone
     exceeds the tolerance, and a second jump would fire only by chance.  A
     block ratio carries an eighth of it.
     """
@@ -229,7 +229,7 @@ def _iterate_to_fixed_point(step: Callable[..., object],
 
     The iterate is a tuple of component arrays (one for the bidding
     profile, (plus, minus) for the excursion pair).  ``step(x, out)``
-    writes the next sweep F(x) into the arrays of ``out``, which never
+    writes the next sweep of x into the arrays of ``out``, which never
     overlap those of ``x``; the per-sweep delta is the sup-norm over all
     components.  The driver owns exactly two buffer sets: the iterate
     starts as a copy of ``start`` (which is never written), each sweep is
@@ -242,17 +242,29 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     subspace the from-zero dynamics actually excites; the truncated
     operator carries a spurious near-unit eigenmode (a window-truncation
     artifact) that must not be touched.  Measured at x_min = -10 with the
-    sweep as the matrix-vector product: full GMRES lands 1.2e-6 (s = 1.1)
-    to 8.8e-5 (s = 1.27) off the from-zero sweeps on the pair and fails
-    ``verify_excursion`` (chi gap -6.0e-5 at s = 1.25), restarted GMRES(k),
-    k = 2..8, stalls at a 10 000 matrix-vector cap at most pair s, and
-    Anderson(6) lands 3.5e-3 off; only on bidding is GMRES safe (21
+    Jacobi sweep as the matrix-vector product: full GMRES lands 1.2e-6
+    (s = 1.1) to 8.8e-5 (s = 1.27) off the from-zero sweeps on the pair and
+    fails ``verify_excursion`` (chi gap -6.0e-5 at s = 1.25), restarted
+    GMRES(k), k = 2..8, stalls at a 10 000 matrix-vector cap at most pair
+    s, and Anderson(6) lands 3.5e-3 off; only on bidding is GMRES safe (21
     products against 267-281 sweeps).
 
-    The returned components are fresh arrays and carry a direct
-    certificate: the sup-norm residual |F(x) - x| of the final accepted
-    iterate is <= ``SWEEP_TOL``.  Raises DomainError, before the first
-    sweep, unless ``max_iter`` >= 1.
+    ``step`` may keep state between calls: the driver never writes to the
+    arrays a step has just written while they are the iterate, so a step
+    handed back the arrays it wrote last may reuse what it computed from
+    them (the Gauss-Seidel pair sweep keeps the integral of its new G+).
+    After a jump the iterate is the other buffer set.
+
+    The returned components are fresh arrays; the sweep stops once its
+    sup-norm change delta is <= ``SWEEP_TOL``.  For a Jacobi sweep x -> F(x)
+    (bidding), delta is the operator residual |F(x) - x| of the last iterate
+    swept.  The pair sweep is Gauss-Seidel: its G- update reads the new G+,
+    so delta bounds the Jacobi residual of that iterate by (1 + c) delta,
+    and of the returned pair by 2 c delta, where c = (|x_min| + 1/lam)/rho
+    is the largest change of one component of F per unit sup-norm change of
+    one component of its argument (lam the tail rate; c is about 5.8 near
+    s_* at x_min = -10).  Raises DomainError, before the first sweep, unless
+    ``max_iter`` >= 1.
     """
     if not max_iter >= 1:
         raise DomainError(f"need max_iter >= 1, got max_iter={max_iter!r}")

@@ -20,12 +20,16 @@ The near-optimal profile at parameter s has closed-form right parts
     G-(x) = M e^s e^{2s(x-1)} + (K - M) e^{-s} e^{x/rho},
 
 with K = K(s), M = max(1, K), and its left parts are the minimal tight
-extension: the monotone-from-zero limit of the pair operator
+extension: the least fixed point on x <= 0 of the pair operator
 
     (F H)+(x) = (1/rho) ( A+(x) + A-(x) )
     (F H)-(x) = (1/rho) ( A+(min(x+1, 0)) + int_0^{max(x+1,0)} psi + A-(x) )
 
-on x <= 0, where psi = G+ restricted to (0, 1].
+where psi = G+ restricted to (0, 1] and A± are the integrals of H± up to
+x.  The build reaches it from zero by block Gauss-Seidel sweeps: each sweep
+applies (F H)+ and then (F H)- with the new plus component in A+.  Both
+halves preserve order, so the sweeps rise monotonically to the same limit
+as plain (Jacobi) applications of F, in about a third fewer sweeps.
 """
 
 from __future__ import annotations
@@ -101,43 +105,67 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
     0, with the closed-form psi integral beyond) with the minus component
     at x.  Order-preserving for the same reason as the scalar operator.
     """
-    return _pair_sweep(psi, rho, grid, tail_rate, minus_kinks)(
-        (np.asarray(left_plus, float), np.asarray(left_minus, float)),
-        (np.empty(grid.m + 1), np.empty(grid.m + 1)))
+    plus = np.asarray(left_plus, float)
+    minus = np.asarray(left_minus, float)
+    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
+    return _pair_integrals(cumulative_integral(plus, h),
+                           cumulative_integral(minus, h, kinks=minus_kinks),
+                           (plus[0] + minus[0]) / (tail_rate * rho),
+                           _piece_cumints(psi, grid) / rho, grid)
 
 
 def _pair_integrals(A_plus: np.ndarray, A_minus: np.ndarray,
-                    tail_mass: float, psi_cum: np.ndarray, grid: GridSpec,
-                    out: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    tail_mass: float, psi_cum: np.ndarray,
+                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(C+(x_i), C-(x_i)) at every grid node x_i <= 0, from A± the integrals
     of G± from x_min up to the nodes and ``tail_mass`` the mass of both
-    below x_min, written into ``out`` when given."""
-    c_plus, c_minus = out or (np.empty(grid.m + 1), np.empty(grid.m + 1))
-    np.add(A_plus, A_minus, out=c_plus)
+    below x_min."""
+    c_plus = A_plus + A_minus
     c_plus += tail_mass
     # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
-    _shifted_integrals(A_plus, tail_mass, psi_cum, grid, out=c_minus)
+    c_minus = _shifted_integrals(A_plus, tail_mass, psi_cum, grid)
     c_minus += A_minus
     return c_plus, c_minus
 
 
 def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
                 tail_rate: float, minus_kinks: tuple[int, ...]):
-    """The pair operator as the ``step(x, out)`` of the fixed-point
-    iteration: writes F of the pair ``x`` into ``out`` (see
-    :func:`apply_F_pair`), with A+ and A- in buffers of its own."""
+    """One block Gauss-Seidel sweep of the pair operator as the
+    ``step(x, out)`` of the fixed-point iteration.
+
+    The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
+    G- = (F (new G+, G-))- into ``out[1]``: the minus update already reads
+    the new plus component.  Both half-updates are the order-preserving
+    halves of :func:`apply_F_pair`, so sweeps from zero still rise to the
+    same minimal fixed point, and for this nonnegative splitting they
+    contract no slower than Jacobi sweeps (Stein-Rosenberg).  The minus
+    update needs A+, the integral of the new G+; it stays in a buffer of
+    the step's own and serves the next sweep's plus update, so a sweep
+    costs two quadratures, as a Jacobi sweep does.  A+ is recomputed only
+    when ``x`` is not the pair the step wrote last: on the first sweep and
+    after an extrapolation jump.
+    """
     psi_cum = _piece_cumints(psi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    cums = (np.empty(grid.m + 1), np.empty(grid.m + 1))
+    A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
+    tail = tail_rate * rho  # tail mass below x_min is left[0] / tail
+    wrote = None  # the plus array whose integral A_plus holds
 
     def step(x, out):
-        (plus, minus), (A_plus, A_minus) = x, cums
-        cumulative_integral(plus, h, out=A_plus)
+        nonlocal wrote
+        (plus, minus), (new_plus, new_minus) = x, out
+        if plus is not wrote:
+            cumulative_integral(plus, h, out=A_plus)
         cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
-        return _pair_integrals(A_plus, A_minus,
-                               (plus[0] + minus[0]) / (tail_rate * rho),
-                               psi_cum, grid, out=out)
+        np.add(A_plus, A_minus, out=new_plus)
+        new_plus += (plus[0] + minus[0]) / tail
+        cumulative_integral(new_plus, h, out=A_plus)
+        wrote = new_plus
+        # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
+        _shifted_integrals(A_plus, (new_plus[0] + minus[0]) / tail, psi_cum,
+                           grid, out=new_minus)
+        new_minus += A_minus
+        return out
 
     return step
 
@@ -193,9 +221,10 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
     """Construct the near-optimal excursion profile at parameter s.
 
     Right parts are the closed forms with K = K(s); left parts are the
-    minimal tight extension (monotone-from-zero limit of the pair
-    operator, swept to ``bidding.SWEEP_TOL``).  At the endpoint s = s_* the
-    profile is the exact exponential pair.
+    minimal tight extension, the monotone limit of Gauss-Seidel sweeps of
+    the pair operator from zero, swept until one sweep changes them by at
+    most ``bidding.SWEEP_TOL``.  At the endpoint s = s_* the profile is the
+    exact exponential pair.
     """
     return _excursion_profile(s, make_grid(x_min, h), None, max_iter)
 

@@ -148,16 +148,17 @@ class TestFixedPointDriver:
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
-# Sweep ceilings 10% above the sweeps taken when they were set, and 1200 in
-# the s ~ 1.25 band, where a build needs a second extrapolation jump to
-# finish in about 1100 sweeps and takes over 3100 without one.
+# Sweep ceilings 10% above the sweeps taken when they were set (790 over
+# the s ~ 1.25 band's 689-718).  In the band a build needs a second
+# extrapolation jump; Jacobi pair sweeps took 1039-1107 there, and over
+# 3100 without the second jump.
 @pytest.mark.parametrize("build, check, s, max_sweeps", [
     (build_profile, verify, 0.999, 322),
-    (build_excursion_profile, verify_excursion, 1.248, 1200),
-    (build_excursion_profile, verify_excursion, 1.25, 1200),
-    (build_excursion_profile, verify_excursion, 1.252, 1200),
-    (build_excursion_profile, verify_excursion, 1.27, 1254),
-    (build_excursion_profile, verify_excursion, s_star() - 1e-4, 1265),
+    (build_excursion_profile, verify_excursion, 1.248, 790),
+    (build_excursion_profile, verify_excursion, 1.25, 790),
+    (build_excursion_profile, verify_excursion, 1.252, 790),
+    (build_excursion_profile, verify_excursion, 1.27, 793),
+    (build_excursion_profile, verify_excursion, s_star() - 1e-4, 793),
 ], ids=["bidding-0.999", "linsearch-1.248", "linsearch-1.25",
         "linsearch-1.252", "linsearch-1.27", "linsearch-s_star-1e-4"])
 def test_near_resonant_default_builds(build, check, s, max_sweeps):

@@ -303,7 +303,10 @@ class TestProfileCommands:
         assert doc["x_min"] == -25.0
         assert doc["h"] == pytest.approx(0.002)
 
-    @pytest.mark.parametrize("s", ["0.01", "0.05"])
+    # chi = expm1(s)/s keeps its digits down to s = 1e-300; (e^s - 1)/s
+    # failed the consistency check at 1e-13 and below
+    @pytest.mark.parametrize("s", ["0.01", "0.05", "1e-300", "1e-200",
+                                   "1e-20", "1e-13", "1e-9", "1e-6", "1e-3"])
     def test_small_s_uses_library_window(self, capsys, tmp_path, s):
         out_file = str(tmp_path / "b.json")
         code, out, _ = run(capsys, "profile", "build", "--problem", "bidding",

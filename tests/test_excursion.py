@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from profile_lab import bidding as bd
+from profile_lab import excursion as ex
 from profile_lab.analysis import (DomainError, linear_tradeoff, rho_ls_star,
                                   s_star, solve_K, solve_sK)
 from profile_lab.excursion import (C_minus, C_plus, apply_F_pair,
@@ -85,6 +87,78 @@ class TestApplyFPair:
             assert np.all(new_P <= Wp * (1 + 1e-10))
             assert np.all(new_Q <= Wm * (1 + 1e-10))
             P, Q = new_P, new_Q
+
+
+def _gs_step(p):
+    """The build's Gauss-Seidel sweep on the grid, tail and kinks of ``p``."""
+    return ex._pair_sweep(p.psi, p.rho, p.g_plus.grid, p.g_plus.tail_rate,
+                          p.g_minus.kink_nodes)
+
+
+def _from_zero(p, step):
+    """``step`` driven from zero as a build drives its sweep."""
+    zero = np.zeros(p.g_plus.grid.m + 1)
+    return bd._iterate_to_fixed_point(step, (zero, zero), bd.DEFAULT_MAX_ITER)
+
+
+class TestPairSweep:
+    # at s = 1.1 the driver jumps once, after 284 sweeps
+    def test_carried_integral_matches_recomputed_across_a_jump(self):
+        p = build_excursion_profile(1.1)
+        carried = _gs_step(p)
+        last, fresh = None, []
+
+        def watched(x, out):
+            nonlocal last
+            fresh.append(x[0] is not last)  # A+ is recomputed
+            carried(x, out)
+            last = out[0]
+
+        def uncarried(x, out):  # a new step has written no pair yet
+            _gs_step(p)(x, out)
+
+        (plus, minus), sweeps, delta = _from_zero(p, watched)
+        assert fresh[0] and sum(fresh) >= 2  # the first sweep and a jump
+        (ref_plus, ref_minus), ref_sweeps, ref_delta = _from_zero(p, uncarried)
+        assert sweeps == ref_sweeps == p.iterations
+        assert delta == ref_delta == p.final_delta
+        for got, ref, built in ((plus, ref_plus, p.g_plus),
+                                (minus, ref_minus, p.g_minus)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(got, built.left_values)
+
+    def test_sweeps_from_zero_rise_until_the_first_jump(self):
+        p = build_excursion_profile(1.1)
+        step, rises = _gs_step(p), []
+        last, jumped = None, False
+
+        def watched(x, out):
+            nonlocal last, jumped
+            jumped = jumped or (last is not None and x[0] is not last)
+            step(x, out)
+            last = out[0]
+            if not jumped:
+                rises.append(min(float(np.min(new - old))
+                                 for new, old in zip(out, x)))
+
+        _from_zero(p, watched)
+        assert 100 < len(rises) < p.iterations
+        assert min(rises) >= -1e-15
+
+    @pytest.mark.parametrize("s", [0.9, 1.25])
+    def test_matches_jacobi_sweeps(self, s):
+        p = build_excursion_profile(s)
+
+        def jacobi(x, out):
+            for o, f in zip(out, apply_F_pair(*x, p.psi, p.rho, p.g_plus.grid,
+                                              p.g_plus.tail_rate,
+                                              p.g_minus.kink_nodes)):
+                o[...] = f
+
+        (plus, minus), sweeps, _ = _from_zero(p, jacobi)
+        assert p.iterations < sweeps
+        assert np.max(np.abs(plus - p.g_plus.left_values)) <= 1e-9
+        assert np.max(np.abs(minus - p.g_minus.left_values)) <= 1e-9
 
 
 class TestBuild:
