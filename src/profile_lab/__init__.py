@@ -12,7 +12,6 @@ from .analysis import (
     LowerBoundPoint,
     TradeoffPoint,
     bidding_tradeoff,
-    invert_linear_strategy_chi,
     lambert_w0,
     linear_lower_bound,
     linear_tradeoff,
@@ -25,11 +24,7 @@ from .analysis import (
 from .bidding import (
     BiddingProfile,
     VerificationReport,
-    apply_F,
     build_profile,
-    build_profile_backward,
-    check_bpb,
-    check_phi_lb,
     expected_cost,
     tighten,
     verify,
@@ -38,11 +33,9 @@ from .excursion import (
     C_minus,
     C_plus,
     ExcursionProfile,
-    apply_F_pair,
     build_excursion_profile,
     strategy_cost_linear,
     verify_excursion,
-    weighted_psi_integral,
 )
 from .grids import GridFunction, GridSpec, Piece, make_grid
 from .reduction import (

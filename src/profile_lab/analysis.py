@@ -41,7 +41,6 @@ __all__ = [
     "linear_lower_bound",
     "conjugate_rate_bidding",
     "conjugate_rate_linear",
-    "invert_linear_strategy_chi",
     "rho_ls_star",
     "LN2",
 ]
@@ -320,13 +319,3 @@ def conjugate_rate_linear(s: float) -> float:
     while f(hi) > 0.0:
         hi = 2.0 * hi
     return bisect(f, lo, hi)
-
-
-def invert_linear_strategy_chi(chi_ls: float) -> float:
-    """Parameter s in (0, s_*] whose strategy consistency 1+2chi(s) = chi_ls."""
-    hi = s_star()
-    top = linear_tradeoff(hi)[1].chi
-    if not (1.0 < chi_ls <= top + 1e-12):
-        raise DomainError(
-            f"linear-search strategy chi must lie in (1, {top:.6f}], got {chi_ls}")
-    return bisect(lambda s: linear_tradeoff(s)[1].chi - chi_ls, 1e-8, hi)

@@ -40,16 +40,10 @@ from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 __all__ = [
     "BiddingProfile",
     "VerificationReport",
-    "phi_pieces",
-    "right_pieces",
-    "apply_F",
     "build_profile",
-    "build_profile_backward",
     "expected_cost",
     "verify",
     "tighten",
-    "check_bpb",
-    "check_phi_lb",
 ]
 
 DEFAULT_X_MIN = -10.0  # below it, the tail at the conjugate rate
@@ -126,16 +120,6 @@ def _rising_pieces(a: float, rate: float) -> tuple[Piece, ...]:
     return head + (Piece.exponential(max(1.0, a), rate, 1.0, 1.0, math.inf),)
 
 
-def phi_pieces(s: float, chi: float) -> tuple[Piece, ...]:
-    """Right part on (0, 1]: max(1, s chi e^{s(x-1)}) as analytic pieces."""
-    return _rising_pieces(s * chi, s)[:-1]
-
-
-def right_pieces(s: float, chi: float) -> tuple[Piece, ...]:
-    """Full right part on (0, inf): phi, then max(1, s chi) e^{s(x-1)}."""
-    return _rising_pieces(s * chi, s)
-
-
 def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
     """Exact integral of the pieces from 0 to k h, for k = 0 .. steps_per_unit."""
     ys = np.arange(grid.steps_per_unit + 1) * grid.h
@@ -158,31 +142,21 @@ def _shifted_integrals(cum: np.ndarray, tail_mass: float,
     return out
 
 
-def apply_F(left: np.ndarray, phi: tuple[Piece, ...], rho: float,
-            grid: GridSpec, tail_rate: float,
-            kinks: tuple[int, ...] = ()) -> np.ndarray:
-    """One application of the profile operator to a left part.
-
-    Returns (F H)(x) = (1/rho) integral_{-inf}^{x+1} H at every grid node
-    x <= 0, where H is ``left`` on the grid (endpoint-corrected trapezoid
-    between nodes), ``phi`` on (0, 1] (closed form), and the exponential
-    tail ``left[0] e^{tail_rate (x - x_min)}`` below the window.  ``kinks``
-    marks nodes where H has a derivative jump (x = -1 for profile
-    iterates whose right part jumps at 0).
-
-    The operator is order-preserving: all quadrature weights are
-    non-negative and the tail mass is increasing in ``left[0]``.
-    """
-    (out,) = _sweep(phi, rho, grid, tail_rate, kinks)(
-        (np.asarray(left, float),), (np.empty(grid.m + 1),))
-    return out
-
-
 def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
            tail_rate: float, kinks: tuple[int, ...]):
     """The bidding operator as the ``step(x, out)`` of
-    :func:`_iterate_to_fixed_point`: writes F of ``x[0]`` into ``out[0]``
-    (see :func:`apply_F`), with the quadrature in a buffer of its own."""
+    :func:`_iterate_to_fixed_point`, with the quadrature in a buffer of its
+    own.
+
+    Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H at every grid node
+    x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
+    (endpoint-corrected trapezoid between nodes), ``phi`` on (0, 1] (closed
+    form), and the exponential tail ``x[0][0] e^{tail_rate (t - x_min)}``
+    below the window.  ``kinks`` marks nodes where H has a derivative jump
+    (x = -1 when the right part jumps at 0).  F preserves order: every
+    quadrature weight is non-negative and the tail mass increases with
+    ``x[0][0]``.
+    """
     phi_cum = _piece_cumints(phi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cum = np.empty(grid.m + 1)
@@ -344,50 +318,6 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     return _bidding_profile(s, make_grid(x_min, h), None, max_iter)
 
 
-def build_profile_backward(s: float, x_min: float = DEFAULT_X_MIN,
-                           h: float = DEFAULT_H) -> BiddingProfile:
-    """Cross-check construction by backward recursion over unit blocks.
-
-    Starting from G(0) = chi/rho and the closed-form right part, each block
-    [k-1, k) is filled via G(x) = G(k) - (1/rho) integral_{x+1}^{k+1} G,
-    marching k = 0, -1, -2, ...  Purely a discretization-independent oracle
-    for :func:`build_profile`; it needs no iteration but loses relative
-    accuracy deep in the tail, so keep the window moderate.
-    """
-    point = bidding_tradeoff(s)
-    rho, chi = point.rho, point.chi
-    grid = make_grid(x_min, h)
-    n, m, hh = grid.steps_per_unit, grid.m, grid.h
-    phi_cum = _piece_cumints(phi_pieces(s, chi), grid)
-
-    val = np.empty(m + 1)
-    val[m] = chi / rho
-    # block k = 0: the integral runs over (x+1, 1] subset of (0, 1]
-    lo = max(0, m - n)
-    idx = np.arange(lo, m)
-    val[idx] = val[m] - (phi_cum[n] - phi_cum[idx + n - m]) / rho
-    # blocks k <= -1: the integral runs over [x+1, k+1] inside block k
-    k = 0
-    while lo > 0:
-        k -= 1
-        top = m + (k + 1) * n          # index of position k+1
-        block = val[top - n: top + 1]  # values on [k, k+1]
-        # suffix integral inside the block: S[j] = integral_{x_j}^{k+1}
-        cum = cumulative_integral(block, hh)
-        suffix = cum[-1] - cum
-        new_lo = max(0, lo - n)
-        idx = np.arange(new_lo, lo)
-        val[idx] = val[top - n] - suffix[idx + n - (top - n)] / rho
-        neg = np.nonzero(val[idx] < 0.0)[0]
-        if neg.size:
-            bad = grid.positions[idx[neg[-1]]]
-            raise ConvergenceError(
-                f"backward recursion produced a negative value at x={bad:.6f}; "
-                "the grid is too coarse or the window too deep for this s")
-        lo = new_lo
-    return _bidding_profile(s, grid, val)
-
-
 # -- evaluation ----------------------------------------------------------
 
 
@@ -506,29 +436,3 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
         _sweep(phi, rho, g.grid, g.tail_rate, g.kink_nodes), (g.left_values,),
         DEFAULT_MAX_ITER)
     return replace(g, left_values=left)
-
-
-def check_bpb(p: BiddingProfile) -> tuple[float, float]:
-    """Consistency identity for tight profiles.
-
-    Returns (lhs, rhs) with lhs the realized consistency integral and
-    rhs = e^s integral_0^1 e^{-sx} phi(x) dx in closed form.  Tightness
-    forces lhs >= rhs, with equality when the profile decays fast enough
-    below the window (true for built profiles).
-    """
-    lhs = p.g.integral_to(1.0)
-    rhs = math.exp(p.s) * sum(piece.weighted(p.s).integral(0.0, 1.0)
-                              for piece in p.phi)
-    return lhs, rhs
-
-
-def check_phi_lb(p: BiddingProfile) -> float:
-    """Largest violation of phi(x) >= max(1, s chi e^{s(x-1)}) on (0, 1].
-
-    Returns max over 2001 points of (bound - phi); non-positive values mean
-    the bound holds.  Built profiles satisfy it with equality.
-    """
-    xs = np.linspace(1e-9, 1.0, 2001)
-    phi_vals = p.g.value(xs)
-    bound = np.maximum(1.0, p.s * p.chi * np.exp(p.s * (xs - 1.0)))
-    return float(np.max(bound - phi_vals))

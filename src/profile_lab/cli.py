@@ -9,13 +9,14 @@ profile verify     re-check a stored profile; exit 1 on failure
 profile simulate   Monte Carlo cost estimate for a stored profile
 figure             emit the data series behind the trade-off figures
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 the solver
-did not converge (profile build raised ConvergenceError), 4 the Monte
-Carlo simulation did not terminate (profile simulate).  All outputs are
-deterministic given the arguments; reals are written as shortest
-round-trip decimals.  profile build takes its grid defaults (--x-min,
---h) and its sweep tolerance (bidding.SWEEP_TOL) from the library; profile
-verify checks at its fixed tolerances (bidding.TOL_REL, TOL_ABS, ATOL_FLOOR).
+Exit codes: 0 success, 1 verification failure, 2 bad input (also an input
+too large to hold in memory), 3 the solver did not converge (profile build
+raised ConvergenceError), 4 the Monte Carlo simulation did not terminate
+(profile simulate).  All outputs are deterministic given the arguments;
+reals are written as shortest round-trip decimals.  profile build takes its
+grid defaults (--x-min, --h) and its sweep tolerance (bidding.SWEEP_TOL)
+from the library; profile verify checks at its fixed tolerances
+(bidding.TOL_REL, TOL_ABS, ATOL_FLOOR).
 """
 
 from __future__ import annotations
@@ -254,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, e.g. --samples
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,14 +49,11 @@ from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
     "ExcursionProfile",
-    "psi_pieces",
-    "apply_F_pair",
     "build_excursion_profile",
     "C_plus",
     "C_minus",
     "verify_excursion",
     "strategy_cost_linear",
-    "weighted_psi_integral",
 ]
 
 
@@ -88,32 +85,6 @@ class ExcursionProfile:
         return tuple(p for p in self.g_plus.right_pieces if p.lo < 1.0)
 
 
-def psi_pieces(s: float, K: float) -> tuple[Piece, ...]:
-    """Right part of G+ on (0, 1]: max(1, M e^{2s(x-1)})."""
-    return _rising_pieces(K, 2.0 * s)[:-1]
-
-
-def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
-                 psi: tuple[Piece, ...], rho: float, grid: GridSpec,
-                 tail_rate: float,
-                 minus_kinks: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """One application of the pair operator on the left window.
-
-    Both integrands carry exponential tails ``left[0] e^{tail_rate (x -
-    x_min)}`` below the window.  The plus update integrates both components
-    up to x; the minus update couples the plus component at x+1 (capped at
-    0, with the closed-form psi integral beyond) with the minus component
-    at x.  Order-preserving for the same reason as the scalar operator.
-    """
-    plus = np.asarray(left_plus, float)
-    minus = np.asarray(left_minus, float)
-    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    return _pair_integrals(cumulative_integral(plus, h),
-                           cumulative_integral(minus, h, kinks=minus_kinks),
-                           (plus[0] + minus[0]) / (tail_rate * rho),
-                           _piece_cumints(psi, grid) / rho, grid)
-
-
 def _pair_integrals(A_plus: np.ndarray, A_minus: np.ndarray,
                     tail_mass: float, psi_cum: np.ndarray,
                     grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +106,12 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
 
     The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
     G- = (F (new G+, G-))- into ``out[1]``: the minus update already reads
-    the new plus component.  Both half-updates are the order-preserving
-    halves of :func:`apply_F_pair`, so sweeps from zero still rise to the
-    same minimal fixed point, and for this nonnegative splitting they
+    the new plus component.  Below the window both integrands carry the
+    exponential tails ``left[0] e^{tail_rate (x - x_min)}``.  Each
+    half-update preserves order (every quadrature weight is non-negative,
+    and the tail mass increases with each component's value at x_min), so
+    sweeps from zero still rise to the same minimal fixed point as plain
+    (Jacobi) applications of F, and for this nonnegative splitting they
     contract no slower than Jacobi sweeps (Stein-Rosenberg).  The minus
     update needs A+, the integral of the new G+; it stays in a buffer of
     the step's own and serves the next sweep's plus update, so a sweep
@@ -255,19 +229,6 @@ def strategy_cost_linear(p: ExcursionProfile, target: float) -> float:
     if target > 0.0:
         return x + 2.0 * C_plus(p, p.g_plus.tau(x))
     return x + 2.0 * C_minus(p, p.g_minus.tau(x))
-
-
-def weighted_psi_integral(s: float, psi: tuple[Piece, ...]) -> float:
-    """Closed form of (1/(1+e^s)) integral_0^1 (e^{2s(1-x)} - 1) psi(x) dx.
-
-    The minimal tight extension's consistency equals this weighted integral
-    of the inducing function; used as an independent identity check on the
-    converged left parts.
-    """
-    two_s = 2.0 * s
-    total = sum(math.exp(two_s) * piece.weighted(two_s).integral(0.0, 1.0)
-                - piece.integral(0.0, 1.0) for piece in psi)
-    return total / (1.0 + math.exp(s))
 
 
 def _pair_residuals(p: ExcursionProfile) -> tuple[np.ndarray, np.ndarray]:

@@ -4,15 +4,16 @@ A :class:`GridFunction` stores a profile G in three zones:
 
 * an analytic exponential tail ``G(x_min) * exp(rate * (x - x_min))`` on
   ``(-inf, x_min]``, which continues the grid zone from its first value,
-* sampled values on a uniform grid over ``[x_min, 0]``, interpreted as the
-  piecewise-linear interpolant (the stored value at 0 is the left limit
-  G(0)),
+* sampled values on a uniform grid over ``[x_min, 0]``, modelled between
+  nodes by a monotone cubic Hermite interpolant (the stored value at 0 is
+  the left limit G(0)),
 * an ordered list of analytic :class:`Piece` objects on ``(0, inf)``, each a
   constant plus a sum of exponentials on a half-open interval ``(lo, hi]``.
 
-All integrals are endpoint-corrected trapezoid sums on the grid zone (see
-:func:`cumulative_integral`) and closed forms on the two analytic zones, so
-the quadrature error comes only from the grid zone.
+On the grid zone, integrals over whole cells are endpoint-corrected
+trapezoid sums (see :func:`cumulative_integral`) and a partial cell
+integrates the Hermite model; the two analytic zones integrate in closed
+form, so the quadrature error comes only from the grid zone.
 
 The grid step is snapped so that an integer number of steps spans one unit;
 shifts by one unit (the delayed argument x+1 in the profile equations) are
@@ -30,6 +31,10 @@ from .analysis import DomainError
 
 __all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
            "cumulative_integral"]
+
+# The most nodes a grid may hold: about 1000 times the default grid's 10 001.
+# Every array over the window costs 8 bytes a node.
+MAX_NODES = 10**7
 
 # h times these weights is the corrected trapezoid's increment into node j
 # from v[j], v[j-1], v[j-2], v[j-3] (np.convolve reverses the kernel)
@@ -178,22 +183,6 @@ class Piece:
             total += (c / r) * (grow - math.exp(r * (a - x0)))
         return np.where(b > a, total, 0.0)
 
-    def weighted(self, w: float) -> "Piece":
-        """The piece e^{-w x} * self(x) on the same interval.
-
-        Products of rate 0 fold into ``level``, so :meth:`integral` never
-        divides by a zero rate.
-        """
-        level = 0.0
-        terms = []
-        for a, r, x0 in ((self.level, 0.0, 0.0),) + self.terms:
-            a, r = a * math.exp(-w * x0), r - w
-            if abs(r) < 1e-14:
-                level += a
-            else:
-                terms.append((a, r, x0))
-        return Piece(lo=self.lo, hi=self.hi, level=level, terms=tuple(terms))
-
     def crossing(self, target: float) -> float | None:
         """Smallest x in (lo, hi] with value(x) >= target, or None.
 
@@ -242,6 +231,9 @@ class GridSpec:
 
 
 def make_grid(x_min: float, h: float) -> GridSpec:
+    """The grid over [x_min, 0] whose step is h snapped to a whole number of
+    steps per unit; ValueError unless it has at least 8 steps per unit, spans
+    at least one unit and holds at most ``MAX_NODES`` nodes."""
     if not (h > 0 and x_min < 0 and math.isfinite(x_min / h)
             and math.isfinite(1.0 / h)):
         raise ValueError(f"need h > 0 and x_min < 0 with finitely many steps, "
@@ -253,6 +245,9 @@ def make_grid(x_min: float, h: float) -> GridSpec:
     m = round(-x_min / h)
     if m < n:
         raise ValueError(f"window [{x_min}, 0] must span at least one unit")
+    if m + 1 > MAX_NODES:
+        raise ValueError(f"grid of {m + 1} nodes exceeds the cap of "
+                         f"{MAX_NODES}: use a larger h or a shorter window")
     return GridSpec(x_min=-m * h, h=h, m=m, steps_per_unit=n)
 
 

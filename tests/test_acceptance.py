@@ -11,19 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (apply_F, apply_F_pair, check_bpb, check_phi_lb,
+                     invert_linear_strategy_chi, phi_pieces, psi_pieces,
+                     weighted_psi_integral)
 from profile_lab import analysis
 from profile_lab.analysis import (bidding_tradeoff, bisect,
-                                  invert_linear_strategy_chi,
                                   linear_lower_bound, linear_tradeoff,
                                   rho_ls_star, s_star, solve_K, solve_sK,
                                   solve_xi_bidding)
-from profile_lab.bidding import (apply_F, build_profile, check_bpb,
-                                 check_phi_lb, expected_cost, phi_pieces,
-                                 verify)
-from profile_lab.excursion import (C_plus, apply_F_pair,
-                                   build_excursion_profile, psi_pieces,
-                                   strategy_cost_linear, verify_excursion,
-                                   weighted_psi_integral)
+from profile_lab.bidding import build_profile, expected_cost, verify
+from profile_lab.excursion import (C_plus, build_excursion_profile,
+                                   strategy_cost_linear, verify_excursion)
 from profile_lab.grids import make_grid
 from profile_lab.reduction import cost_dominance_check
 from profile_lab.simulate import simulate_bidding, simulate_linear

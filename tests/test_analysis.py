@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import invert_linear_strategy_chi
 from profile_lab import analysis
 from profile_lab.analysis import (DomainError, bidding_tradeoff, bisect,
                                   conjugate_rate_bidding,
-                                  conjugate_rate_linear,
-                                  invert_linear_strategy_chi, lambert_w0,
+                                  conjugate_rate_linear, lambert_w0,
                                   linear_lower_bound, linear_tradeoff,
                                   rho_ls_star, s_star, solve_K, solve_sK,
                                   solve_xi_bidding)

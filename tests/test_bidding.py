@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (apply_F, build_profile_backward, check_bpb,
+                     check_phi_lb, phi_pieces, right_pieces)
 from profile_lab import bidding as bd
 from profile_lab.analysis import (ConvergenceError, DomainError,
                                   bidding_tradeoff, s_star)
-from profile_lab.bidding import (apply_F, build_profile,
-                                 build_profile_backward, check_bpb,
-                                 check_phi_lb, expected_cost, phi_pieces,
-                                 right_pieces, tighten, verify)
+from profile_lab.bidding import build_profile, expected_cost, tighten, verify
 from profile_lab.excursion import build_excursion_profile, verify_excursion
 from profile_lab.grids import GridFunction, Piece, make_grid
 

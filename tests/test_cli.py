@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import profile_lab
 from profile_lab import excursion, simulate
 from profile_lab.analysis import ConvergenceError, rho_ls_star, s_star
 from profile_lab.bidding import DEFAULT_X_MIN
@@ -194,6 +200,35 @@ class TestProfileCommands:
                            "--target", "2.0", "--samples", "100")
         assert code == 4
         assert err.startswith("error: ")
+
+    def test_grid_over_the_node_cap_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "b.json"
+        code, _, err = run(capsys, "profile", "build", "--problem", "bidding",
+                           "--s", "0.5", "--x-min=-1e12",
+                           "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: ") and "exceeds the cap" in err
+        assert not out_file.exists()
+
+    def test_samples_beyond_memory_exit_2(self, capsys, tmp_path):
+        # 10^12 samples need terabytes; the child runs under a 2 GB address
+        # space limit, so the allocation fails the same way on any host
+        out_file = str(tmp_path / "b.json")
+        run(capsys, "profile", "build", "--problem", "bidding",
+            "--s", "1.0", "--out", out_file)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
+                   .join([str(Path(profile_lab.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH", "")]))
+        limit = 2 * 1024 ** 3
+        child = subprocess.run(
+            [sys.executable, "-m", "profile_lab.cli", "profile", "simulate",
+             out_file, "--target", "2", "--samples", "1000000000000"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: out of memory")
+        assert "Traceback" not in child.stderr
 
     def test_unreached_target_exit_2(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_F_pair, psi_pieces, weighted_psi_integral
 from profile_lab import bidding as bd
 from profile_lab import excursion as ex
 from profile_lab.analysis import (DomainError, linear_tradeoff, rho_ls_star,
                                   s_star, solve_K, solve_sK)
-from profile_lab.excursion import (C_minus, C_plus, apply_F_pair,
-                                   build_excursion_profile, psi_pieces,
-                                   strategy_cost_linear, verify_excursion,
-                                   weighted_psi_integral)
+from profile_lab.excursion import (C_minus, C_plus, build_excursion_profile,
+                                   strategy_cost_linear, verify_excursion)
 from profile_lab.grids import GridFunction, make_grid
 
 S_K = solve_sK()

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import weighted
 from profile_lab import (build_excursion_profile, build_profile, s_star,
                          solve_sK)
 from profile_lab.analysis import DomainError
-from profile_lab.grids import (GridFunction, Lanes, Piece,
+from profile_lab.bidding import _right_checkpoints
+from profile_lab.grids import (MAX_NODES, GridFunction, Lanes, Piece,
                                cumulative_integral, make_grid)
 from profile_lab.simulate import counter_uniforms
 
@@ -31,6 +33,19 @@ def test_grid_rejects_bad_inputs():
         make_grid(-0.5, 1e-3)  # window shorter than one unit
     with pytest.raises(ValueError):
         make_grid(2.0, 1e-3)
+
+
+@pytest.mark.parametrize("x_min, h", [(-1e12, 1e-3), (-10.0, 1e-9),
+                                      (-MAX_NODES * 1e-3, 1e-3)])
+def test_grid_rejects_more_nodes_than_the_cap(x_min, h):
+    # 10^15, 10^10 and MAX_NODES + 1 nodes: refused before any array over
+    # the window is allocated
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        make_grid(x_min, h)
+
+
+def test_grid_at_the_node_cap():
+    assert make_grid(-(MAX_NODES - 1) * 1e-3, 1e-3).m + 1 == MAX_NODES
 
 
 def _trapezoid_then_corrections(v, h, kinks=()):
@@ -180,7 +195,7 @@ class TestPiece:
         # and a term of another rate
         p = Piece(lo=0.2, hi=1.0, level=1.5,
                   terms=((2.0, w, 1.0), (0.5, 0.3, 0.0)))
-        q = p.weighted(w)
+        q = weighted(p, w)
         assert all(r != 0.0 for _, r, _ in q.terms)
         xs = np.linspace(0.2, 1.0, 20001)
         ys = np.exp(-w * xs) * p.value(xs)
@@ -254,6 +269,29 @@ class TestGridFunction:
         g = exp_grid_function
         for x in (-11.0, -2.345, 0.0, 2.5):
             assert g.integral_to(x) == pytest.approx(math.exp(x), rel=1e-9)
+
+    def test_array_integrals_equal_scalar_ones(self, bidding_profiles,
+                                               excursion_profiles):
+        # verify's right-part residuals read integrals_right and its node
+        # residuals Piece.integrals; the costs read integral_to and
+        # Piece.integral: each pair must agree bit for bit
+        gs = [p.g for p in bidding_profiles.values()]
+        gs += [g for p in excursion_profiles.values()
+               for g in (p.g_plus, p.g_minus)]
+        mismatches = 0
+        for g in gs:
+            xs = _right_checkpoints(g.h)
+            xs = np.concatenate([xs, xs + 1.0])
+            ys = np.arange(g.grid.steps_per_unit + 1) * g.h
+            for piece in g.right_pieces:
+                for a, b in ((piece.lo, xs), (0.0, ys)):
+                    scalar = [piece.integral(a, float(x)) for x in b]
+                    mismatches += int(np.sum(
+                        piece.integrals(a, b) != np.array(scalar)))
+            scalar = [g.integral_to(float(x)) for x in xs]
+            mismatches += int(np.sum(g.integrals_right(xs)
+                                     != np.array(scalar)))
+        assert mismatches == 0
 
     def test_tau_inverts(self, exp_grid_function):
         g = exp_grid_function
