@@ -67,12 +67,13 @@ def profile_to_dict(p: BiddingProfile | ExcursionProfile) -> dict[str, Any]:
 
 
 def _left_values(d: Any, grid: GridSpec) -> np.ndarray:
-    v = np.asarray(d.get("left_values") if isinstance(d, dict) else None)
-    if v.dtype != np.float64 or v.shape != (grid.m + 1,) \
-            or not np.all(np.isfinite(v)):
-        raise ValueError("left_values must be finite reals, one per node of "
-                         "the grid given by x_min and h")
-    return v
+    v = d.get("left_values") if isinstance(d, dict) else None
+    if isinstance(v, list) and set(map(type, v)) == {float}:
+        v = np.array(v)
+        if v.shape == (grid.m + 1,) and np.all(np.isfinite(v)):
+            return v
+    raise ValueError("left_values must be finite JSON floats, one per node of "
+                     "the grid given by x_min and h")
 
 
 def _leaves(doc: Any, path: tuple = ()) -> dict[tuple, str]:

@@ -272,6 +272,13 @@ class TestProfileCommands:
                      lambda d: d["left_values"].__setitem__(0, math.nan),
                      id="left-value-nan"),
         pytest.param("bidding", lambda d: [d], id="top-level-list"),
+        # JSON booleans and integers are not the floats the writer emits
+        *[pytest.param(problem, lambda d, k=key, v=value: (
+            d[k] if k else d)["left_values"].__setitem__(700, v),
+            id=f"{prefix}left-value-{json.dumps(value)}")
+          for problem, key, prefix in (("bidding", None, ""),
+                                       ("linsearch", "g_minus", "minus-"))
+          for value in (True, False, 0, 1)],
     ])
     def test_tampered_or_malformed_file_exit_2(self, capsys, tmp_path,
                                                 problem, tamper):

@@ -346,6 +346,65 @@ class TestGridFunction:
         assert grid.positions[49] <= g.tau(1e-300) <= grid.positions[50]
 
 
+_TAU_COMPONENTS = ["G 0.5", "G 0.8", "G+ 0.2", "G- 0.2", "G+ sK", "G- sK",
+                   "G+ 0.9", "G- 0.9"]
+
+
+def _component(name, bidding_profiles, excursion_profiles):
+    """A built component by name: G at a bidding s, G+ or G- at a linear
+    search s (G- at 0.2 is a sum of two exponentials right of 0)."""
+    which, s = name.split()
+    if which == "G":
+        return bidding_profiles[float(s)].g
+    p = excursion_profiles[solve_sK() if s == "sK" else float(s)]
+    return p.g_plus if which == "G+" else p.g_minus
+
+
+class TestTauSearch:
+    def test_window_search_stops(self, bidding_profiles, monkeypatch):
+        # the window's bisection ends at neighbouring doubles, or at a
+        # 1e-16 bracket near 0, instead of halving a bracket that no longer
+        # changes
+        g = bidding_profiles[0.5].g
+        targets = [g.value(x) for x in (-7.5, -2.3, -0.97, -0.64, -0.31)]
+        targets.append(float(g.left_values[-1]))  # G(0-)
+        calls = []
+        hermite = GridFunction._hermite
+        monkeypatch.setattr(GridFunction, "_hermite",
+                            lambda self, x: calls.append(x) or hermite(self, x))
+        counts = []
+        for T in targets:
+            calls.clear()
+            g.tau(T)
+            counts.append(len(calls))
+        assert max(counts) <= 45, counts
+
+    @pytest.mark.parametrize("name", _TAU_COMPONENTS)
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.floats(-12.0, 8.0))
+    def test_tau_is_the_sublevel_supremum(self, bidding_profiles,
+                                          excursion_profiles, name, exponent):
+        g = _component(name, bidding_profiles, excursion_profiles)
+        T = 10.0 ** exponent
+        t = g.tau(T)
+        delta = 1e-12 * max(1.0, abs(t))
+        assert g.value(t - delta) < T <= g.value(t + delta)
+        piece = next((p for p in g.right_pieces if p.lo < t <= p.hi), None)
+        if g.left_values[0] < T <= g.left_values[-1] \
+                or piece is not None and len(piece.terms) > 1:
+            assert g.value(t) >= T  # searched: hi always reaches the target
+
+    @pytest.mark.parametrize("name", _TAU_COMPONENTS)
+    @settings(max_examples=30, deadline=None)
+    @given(frac=st.floats(0.0, 1.0))
+    def test_tau_in_the_jump_at_zero_is_zero(self, bidding_profiles,
+                                             excursion_profiles, name, frac):
+        g = _component(name, bidding_profiles, excursion_profiles)
+        lo, hi = float(g.left_values[-1]), g.right_value_at_zero()
+        T = min(max(lo + frac * (hi - lo), math.nextafter(lo, math.inf)), hi)
+        assert g.tau(T) == 0.0
+
+
 class TestLaneValues:
     # the extremes of Unif(0, 1], its midpoint and a block of the oracle's
     # draws

@@ -124,6 +124,20 @@ def test_any_changed_leaf_is_rejected(tmp_path_factory, small_docs, which,
         load_profile(str(path))
 
 
+@pytest.mark.parametrize("value", [True, False, 0, 1])
+@pytest.mark.parametrize("which", [0, 1])
+def test_non_float_left_value_is_rejected(tmp_path, small_docs, which, value):
+    # as numbers true and 0 would load as 1.0 and 0.0; the writer emits only
+    # JSON floats, so a bidding node or a G- node holding one is rejected
+    doc = json.loads(small_docs[which])
+    values = (doc if which == 0 else doc["g_minus"])["left_values"]
+    values[len(values) // 2] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="left_values"):
+        load_profile(str(path))
+
+
 def test_saved_documents_load(tmp_path, small_docs):
     for text in small_docs:
         path = tmp_path / "p.json"

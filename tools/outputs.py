@@ -1,0 +1,83 @@
+"""Write the outputs that a refactor must leave unchanged into one directory.
+
+Run it from a source tree; it imports the package from that tree's ``src``:
+
+    python tools/outputs.py OUT_DIR
+
+OUT_DIR receives, with paths relative to it so that two runs compare:
+
+* ``<problem>-<s>.json``: ``profile build`` at bidding s in {0.3, 0.5, 0.8,
+  0.95, 1.0} and linear search s in {0.2, s_K, 0.9, 1.25, s_*};
+* ``fig1a/`` and ``fig1b/``: the CSVs of ``figure 1a`` and ``figure 1b``;
+* ``stdout.txt``: the lines those commands print, then ``profile simulate``
+  on every saved profile at fixed targets and seeds (both signs for linear
+  search);
+* ``tau.txt``: ``repr(tau(T))`` of every component of the saved profiles at
+  fixed targets and at its G(0-) and G(0+), one ``<file> <component> <T>
+  <tau>`` line each.
+
+Comparing two trees is ``diff -r OUT_A OUT_B``.
+"""
+
+import contextlib
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from profile_lab import analysis, load_profile  # noqa: E402
+from profile_lab.cli import main  # noqa: E402
+
+PROFILES = ([("bidding", s, repr(s)) for s in (0.3, 0.5, 0.8, 0.95, 1.0)]
+            + [("linsearch", s, name) for s, name in (
+                (0.2, "0.2"), (analysis.solve_sK(), "sK"), (0.9, "0.9"),
+                (1.25, "1.25"), (analysis.s_star(), "s_star"))])
+SIMULATE = ("0.5", "2.0", "300.0")
+SAMPLES, SEED = "20000", "7"
+# log-spaced over the tail, the window and the right part of every profile
+TAU_TARGETS = np.geomspace(1e-12, 1e8, 500).tolist()
+
+
+def _cli(out, *argv: str) -> None:
+    out.write(f"$ {' '.join(argv)}\n")
+    out.flush()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    out.write(f"exit {code}\n")
+
+
+def write_outputs(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    with open("stdout.txt", "w") as out:
+        for which in ("1a", "1b"):
+            _cli(out, "figure", which, "--out-dir", f"fig{which}")
+        files = []
+        for problem, s, name in PROFILES:
+            files.append(f"{problem}-{name}.json")
+            _cli(out, "profile", "build", "--problem", problem,
+                 "--s", repr(s), "--out", files[-1])
+        for path in files:
+            signs = ("", "-") if path.startswith("linsearch") else ("",)
+            for target in SIMULATE:
+                for sign in signs:
+                    _cli(out, "profile", "simulate", path, "--target",
+                         sign + target, "--samples", SAMPLES, "--seed", SEED)
+    with open("tau.txt", "w") as out:
+        for path in files:
+            p = load_profile(path)
+            components = ({"G": p.g} if path.startswith("bidding")
+                          else {"G+": p.g_plus, "G-": p.g_minus})
+            for label, g in components.items():
+                for T in TAU_TARGETS + [float(g.left_values[-1]),
+                                        g.right_value_at_zero()]:
+                    out.write(f"{path} {label} {T!r} {g.tau(T)!r}\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    write_outputs(Path(sys.argv[1]).resolve())
