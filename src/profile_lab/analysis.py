@@ -17,6 +17,10 @@ Linear search (s in (0, s_*], s_* = 1 + W0(1/e)), excursion-profile level:
            = (e^{2s} + 1 + (1+K) ln K - 2K - 2s) / (2s(1+e^s)) for s >  s_K,
     with K = K(s) from :func:`solve_K`.  A strategy driven by such a profile
     achieves the pair (1 + 2 rho, 1 + 2 chi).
+
+Every root is bracketed from its domain and bisected by :func:`bisect` to
+neighbouring doubles, by the same search that ``GridFunction.tau`` runs; no
+solver has a tolerance or an iteration cap.
 """
 
 from __future__ import annotations
@@ -46,11 +50,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-# Bisection defaults: tolerance on the argument, hard iteration cap.
-_BISECT_TOL = 1e-13
-_BISECT_MAX_ITER = 200
-
 
 class DomainError(ValueError):
     """Argument outside the domain where a formula or solver is defined."""
@@ -84,11 +83,30 @@ class LowerBoundPoint:
     rho_ls_raw: float
 
 
-def bisect(f, lo: float, hi: float, *, tol: float = _BISECT_TOL) -> float:
+def _level_search(f, target: float, lo: float, hi: float) -> float:
+    """Right end of the bracket (lo, hi] of the first x with f(x) >= target
+    (f non-decreasing, f(lo) < target <= f(hi)), bisected while it is wider
+    than 1e-16 max(1, |hi|) and its midpoint lies strictly inside: from
+    |hi| >= 0.5 on, until lo and hi are neighbouring doubles."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-16 * max(1.0, abs(hi)) and lo < mid < hi:
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def bisect(f, lo: float, hi: float) -> float:
     """Root of ``f`` on [lo, hi] by bisection; endpoints must straddle zero.
 
     ``f`` must be monotone or at least single-signed on each side of the
-    root.  An endpoint that is already an exact zero is returned as-is.
+    root.  An endpoint that is already an exact zero is returned as-is;
+    otherwise the result is the end, on f(hi)'s side, of a bracket that
+    :func:`_level_search` narrows to neighbouring doubles (to 1e-16 below
+    |x| = 0.5).  The signs are compared, never multiplied, so values of any
+    size keep theirs.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -96,43 +114,27 @@ def bisect(f, lo: float, hi: float, *, tol: float = _BISECT_TOL) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(
-            f"bisection bracket [{lo}, {hi}] does not straddle zero "
-            f"(f(lo)={flo:.3e}, f(hi)={fhi:.3e})")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    if flo < 0.0 < fhi:
+        return _level_search(f, 0.0, lo, hi)
+    if fhi < 0.0 < flo:
+        return _level_search(lambda x: -f(x), 0.0, lo, hi)
+    raise ConvergenceError(
+        f"bisection bracket [{lo}, {hi}] does not straddle zero "
+        f"(f(lo)={flo:.3e}, f(hi)={fhi:.3e})")
 
 
 def lambert_w0(z: float) -> float:
     """Principal branch of the Lambert W function: w with w e^w = z, w >= -1.
 
     Bisection on the monotone map w -> w e^w for w >= -1, followed by two
-    Halley steps to polish to full double precision.
+    Halley steps to polish to full double precision.  The root lies between
+    0 and z for z > 0 (e^w >= 1) and below 709, where w e^w overflows; for
+    z <= 0 it lies between -1 and z (e^w <= 1), an end when z is 0 or -1/e.
     """
-    if z < -math.exp(-1.0):
-        raise DomainError(f"lambert_w0 requires z >= -1/e, got {z}")
-    if z == 0.0:
-        return 0.0
-    if z <= -math.exp(-1.0):
-        return -1.0
-    if z > 0.0:
-        lo, hi = 0.0, 1.0
-        while hi * math.exp(hi) < z:
-            hi *= 2.0
-    else:
-        lo, hi = -1.0, 0.0
-    w = bisect(lambda t: t * math.exp(t) - z, lo, hi, tol=1e-12)
+    if not -math.exp(-1.0) <= z < math.inf:
+        raise DomainError(f"lambert_w0 requires z in [-1/e, inf), got {z}")
+    lo, hi = (0.0, min(z, 709.0)) if z > 0.0 else (-1.0, z)
+    w = bisect(lambda t: t * math.exp(t) - z, lo, hi)
     for _ in range(2):
         ew = math.exp(w)
         f = w * ew - z
@@ -196,6 +198,15 @@ def solve_sK() -> float:
     return bisect(f, 1e-8, 1.0)
 
 
+def _linear_s(s: float, what: str) -> float:
+    """s for a linear-search formula named ``what``: s in (0, s_*] up to a
+    1e-12 slack above, clamped to s_*."""
+    ss = s_star()
+    if not (0.0 < s <= ss + 1e-12):
+        raise DomainError(f"{what} requires s in (0, s_*], got {s}")
+    return min(s, ss)
+
+
 def _K_closed_form(s: float) -> float:
     es = math.exp(s)
     return es * (es * es - 1.0 + 2.0 * s * es) / (1.0 + es) ** 2
@@ -218,10 +229,7 @@ def solve_K(s: float) -> float:
     K is kept, so a caller that needs K next to :func:`linear_tradeoff` at
     the same s (a curve row, a profile build) solves it once.
     """
-    ss = s_star()
-    if not (0.0 < s <= ss + 1e-12):
-        raise DomainError(f"solve_K requires s in (0, s_*], got {s}")
-    s = min(s, ss)
+    s = _linear_s(s, "solve_K")
     sk = solve_sK()
     if s <= sk:
         return _K_closed_form(s)
@@ -239,10 +247,7 @@ def linear_tradeoff(s: float) -> tuple[TradeoffPoint, TradeoffPoint]:
     The excursion point is the (rho, chi) pair of the underlying profile;
     the strategy point is the realized competitive pair (1+2rho, 1+2chi).
     """
-    ss = s_star()
-    if not (0.0 < s <= ss + 1e-12):
-        raise DomainError(f"linear trade-off requires s in (0, s_*], got {s}")
-    s = min(s, ss)
+    s = _linear_s(s, "linear trade-off")
     es = math.exp(s)
     rho = (1.0 + es) / (2.0 * s)
     sk = solve_sK()
@@ -287,10 +292,8 @@ def conjugate_rate_bidding(s: float) -> float:
     if not (0.0 < s <= 1.0):
         raise DomainError(f"conjugate rate requires s in (0, 1], got {s}")
     target = s * math.exp(-s)
-    hi = 2.0
-    while hi * math.exp(-hi) > target:
-        hi *= 2.0
-    return bisect(lambda lam: target - lam * math.exp(-lam), 1.0, hi)
+    # at 1024, lam e^{-lam} underflows to 0, below every positive target
+    return bisect(lambda lam: target - lam * math.exp(-lam), 1.0, 1024.0)
 
 
 def conjugate_rate_linear(s: float) -> float:
@@ -301,10 +304,7 @@ def conjugate_rate_linear(s: float) -> float:
     whose two roots are lam = 2s and this conjugate.  The minimal tight
     extension decays at the conjugate rate.
     """
-    ss = s_star()
-    if not (0.0 < s <= ss + 1e-12):
-        raise DomainError(f"conjugate rate requires s in (0, s_*], got {s}")
-    s = min(s, ss)
+    s = _linear_s(s, "conjugate rate")
     rho = (1.0 + math.exp(s)) / (2.0 * s)
 
     def f(lam: float) -> float:
@@ -312,10 +312,7 @@ def conjugate_rate_linear(s: float) -> float:
             return -math.inf
         return rho * lam - 1.0 - math.exp(0.5 * lam)
 
-    lo = 2.0 * ss
+    lo = 2.0 * s_star()
     if f(lo) <= 0.0:
         return lo  # double root at the endpoint s = s_*
-    hi = lo + 1.0
-    while f(hi) > 0.0:
-        hi = 2.0 * hi
-    return bisect(f, lo, hi)
+    return bisect(f, lo, 1420.0)  # f(1420) = -inf

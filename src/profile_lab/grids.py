@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DomainError
+from .analysis import DomainError, _level_search
 
 __all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
            "cumulative_integral"]
@@ -105,21 +105,6 @@ def cumulative_integral(values: np.ndarray, h: float,
             inc[k - 1] += c * (fwd_k - back_k1)
     np.cumsum(inc, out=out[3:])
     return out
-
-
-def _level_search(f, target: float, lo: float, hi: float) -> float:
-    """Right end of the bracket (lo, hi] of the first x with f(x) >= target
-    (f non-decreasing, f(lo) < target <= f(hi)), bisected while it is wider
-    than 1e-16 max(1, |hi|) and its midpoint lies strictly inside: from
-    |hi| >= 0.5 on, until lo and hi are neighbouring doubles."""
-    mid = 0.5 * (lo + hi)
-    while hi - lo > 1e-16 * max(1.0, abs(hi)) and lo < mid < hi:
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return hi
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,20 @@ class TestLambertW:
         assert abs(w * math.exp(w) - z) <= 1e-14 * max(1.0, abs(z))
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            lambert_w0(-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                lambert_w0(bad)
+
+    @pytest.mark.parametrize("z", [1e250, 1e300, 1.7e308])
+    def test_huge_z(self, z):
+        # w e^w moves by (1 + 1/w) z per unit of w, so even the nearest
+        # double can leave half an ulp of w times z: 5.7e-14 z near w = 700
+        w = lambert_w0(z)
+        assert abs(w * math.exp(w) - z) <= math.ulp(w) * z
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-20])
+    def test_tiny_z_is_its_own_root(self, z):
+        assert lambert_w0(z) == z
 
 
 class TestXiBidding:
@@ -239,6 +251,12 @@ class TestRates:
             assert lam > 1.0
             assert abs(lam * math.exp(-lam) - s * math.exp(-s)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-155])
+    def test_bidding_conjugate_at_tiny_s(self, s):
+        # in logs, lam e^{-lam} = s e^{-s} stays far from underflow
+        lam = conjugate_rate_bidding(s)
+        assert abs((math.log(lam) - lam) - (math.log(s) - s)) <= 1e-13 * lam
+
     def test_bidding_conjugate_double_root(self):
         assert conjugate_rate_bidding(1.0) == pytest.approx(1.0, abs=1e-10)
 
@@ -262,8 +280,53 @@ class TestInversion:
 
 
 def test_bisect_requires_straddle():
-    with pytest.raises(analysis.ConvergenceError):
-        bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+    # ends of one sign, or a nan at either end, bracket no root
+    for f in (lambda x: x * x + 1.0, lambda x: math.nan if x < 0.0 else x,
+              lambda x: x if x < 0.0 else math.nan):
+        with pytest.raises(analysis.ConvergenceError):
+            bisect(f, -1.0, 1.0)
+
+
+def _root_equations():
+    """(label, root, f, lo, hi): each analysis root, the float equation its
+    solver bisects (written out independently) and a bracket of the root."""
+    for s in (0.7, 0.8, 0.9, 0.99):
+        e_s = math.exp(s)
+        yield (f"xi@{s}", solve_xi_bidding(s),
+               lambda xi, e_s=e_s: xi * (2.0 - math.log(xi)) - e_s, 1.0, math.e)
+
+    def sk_equation(s):
+        es = math.exp(s)
+        return es * (es * es - 1.0 + 2.0 * s * es) - (1.0 + es) ** 2
+
+    yield "s_K", solve_sK(), sk_equation, 1e-8, 1.0
+    for s in (0.6, 0.8, 1.0, 1.1, 1.2, s_star() - 0.05):
+        yield (f"K@{s:.4g}", solve_K(s),
+               lambda xi, s=s: analysis._K_equation(s, xi), 1.0,
+               math.exp(2.0 * s))
+    for s in (1e-300, 1e-9, 0.1, 0.3, 0.8, 0.95):
+        t = s * math.exp(-s)
+        yield (f"lam_bidding@{s}", conjugate_rate_bidding(s),
+               lambda lam, t=t: t - lam * math.exp(-lam), 1.0, 1024.0)
+    for s in (0.05, 0.2, 0.6, 0.9, 1.1, s_star() - 0.05):
+        rho = (1.0 + math.exp(s)) / (2.0 * s)
+        yield (f"lam_linear@{s:.4g}", conjugate_rate_linear(s),
+               lambda lam, rho=rho: rho * lam - 1.0 - math.exp(0.5 * lam),
+               2.0 * s_star(), 1000.0)
+    z = math.exp(-1.0)
+    yield ("W0(1/e)", lambert_w0(z), lambda w: w * math.exp(w) - z, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("x, f, lo, hi", [
+    pytest.param(*case, id=label) for label, *case in _root_equations()])
+def test_root_is_bisected_to_its_sign_change(x, f, lo, hi):
+    # the root ends a bracket whose other end, about one double below, is
+    # still on f(lo)'s side: no tolerance stops the search short of that
+    below = x - 2e-16 * max(1.0, abs(x))
+    side = math.copysign(1.0, f(hi))
+    assert f(x) * side >= 0.0
+    assert f(below) * side < 0.0
+    assert math.copysign(1.0, f(lo)) == -side
 
 
 class TestPointInvariants:

@@ -14,7 +14,11 @@ OUT_DIR receives, with paths relative to it so that two runs compare:
   search);
 * ``tau.txt``: ``repr(tau(T))`` of every component of the saved profiles at
   fixed targets and at its G(0-) and G(0+), one ``<file> <component> <T>
-  <tau>`` line each.
+  <tau>`` line each;
+* ``roots.txt``: ``repr`` of the analysis roots, one ``<call> <root>`` line
+  each: ``s_star()``, ``rho_ls_star()`` and ``solve_sK()``; bidding chi and
+  the conjugate rate at s in {1e-300, 1e-200, 1e-9, 0.3, 0.8, 0.95, 1.0};
+  linear-search chi, K and the conjugate rate at the profiles' s.
 
 Comparing two trees is ``diff -r OUT_A OUT_B``.
 """
@@ -39,6 +43,7 @@ SIMULATE = ("0.5", "2.0", "300.0")
 SAMPLES, SEED = "20000", "7"
 # log-spaced over the tail, the window and the right part of every profile
 TAU_TARGETS = np.geomspace(1e-12, 1e8, 500).tolist()
+ROOTS_BIDDING = (1e-300, 1e-200, 1e-9, 0.3, 0.8, 0.95, 1.0)
 
 
 def _cli(out, *argv: str) -> None:
@@ -47,6 +52,22 @@ def _cli(out, *argv: str) -> None:
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     out.write(f"exit {code}\n")
+
+
+def _roots():
+    """(call, root) for every line of roots.txt."""
+    a = analysis
+    yield "s_star()", a.s_star()
+    yield "rho_ls_star()", a.rho_ls_star()
+    yield "solve_sK()", a.solve_sK()
+    for s in ROOTS_BIDDING:
+        yield f"bidding_tradeoff({s!r}).chi", a.bidding_tradeoff(s).chi
+        yield f"conjugate_rate_bidding({s!r})", a.conjugate_rate_bidding(s)
+    for problem, s, name in PROFILES:
+        if problem == "linsearch":
+            yield f"linear_tradeoff({name})[0].chi", a.linear_tradeoff(s)[0].chi
+            yield f"solve_K({name})", a.solve_K(s)
+            yield f"conjugate_rate_linear({name})", a.conjugate_rate_linear(s)
 
 
 def write_outputs(out_dir: Path) -> None:
@@ -75,6 +96,9 @@ def write_outputs(out_dir: Path) -> None:
                 for T in TAU_TARGETS + [float(g.left_values[-1]),
                                         g.right_value_at_zero()]:
                     out.write(f"{path} {label} {T!r} {g.tau(T)!r}\n")
+    with open("roots.txt", "w") as out:
+        for call, root in _roots():
+            out.write(f"{call} {root!r}\n")
 
 
 if __name__ == "__main__":
