@@ -302,17 +302,23 @@ def conjugate_rate_linear(s: float) -> float:
     The tight excursion pair satisfies (rho lam - 1)^2 = e^lam for its
     exponential modes; the achievable branch is rho lam = 1 + e^{lam/2},
     whose two roots are lam = 2s and this conjugate.  The minimal tight
-    extension decays at the conjugate rate.
+    extension decays at the conjugate rate.  Where e^{lam/2} would
+    overflow (s below about 1.7e-305), the sides are compared in logs;
+    below about 5.6e-309, where rho itself overflows, it raises DomainError.
     """
     s = _linear_s(s, "conjugate rate")
     rho = (1.0 + math.exp(s)) / (2.0 * s)
+    if math.isinf(rho):
+        raise DomainError(f"conjugate rate: rho overflows at s={s!r}")
 
     def f(lam: float) -> float:
-        if 0.5 * lam > 709.0:  # e^{lam/2} overflows; it exceeds rho lam
-            return -math.inf
+        if 0.5 * lam > 709.0:  # e^{lam/2} overflows: ln(rho lam - 1) vs lam/2
+            return math.log(rho) + math.log(lam - 1.0 / rho) - 0.5 * lam
         return rho * lam - 1.0 - math.exp(0.5 * lam)
 
     lo = 2.0 * s_star()
     if f(lo) <= 0.0:
         return lo  # double root at the endpoint s = s_*
-    return bisect(f, lo, 1420.0)  # f(1420) = -inf
+    # at the largest finite rho the root is about 1434: ln(rho lam) < lam/2
+    # at 1440 for every finite rho
+    return bisect(f, lo, 1440.0)

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_X_MIN = -10.0  # below it, the tail at the conjugate rate
-DEFAULT_H = 1e-3
+DEFAULT_H = 1.6e-3  # 625 steps per unit
 DEFAULT_MAX_ITER = 10_000
 SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
 
@@ -140,6 +140,14 @@ def _shifted_integrals(cum: np.ndarray, tail_mass: float,
     np.add(tail_mass, cum[n:], out=out[:m + 1 - n])            # x_i + 1 <= 0
     np.add(tail_mass + cum[m], phi_cum[1:], out=out[m + 1 - n:])  # in (0, 1]
     return out
+
+
+def _unit_breaks(grid: GridSpec) -> tuple[int, ...]:
+    """The nodes at x = -2 and -1 inside the window: the slope breaks of a
+    profile that the delayed operator sweeps, whose right part jumps at 0,
+    so that a derivative of it jumps at each of them."""
+    n, m = grid.steps_per_unit, grid.m
+    return tuple(k for k in (m - 2 * n, m - n) if k > 0)
 
 
 def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
@@ -276,29 +284,32 @@ def _iterate_to_fixed_point(step: Callable[..., object],
 def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
                      max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
     """The bidding profile at ``s`` with left part ``left`` on ``grid``, the
-    one place where s fixes rho, chi, the right part, tail and kinks.
+    one place where s fixes rho, chi, the right part, tail, kinks and slope
+    breaks.
 
     ``left`` is the grid values, or None to sweep from zero to
     ``SWEEP_TOL`` (at most ``max_iter`` sweeps).  At s = 1, where the
-    delayed equation is doubly resonant, the exact e^x (no kink, rate 1)
-    replaces the sweeps.
+    delayed equation is doubly resonant, the exact e^x (no kink or break,
+    rate 1) replaces the sweeps.
     """
     point = bidding_tradeoff(s)
     right = _rising_pieces(s * point.chi, s)
     iterations, final_delta = 0, math.nan
     if s == 1.0:
-        tail_rate, kinks = 1.0, ()
+        tail_rate, kinks, breaks = 1.0, (), ()
         if left is None:
             left, final_delta = np.exp(grid.positions), 0.0
     else:  # the right part jumps at 0, so G kinks at x = -1
         tail_rate = conjugate_rate_bidding(s)
         kinks = (grid.m - grid.steps_per_unit,)
+        breaks = _unit_breaks(grid)  # and G'' jumps at x = -2
     if left is None:
         (left,), iterations, final_delta = _iterate_to_fixed_point(
             _sweep(right[:-1], point.rho, grid, tail_rate, kinks),
             (np.zeros(grid.m + 1),), max_iter)
     g = GridFunction(grid=grid, left_values=left, right_pieces=right,
-                     tail_rate=tail_rate, kink_nodes=kinks)
+                     tail_rate=tail_rate, kink_nodes=kinks,
+                     slope_breaks=breaks)
     return BiddingProfile(s=s, rho=point.rho, chi=point.chi, g=g,
                           iterations=iterations, final_delta=final_delta)
 

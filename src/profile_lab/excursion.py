@@ -44,7 +44,8 @@ from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, TOL_REL,
                       VerificationReport, _assemble_report,
                       _iterate_to_fixed_point, _piece_cumints,
-                      _right_checkpoints, _rising_pieces, _shifted_integrals)
+                      _right_checkpoints, _rising_pieces, _shifted_integrals,
+                      _unit_breaks)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -148,7 +149,8 @@ def _excursion_profile(s: float, grid: GridSpec,
                        left: tuple[np.ndarray, np.ndarray] | None,
                        max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
     """The excursion profile at ``s`` with left parts ``left`` on ``grid``,
-    the one place where s fixes rho, chi, K, M, right parts, tail and kinks.
+    the one place where s fixes rho, chi, K, M, right parts, tail, kinks and
+    slope breaks.
 
     ``left`` is the pair ``(left_plus, left_minus)``, or None to sweep from
     zero to ``bidding.SWEEP_TOL`` (at most ``max_iter`` sweeps).  At
@@ -161,13 +163,15 @@ def _excursion_profile(s: float, grid: GridSpec,
     plus_right = _rising_pieces(K, 2.0 * s)
     iterations, final_delta = 0, math.nan
     if K >= math.exp(2.0 * s) * (1.0 - 1e-12):
-        tail_rate, minus_kinks = 2.0 * s, ()
+        tail_rate, minus_kinks, breaks = 2.0 * s, (), ()
         if left is None:
             plus = np.exp(2.0 * s * grid.positions)
             left, final_delta = (plus, math.exp(s) * plus), 0.0
     else:
         tail_rate = conjugate_rate_linear(s)
         minus_kinks = (grid.m - grid.steps_per_unit,)  # G- kinks at x = -1
+        # so G+'' jumps at -1 and G-'s third derivative at -2
+        breaks = _unit_breaks(grid)
     if left is None:
         left, iterations, final_delta = _iterate_to_fixed_point(
             _pair_sweep(plus_right[:-1], exc.rho, grid, tail_rate,
@@ -179,11 +183,13 @@ def _excursion_profile(s: float, grid: GridSpec,
     minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (
         (((K - M) * math.exp(-s), 1.0 / exc.rho, 0.0),) if K != M else ())
     g_plus = GridFunction(grid=grid, left_values=left_plus,
-                          right_pieces=plus_right, tail_rate=tail_rate)
+                          right_pieces=plus_right, tail_rate=tail_rate,
+                          slope_breaks=breaks)
     g_minus = GridFunction(grid=grid, left_values=left_minus,
                            right_pieces=(Piece(lo=0.0, hi=math.inf,
                                                terms=minus_terms),),
-                           tail_rate=tail_rate, kink_nodes=minus_kinks)
+                           tail_rate=tail_rate, kink_nodes=minus_kinks,
+                           slope_breaks=breaks)
     return ExcursionProfile(s=s, rho=exc.rho, chi=exc.chi, K=K, M=M,
                             g_plus=g_plus, g_minus=g_minus,
                             iterations=iterations, final_delta=final_delta)

@@ -32,7 +32,7 @@ from .analysis import DomainError, _level_search
 __all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
            "cumulative_integral"]
 
-# The most nodes a grid may hold: about 1000 times the default grid's 10 001.
+# The most nodes a grid may hold: about 1600 times the default grid's 6 251.
 # Every array over the window costs 8 bytes a node.
 MAX_NODES = 10**7
 
@@ -295,7 +295,10 @@ class GridFunction:
     quadrature correction there.  Between nodes the function is modelled as
     a monotone cubic Hermite interpolant, so point evaluation, level
     crossings, and partial-cell integrals are all fourth-order accurate on
-    smooth stretches.
+    smooth stretches.  The node slopes are fitted per segment between the
+    kinks and the ``slope_breaks``: nodes where a higher derivative jumps
+    (a delayed equation carries the jump at 0 on, one order smoother per
+    unit, to x = -1, -2, ...), so that no slope stencil straddles one.
     """
 
     grid: GridSpec
@@ -303,6 +306,7 @@ class GridFunction:
     right_pieces: tuple[Piece, ...]
     tail_rate: float
     kink_nodes: tuple[int, ...] = ()
+    slope_breaks: tuple[int, ...] = ()
 
     _cum: np.ndarray = field(init=False, repr=False)
     _slope_right: np.ndarray = field(init=False, repr=False)
@@ -343,14 +347,15 @@ class GridFunction:
 
         Returns (d_right, d_left): the slope to use at a node as the left
         end of its right cell, and as the right end of its left cell.  They
-        differ only at declared kink nodes, where each side is fitted from
-        its own segment.  Slopes are capped at three times the adjacent
-        secants (Fritsch-Carlson condition), which never binds on smooth
-        exponential data but keeps the Hermite model monotone.
+        differ only at kink nodes and slope breaks, where each side is
+        fitted from its own segment.  Slopes are capped at three times the
+        adjacent secants (Fritsch-Carlson condition), which never binds on
+        smooth exponential data but keeps the Hermite model monotone.
         """
         v, h = self.left_values, self.grid.h
         n = v.size
-        bounds = sorted({0, n - 1} | {k for k in self.kink_nodes
+        bounds = sorted({0, n - 1} | {k for k in (*self.kink_nodes,
+                                                  *self.slope_breaks)
                                       if 0 < k < n - 1})
         d_right = np.empty_like(v)
         d_left = np.empty_like(v)

@@ -21,9 +21,13 @@ tests use them to check the library from outside its own code path.
   closed form, and ``weighted`` is the piece transform only they use.
 * ``invert_linear_strategy_chi`` inverts the linear-search strategy curve,
   to place points of the curve at a chosen consistency.
+* ``offnode_residual`` checks robustness between the nodes, on the Hermite
+  model that answers queries, where ``verify`` checks only the nodes;
+  ``tools/outputs.py`` records it for every saved profile.
 
 They import the library's private helpers (``_sweep``, ``_pair_integrals``,
-``_bidding_profile``, ``_piece_cumints``, ``_rising_pieces``) so that each
+``_bidding_profile``, ``_piece_cumints``, ``_rising_pieces``, and the
+``_cum`` and ``_hermite_cell_integral`` of a ``GridFunction``) so that each
 reference computes exactly what it did inside the library.
 """
 
@@ -36,11 +40,12 @@ import numpy as np
 from profile_lab.analysis import (ConvergenceError, DomainError,
                                   bidding_tradeoff, bisect, linear_tradeoff,
                                   s_star)
-from profile_lab.bidding import (DEFAULT_H, DEFAULT_X_MIN, BiddingProfile,
-                                 _bidding_profile, _piece_cumints,
-                                 _rising_pieces, _sweep)
-from profile_lab.excursion import _pair_integrals
-from profile_lab.grids import GridSpec, Piece, cumulative_integral, make_grid
+from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
+                                 TOL_REL, BiddingProfile, _bidding_profile,
+                                 _piece_cumints, _rising_pieces, _sweep)
+from profile_lab.excursion import ExcursionProfile, _pair_integrals
+from profile_lab.grids import (GridFunction, GridSpec, Piece,
+                               cumulative_integral, make_grid)
 
 
 def phi_pieces(s: float, chi: float) -> tuple[Piece, ...]:
@@ -207,3 +212,46 @@ def invert_linear_strategy_chi(chi_ls: float) -> float:
         raise DomainError(
             f"linear-search strategy chi must lie in (1, {top:.6f}], got {chi_ls}")
     return bisect(lambda s: linear_tradeoff(s)[1].chi - chi_ls, 1e-8, hi)
+
+
+def model_integrals(g: GridFunction, y: np.ndarray) -> np.ndarray:
+    """A(y) = integral of the stored model over (-inf, y] at every point of
+    an array y > x_min, summed as :meth:`GridFunction.integral_to` sums it:
+    the tail mass, the corrected node integral and the Hermite cell integral
+    on the grid, and ``integrals_right`` beyond 0."""
+    out = np.empty_like(y)
+    left = y <= 0.0
+    pos = (y[left] - g.x_min) / g.h
+    i = np.minimum(pos.astype(np.intp), g.grid.m - 1)
+    out[left] = g.tail_mass + g._cum[i] + g._hermite_cell_integral(i, pos - i)
+    out[~left] = g.integrals_right(y[~left])
+    return out
+
+
+def offnode_residual(
+        p: BiddingProfile | ExcursionProfile) -> tuple[float, float]:
+    """(worst |A(x+1) - rho G(x)| / (rho G(x) + ATOL_FLOOR / TOL_REL), x) at
+    15 evenly spaced points inside every cell of [x_min, 0].
+
+    The residual is that of the stored model (value and integrals of the
+    Hermite interpolant), normalised as ``verify`` normalises its node
+    residuals, so it shows how far the model that answers queries is from
+    tight between the nodes.  A linear-search pair checks both C+ and C-.
+    """
+    g0 = p.g if isinstance(p, BiddingProfile) else p.g_plus
+    u = np.arange(1, 16) / 16.0
+    x = (g0.x_min + (np.arange(g0.grid.m)[:, None] + u) * g0.h).ravel()
+    if isinstance(p, BiddingProfile):
+        pairs = [(model_integrals(p.g, x + 1.0), p.g.value(x))]
+    else:
+        a_minus = model_integrals(p.g_minus, x)
+        pairs = [(model_integrals(p.g_plus, x) + a_minus, p.g_plus.value(x)),
+                 (model_integrals(p.g_plus, x + 1.0) + a_minus,
+                  p.g_minus.value(x))]
+    worst, at = 0.0, math.nan
+    for a, g in pairs:
+        rel = np.abs(a - p.rho * g) / (p.rho * g + ATOL_FLOOR / TOL_REL)
+        k = int(np.argmax(rel))
+        if rel[k] > worst:
+            worst, at = float(rel[k]), float(x[k])
+    return worst, at

@@ -1,5 +1,6 @@
 """Closed-form curves, root solvers, and their analytic identities."""
 
+import decimal
 import math
 
 import numpy as np
@@ -270,6 +271,29 @@ class TestRates:
     def test_linear_conjugate_endpoint(self):
         assert conjugate_rate_linear(s_star()) == pytest.approx(
             2.0 * s_star(), abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-305, 1e-306, 1e-308, 5.6e-309])
+    def test_linear_conjugate_at_tiny_s(self, s):
+        # beyond lam = 1418, where e^{lam/2} overflows a double: the root of
+        # ln(rho lam - 1) = lam/2 at 60 digits, from the double s exactly
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = decimal.Decimal(s)
+            rho = (1 + d.exp()) / (2 * d)
+            lo, hi = decimal.Decimal(1000), decimal.Decimal(1500)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if (rho * mid - 1).ln() > mid / 2:
+                    lo = mid
+                else:
+                    hi = mid
+            want = float(lo)
+        assert conjugate_rate_linear(s) == pytest.approx(want, rel=4e-16)
+
+    @pytest.mark.parametrize("s", [5.5e-309, 1e-310, 5e-324])
+    def test_linear_conjugate_where_rho_overflows(self, s):
+        with pytest.raises(DomainError):
+            conjugate_rate_linear(s)
 
 
 class TestInversion:

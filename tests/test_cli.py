@@ -142,6 +142,20 @@ class TestProfileCommands:
             code, out, _ = run(capsys, "profile", "verify", out_file)
             assert code == 0, out
 
+    @pytest.mark.parametrize("problem, s", [("bidding", "0.8"),
+                                            ("linsearch", "0.9")])
+    def test_profile_at_a_finer_grid_loads_and_verifies(self, capsys,
+                                                        tmp_path, problem, s):
+        # h = 1e-3 was the default grid before 1/625: its files still load
+        out_file = str(tmp_path / "p.json")
+        code, _, _ = run(capsys, "profile", "build", "--problem", problem,
+                         "--s", s, "--h", "1e-3", "--out", out_file)
+        assert code == 0
+        assert json.loads(open(out_file).read())["h"] == 1e-3
+        code, out, _ = run(capsys, "profile", "verify", out_file)
+        assert code == 0, out
+        assert "passed=True" in out
+
     def test_tiny_s_linsearch_verify_names_failure(self, capsys, tmp_path):
         out_file = str(tmp_path / "l.json")
         code, _, _ = run(capsys, "profile", "build", "--problem", "linsearch",

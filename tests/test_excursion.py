@@ -357,6 +357,13 @@ class TestStrategyCost:
             assert strategy_cost_linear(p, -t) / t == pytest.approx(
                 star, abs=1e-4)
 
+    def test_robust_where_the_slopes_break(self, excursion_profiles):
+        # tau+ of this target lies next to x = -1, where G+'' jumps; slopes
+        # fitted across that node put the cost 1.23e-6 above the bound
+        p = excursion_profiles[S_K]
+        t = 0.0028714115397318932
+        assert strategy_cost_linear(p, t) <= (1.0 + 2.0 * p.rho) * t * (1.0 + 1e-6)
+
     @pytest.mark.parametrize("target", [0.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_target(self, target, excursion_profiles):
         with pytest.raises(DomainError):

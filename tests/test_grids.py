@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import weighted
+from oracles import offnode_residual, weighted
 from profile_lab import (build_excursion_profile, build_profile, s_star,
                          solve_sK)
 from profile_lab.analysis import DomainError
@@ -403,6 +403,53 @@ class TestTauSearch:
         lo, hi = float(g.left_values[-1]), g.right_value_at_zero()
         T = min(max(lo + frac * (hi - lo), math.nextafter(lo, math.inf)), hi)
         assert g.tau(T) == 0.0
+
+
+class TestSlopeBreaks:
+    def test_fit_stops_at_a_break(self):
+        # e^x plus (x+1)^2 right of -1: the second derivative jumps at -1
+        grid = make_grid(-4.0, 1.0 / 64)
+        f = lambda x: np.exp(x) + np.where(x > -1.0, (x + 1.0) ** 2, 0.0)
+        xs = np.linspace(-3.9, -0.01, 10001)
+        gs = [GridFunction(grid=grid, left_values=f(grid.positions),
+                           right_pieces=(Piece.exponential(
+                               2.0, 1.0, 0.0, 0.0, math.inf),),
+                           tail_rate=1.0, slope_breaks=breaks)
+              for breaks in ((), (grid.m - grid.steps_per_unit,))]
+        across, split = (np.max(np.abs(g.value(xs) - f(xs))) for g in gs)
+        assert split < across / 20.0
+        # the breaks shape the model between nodes, never the quadrature
+        assert gs[0]._cum.tobytes() == gs[1]._cum.tobytes()
+
+    def test_swept_builds_break_at_minus_one_and_two(self, bidding_profiles,
+                                                      excursion_profiles):
+        swept = [bidding_profiles[0.5].g, excursion_profiles[0.9].g_plus,
+                 excursion_profiles[0.9].g_minus]
+        exact = [bidding_profiles[1.0].g, excursion_profiles[s_star()].g_plus,
+                 excursion_profiles[s_star()].g_minus]
+        for g in swept:
+            assert g.grid.positions[list(g.slope_breaks)].tolist() == [-2.0,
+                                                                       -1.0]
+        for g in exact:
+            assert g.slope_breaks == ()
+        # a window that ends above -2 holds only the break at -1
+        short = build_profile(0.5, x_min=-1.5, h=1.0 / 64).g
+        assert short.grid.positions[list(short.slope_breaks)].tolist() == [-1.0]
+
+    @pytest.mark.parametrize("problem, s", [
+        ("bidding", 0.3), ("bidding", 0.5), ("bidding", 0.8),
+        ("bidding", 0.95), ("linsearch", 0.2), ("linsearch", solve_sK()),
+        ("linsearch", 0.9), ("linsearch", 1.1), ("linsearch", 1.25)])
+    def test_model_is_tight_between_nodes(self, bidding_profiles,
+                                          excursion_profiles, problem, s):
+        # the certify-curve anchors at the default grid; slopes fitted
+        # across x = -1 and -2 put linear search 0.2 at 1.6e-5
+        if problem == "bidding":
+            p = bidding_profiles.get(s) or build_profile(s)
+        else:
+            p = excursion_profiles.get(s) or build_excursion_profile(s)
+        worst, _ = offnode_residual(p)
+        assert worst <= 5e-7
 
 
 class TestLaneValues:

@@ -55,7 +55,7 @@ def test_double_roundtrip_is_stable(tmp_path, bidding_profiles):
 
 def test_saved_bytes_are_json_dumps(tmp_path, bidding_profiles,
                                     excursion_profiles):
-    # the default grid's 30 001 left values are written in slices
+    # the default grid's 6 251 left values are written in slices of 4096
     for i, p in enumerate((bidding_profiles[0.8], excursion_profiles[0.9])):
         path = tmp_path / f"{i}.json"
         save_profile(p, str(path))

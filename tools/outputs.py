@@ -1,6 +1,7 @@
 """Write the outputs that a refactor must leave unchanged into one directory.
 
-Run it from a source tree; it imports the package from that tree's ``src``:
+Run it from a source tree; it imports the package from that tree's ``src``
+and the off-node probe from its ``tests/oracles.py``:
 
     python tools/outputs.py OUT_DIR
 
@@ -15,6 +16,9 @@ OUT_DIR receives, with paths relative to it so that two runs compare:
 * ``tau.txt``: ``repr(tau(T))`` of every component of the saved profiles at
   fixed targets and at its G(0-) and G(0+), one ``<file> <component> <T>
   <tau>`` line each;
+* ``offnode.txt``: the worst robustness residual of each saved profile's
+  model between the grid nodes and where it lies (``oracles.offnode_residual``,
+  the probe the tests bound), one ``<file> <residual> <x>`` line each;
 * ``roots.txt``: ``repr`` of the analysis roots, one ``<call> <root>`` line
   each: ``s_star()``, ``rho_ls_star()`` and ``solve_sK()``; bidding chi and
   the conjugate rate at s in {1e-300, 1e-200, 1e-9, 0.3, 0.8, 0.95, 1.0};
@@ -30,8 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from oracles import offnode_residual  # noqa: E402
 from profile_lab import analysis, load_profile  # noqa: E402
 from profile_lab.cli import main  # noqa: E402
 
@@ -87,9 +93,11 @@ def write_outputs(out_dir: Path) -> None:
                 for sign in signs:
                     _cli(out, "profile", "simulate", path, "--target",
                          sign + target, "--samples", SAMPLES, "--seed", SEED)
-    with open("tau.txt", "w") as out:
+    with open("tau.txt", "w") as out, open("offnode.txt", "w") as offnode:
         for path in files:
             p = load_profile(path)
+            worst, x = offnode_residual(p)
+            offnode.write(f"{path} {worst!r} {x!r}\n")
             components = ({"G": p.g} if path.startswith("bidding")
                           else {"G+": p.g_plus, "G-": p.g_minus})
             for label, g in components.items():
