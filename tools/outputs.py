@@ -22,7 +22,12 @@ OUT_DIR receives, with paths relative to it so that two runs compare:
 * ``roots.txt``: ``repr`` of the analysis roots, one ``<call> <root>`` line
   each: ``s_star()``, ``rho_ls_star()`` and ``solve_sK()``; bidding chi and
   the conjugate rate at s in {1e-300, 1e-200, 1e-9, 0.3, 0.8, 0.95, 1.0};
-  linear-search chi, K and the conjugate rate at the profiles' s.
+  linear-search chi, K and the conjugate rate at the profiles' s;
+* ``verify.txt``: what ``profile verify`` prints for every saved profile;
+* ``costs.txt``: ``repr`` of ``expected_cost`` (bidding) and
+  ``strategy_cost_linear`` (linear search, both signs) of every saved
+  profile at 100 log-spaced targets on [1e-3, 1e4], one ``<file> <T>
+  <cost>`` line each.
 
 Comparing two trees is ``diff -r OUT_A OUT_B``.
 """
@@ -38,7 +43,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import offnode_residual  # noqa: E402
-from profile_lab import analysis, load_profile  # noqa: E402
+from profile_lab import (analysis, expected_cost, load_profile,  # noqa: E402
+                         strategy_cost_linear)
 from profile_lab.cli import main  # noqa: E402
 
 PROFILES = ([("bidding", s, repr(s)) for s in (0.3, 0.5, 0.8, 0.95, 1.0)]
@@ -49,6 +55,7 @@ SIMULATE = ("0.5", "2.0", "300.0")
 SAMPLES, SEED = "20000", "7"
 # log-spaced over the tail, the window and the right part of every profile
 TAU_TARGETS = np.geomspace(1e-12, 1e8, 500).tolist()
+COST_TARGETS = np.geomspace(1e-3, 1e4, 100).tolist()
 ROOTS_BIDDING = (1e-300, 1e-200, 1e-9, 0.3, 0.8, 0.95, 1.0)
 
 
@@ -104,6 +111,19 @@ def write_outputs(out_dir: Path) -> None:
                 for T in TAU_TARGETS + [float(g.left_values[-1]),
                                         g.right_value_at_zero()]:
                     out.write(f"{path} {label} {T!r} {g.tau(T)!r}\n")
+    with open("verify.txt", "w") as out:
+        for path in files:
+            _cli(out, "profile", "verify", path)
+    with open("costs.txt", "w") as out:
+        for path in files:
+            p = load_profile(path)
+            if path.startswith("bidding"):
+                costs = [(T, expected_cost(p, T)) for T in COST_TARGETS]
+            else:
+                costs = [(T * sign, strategy_cost_linear(p, T * sign))
+                         for T in COST_TARGETS for sign in (1.0, -1.0)]
+            for T, cost in costs:
+                out.write(f"{path} {T!r} {cost!r}\n")
     with open("roots.txt", "w") as out:
         for call, root in _roots():
             out.write(f"{call} {root!r}\n")
