@@ -1,27 +1,28 @@
 """Construction and verification of optimal randomized bidding profiles.
 
 A (rho, chi)-bidding profile is a non-decreasing, left-continuous
-G : R -> (0, inf) with
+G : R -> (0, inf) with, for A(x) = integral_{-inf}^{x} G,
 
 * offset:       G(x) < 1 for x < 0 and G(x) >= 1 for x > 0,
-* robustness:   integral_{-inf}^{x+1} G <= rho G(x) for every x,
-* consistency:  integral_{-inf}^{1} G <= chi.
+* robustness:   the delayed condition A(x+1) <= rho G(x) for every x,
+* consistency:  A(1) <= chi.
 
 The strategy it drives bids {G(n + U)} for a shared U ~ Unif(0, 1]; its
-expected cost at target T is integral_{-inf}^{tau(T)+1} G with
-tau(T) = sup{t : G(t) < T}.
+expected cost at target T is A(tau(T) + 1), tau(T) = sup{t : G(t) < T}.
+
+Each profile type lists its delayed conditions as data, a table of
+:class:`Condition`; one evaluator, :func:`_delayed_integral`, reads it for
+both problems wherever a condition is evaluated: in :func:`verify` and
+``excursion.verify_excursion``, for the consistency and for the costs.
 
 The optimal profile at parameter s has the closed-form right part
 max(1, s chi e^{s(x-1)}) on (0, 1] (continuing exponentially beyond 1) and a
 left part which is the unique fixed point of the operator
-
-    (F H)(x) = (1/rho) integral_{-inf}^{x+1} H(t) dt   for x <= 0,
-
-with H pinned to the right part on (0, 1].  F is order-preserving, so
-iterating from zero produces a pointwise non-decreasing sequence converging
-to the minimal fixed point; iterating from any valid profile produces a
-non-increasing sequence converging to a tight profile at no worse
-consistency.  Both directions are used below.
+(F H)(x) = (1/rho) integral_{-inf}^{x+1} H for x <= 0, with H pinned to the
+right part on (0, 1].  F is order-preserving, so iterating from zero
+rises to the minimal fixed point (:func:`build_profile`), and iterating
+from any valid profile falls to a tight profile at no worse consistency
+(:func:`tighten`).
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ TOL_ABS = 1e-4
 ATOL_FLOOR = 1e-9
 
 
+@dataclass(frozen=True)
+class Condition:
+    """A delayed condition C(x) <= rho G(x): C(x) sums A_k(x + shift), the
+    integral of component k up to x + shift, over the (k, shift) ``terms``;
+    G is component ``right``."""
+
+    name: str
+    terms: tuple[tuple[int, int], ...]
+    right: int
+
+
 @dataclass
 class BiddingProfile:
     """An (s, rho, chi) bidding profile on a uniform grid.
@@ -77,10 +89,11 @@ class BiddingProfile:
     iterations: int = 0
     final_delta: float = math.nan
 
+    conditions = (Condition("A(x+1) <= rho G", ((0, 1),), 0),)
+
     @property
-    def phi(self) -> tuple[Piece, ...]:
-        """The inducing function on (0, 1] (the right part below 1)."""
-        return tuple(p for p in self.g.right_pieces if p.lo < 1.0)
+    def components(self) -> tuple[GridFunction, ...]:
+        return (self.g,)
 
 
 @dataclass
@@ -121,11 +134,12 @@ def _rising_pieces(a: float, rate: float) -> tuple[Piece, ...]:
 
 
 def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
-    """Exact integral of the pieces from 0 to k h, for k = 0 .. steps_per_unit."""
+    """Integrals from 0 to k h (k <= steps_per_unit) of the pieces below 1."""
     ys = np.arange(grid.steps_per_unit + 1) * grid.h
     out = np.zeros(ys.size)
     for p in pieces:
-        out += p.integrals(0.0, ys)
+        if p.lo < 1.0:
+            out += p.integrals(0.0, ys)
     return out
 
 
@@ -332,11 +346,35 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
 # -- evaluation ----------------------------------------------------------
 
 
+def _delayed_integral(p, cond: Condition, x=None):
+    """C(x) of condition ``cond`` of profile ``p``: at a float x by
+    :meth:`GridFunction.integral_to`, at an array x by its array form
+    ``integrals``; with x None at every grid node x <= 0, on the build's
+    quadrature and summed as the sweeps sum it (a shifted term with the
+    summed tail mass first, else the tail mass last)."""
+    gs = p.components
+    if x is not None:
+        integral = "integral_to" if np.ndim(x) == 0 else "integrals"
+        return sum(getattr(gs[k], integral)(x + shift)
+                   for k, shift in cond.terms)
+    grid = gs[0].grid
+    mass = sum(gs[k].tail_mass for k, _ in cond.terms)
+    c = np.zeros(grid.m + 1)
+    for k, shift in sorted(cond.terms, key=lambda term: -term[1]):
+        if shift:
+            c = _shifted_integrals(gs[k]._cum, mass, _piece_cumints(
+                gs[k].right_pieces, grid), grid)
+            mass = 0.0
+        else:
+            c += gs[k]._cum
+    return c + mass
+
+
 def expected_cost(p: BiddingProfile, target: float) -> float:
-    """Expected total bid sum at target T: integral_{-inf}^{tau(T)+1} G."""
+    """Expected total bid sum at target T: C(tau(T)) = A(tau(T) + 1)."""
     if not 0.0 < target < math.inf:
         raise DomainError(f"target must be positive and finite, got {target!r}")
-    return p.g.integral_to(p.g.tau(target) + 1.0)
+    return _delayed_integral(p, p.conditions[0], p.g.tau(target))
 
 
 # -- verification ---------------------------------------------------------
@@ -345,56 +383,45 @@ def expected_cost(p: BiddingProfile, target: float) -> float:
 def verify(p: BiddingProfile) -> VerificationReport:
     """Check offset, monotonicity, robustness, consistency, and tightness.
 
-    Robustness is checked at every grid node, on the integrals the build's
-    sweep assembles, and on a log grid over (0, 10]; the profile passes if
-    the positive residual stays below ``TOL_REL`` (1e-4) relative to
-    rho G(x) plus the absolute floor ``ATOL_FLOOR`` (1e-9, which keeps
-    sub-resolution residuals deep in the tail, where G underflows the build
-    tolerance, from registering as violations), the consistency integral
-    exceeds chi by at most ``TOL_ABS`` (1e-4), and the structural
-    conditions hold.
+    Robustness is checked at every grid node, on the build's quadrature, and
+    on a log grid over (0, 10]: the positive residual must stay below
+    ``TOL_REL`` relative to rho G(x) plus the floor ``ATOL_FLOOR`` (which
+    keeps roundoff deep in the tail, where G underflows the build tolerance,
+    from counting).  The consistency integral may exceed chi by at most
+    ``TOL_ABS``.
     """
-    g, rho = p.g, p.rho
-    resid = _shifted_integrals(g._cum, g.tail_mass,
-                               _piece_cumints(p.phi, g.grid), g.grid)
-    resid -= rho * g.left_values
-    tight = float(np.max(np.abs(resid)))
-
-    xs = _right_checkpoints(g.h)
-    rho_g_right = rho * g.value(xs)
-    resid_right = g.integrals_right(xs + 1.0) - rho_g_right
-
     return _assemble_report(
-        (g,), np.concatenate([resid, resid_right]),
-        np.concatenate([rho * np.maximum(g.left_values, 0.0), rho_g_right]),
-        float(g.integral_to(1.0) - p.chi), tight,
-        consistency="integral",
+        p, _robustness(p), consistency="integral",
         offset="offset: G must be < 1 left of 0 and >= 1 right of 0",
         monotone="monotone: G must be non-decreasing and positive")
 
 
-def _right_checkpoints(h: float) -> np.ndarray:
-    """The 400 points of a log grid over (0, 10] where both verifications
-    check the right part."""
-    return np.geomspace(max(h, 1e-4), 10.0, 400)
+def _robustness(p) -> list[tuple[Condition, np.ndarray, np.ndarray,
+                                 np.ndarray]]:
+    """(condition, x, C(x), G(x)) for every condition of ``p``, G its right
+    component: first at every grid node x <= 0, on the build's quadrature,
+    then at 400 log-spaced x in (0, 10], on the stored model."""
+    gs = p.components
+    nodes, xs = gs[0].grid.positions, np.geomspace(max(gs[0].h, 1e-4), 10.0,
+                                                   400)
+    return ([(c, nodes, _delayed_integral(p, c), gs[c.right].left_values)
+             for c in p.conditions]
+            + [(c, xs, _delayed_integral(p, c, xs), gs[c.right].value(xs))
+               for c in p.conditions])
 
 
-def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,
-                     rho_g: np.ndarray, gap: float, tight: float, *,
-                     consistency: str, offset: str, monotone: str,
+def _assemble_report(p, rows, *, consistency: str, offset: str, monotone: str,
                      extra_failures: tuple[str, ...] = ()) -> VerificationReport:
-    """Structural checks and the report shared by both verifications.
+    """The checks and the report shared by both verifications.
 
-    ``resid`` are the robustness residuals and ``rho_g`` the rho G(x) they
-    are relative to (plus ``ATOL_FLOOR``); ``rho_g`` is overwritten.  The
-    offset condition applies to ``components[0]`` (G, or G+ for the
-    excursion pair); every component must be monotone and non-negative, at
-    one tolerance scaled by the largest left value of any component.
-    ``consistency`` names the realized consistency quantity; ``offset`` and
-    ``monotone`` are the failure messages of the structural conditions, and
-    ``extra_failures`` are problem-specific failures listed after
-    consistency.
+    Each residual C(x) - rho G(x) of ``rows`` (:func:`_robustness`'s) is
+    relative to rho max(G(x), 0) plus ``ATOL_FLOOR``; a failure names the
+    condition and x of the worst.  Tightness is the largest absolute node
+    residual; the consistency (named ``consistency``) is the first
+    condition's C(0).  ``offset`` and ``monotone`` name the failures of the
+    structural checks; ``extra_failures`` follow consistency's.
     """
+    components, rho = p.components, p.rho
     g = components[0]
     v = g.left_values
     offset_ok = bool(np.all(v[:-1] < 1.0) and v[-1] <= 1.0 + 1e-12
@@ -406,12 +433,21 @@ def _assemble_report(components: tuple[GridFunction, ...], resid: np.ndarray,
         c.is_monotone(tol=1e-12 * scale,
                       junction_tol=TOL_REL * float(c.left_values[-1]))
         and c.is_nonnegative() for c in components)
-    rho_g += ATOL_FLOOR / TOL_REL
-    max_rel = float(np.max(np.divide(resid, rho_g, out=rho_g)))
+    resid = [c - rho * gx for _, _, c, gx in rows]
+    tight = max(float(np.max(np.abs(r))) for r in resid[:len(p.conditions)])
+    resid = np.concatenate(resid)
+    rel = np.concatenate([rho * np.maximum(gx, 0.0) for *_, gx in rows])
+    rel += ATOL_FLOOR / TOL_REL
+    np.divide(resid, rel, out=rel)
+    worst = int(np.argmax(rel))
+    max_rel = float(rel[worst])
+    gap = float(_delayed_integral(p, p.conditions[0], 0.0) - p.chi)
 
     failures = []
     if max_rel > TOL_REL:
-        failures.append(f"robustness: relative residual {max_rel:.3e} > {TOL_REL}")
+        cond, x = [(c, x) for c, xs, _, _ in rows for x in xs][worst]
+        failures.append(f"robustness: relative residual {max_rel:.3e} > "
+                        f"{TOL_REL} in {cond.name} at x = {x:.6g}")
     if gap > TOL_ABS:
         failures.append(f"consistency: {consistency} exceeds chi by {gap:.3e}")
     failures.extend(extra_failures)

@@ -5,14 +5,17 @@ positive functions driving the alternating search
 
     ... +G+(n+U) -> -G-(n+U) -> +G+(n+1+U) -> ...
 
-for a shared U ~ Unif(0, 1].  With
+for a shared U ~ Unif(0, 1].  With A± the integrals of G± from -inf, its
+delayed conditions, the table ``ExcursionProfile.conditions`` that the
+evaluator of :mod:`profile_lab.bidding` reads, are
 
-    C+(x) = integral_{-inf}^{x} G+ + integral_{-inf}^{x} G-
-    C-(x) = integral_{-inf}^{x+1} G+ + integral_{-inf}^{x} G-
+    C+(x) = A+(x) + A-(x)   <= rho G+(x)
+    C-(x) = A+(x+1) + A-(x) <= rho G-(x)
 
-the profile is (rho, chi)-valid if G+ < 1 left of 0 and >= 1 right of 0
-(plus-offset), C± <= rho G± everywhere, and C+(0) <= chi; the driven
-strategy is then (1+2 rho)-robust and (1+2 chi)-consistent.
+at every x.  The profile is (rho, chi)-valid if also G+ < 1 left of 0 and
+>= 1 right of 0 (plus-offset) and C+(0) <= chi; the driven strategy is then
+(1+2 rho)-robust and (1+2 chi)-consistent, and costs |T| + 2 C±(tau±(|T|))
+at a target T.
 
 The near-optimal profile at parameter s has closed-form right parts
 
@@ -21,15 +24,9 @@ The near-optimal profile at parameter s has closed-form right parts
 
 with K = K(s), M = max(1, K), and its left parts are the minimal tight
 extension: the least fixed point on x <= 0 of the pair operator
-
-    (F H)+(x) = (1/rho) ( A+(x) + A-(x) )
-    (F H)-(x) = (1/rho) ( A+(min(x+1, 0)) + int_0^{max(x+1,0)} psi + A-(x) )
-
-where psi = G+ restricted to (0, 1] and A± are the integrals of H± up to
-x.  The build reaches it from zero by block Gauss-Seidel sweeps: each sweep
-applies (F H)+ and then (F H)- with the new plus component in A+.  Both
-halves preserve order, so the sweeps rise monotonically to the same limit
-as plain (Jacobi) applications of F, in about a third fewer sweeps.
+(F H)± = C±/rho, with C± those of H and G+ pinned to its right part psi on
+(0, 1].  The build reaches it from zero by block Gauss-Seidel sweeps
+(:func:`_pair_sweep`).
 """
 
 from __future__ import annotations
@@ -42,10 +39,10 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, TOL_REL,
-                      VerificationReport, _assemble_report,
-                      _iterate_to_fixed_point, _piece_cumints,
-                      _right_checkpoints, _rising_pieces, _shifted_integrals,
-                      _unit_breaks)
+                      Condition, VerificationReport, _assemble_report,
+                      _delayed_integral, _iterate_to_fixed_point,
+                      _piece_cumints, _rising_pieces, _robustness,
+                      _shifted_integrals, _unit_breaks)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -80,24 +77,13 @@ class ExcursionProfile:
     iterations: int = 0
     final_delta: float = math.nan
 
+    conditions = (
+        Condition("C+ <= rho G+", ((0, 0), (1, 0)), 0),
+        Condition("C- <= rho G-", ((0, 1), (1, 0)), 1))
+
     @property
-    def psi(self) -> tuple[Piece, ...]:
-        """G+ restricted to (0, 1], the inducing function."""
-        return tuple(p for p in self.g_plus.right_pieces if p.lo < 1.0)
-
-
-def _pair_integrals(A_plus: np.ndarray, A_minus: np.ndarray,
-                    tail_mass: float, psi_cum: np.ndarray,
-                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(C+(x_i), C-(x_i)) at every grid node x_i <= 0, from A± the integrals
-    of G± from x_min up to the nodes and ``tail_mass`` the mass of both
-    below x_min."""
-    c_plus = A_plus + A_minus
-    c_plus += tail_mass
-    # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
-    c_minus = _shifted_integrals(A_plus, tail_mass, psi_cum, grid)
-    c_minus += A_minus
-    return c_plus, c_minus
+    def components(self) -> tuple[GridFunction, ...]:
+        return (self.g_plus, self.g_minus)
 
 
 def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
@@ -214,12 +200,12 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
 
 def C_plus(p: ExcursionProfile, x: float) -> float:
     """C+(x): total distance committed before a plus-excursion past x."""
-    return p.g_plus.integral_to(x) + p.g_minus.integral_to(x)
+    return _delayed_integral(p, p.conditions[0], x)
 
 
 def C_minus(p: ExcursionProfile, x: float) -> float:
     """C-(x): total distance committed before a minus-excursion past x."""
-    return p.g_plus.integral_to(x + 1.0) + p.g_minus.integral_to(x)
+    return _delayed_integral(p, p.conditions[1], x)
 
 
 def strategy_cost_linear(p: ExcursionProfile, target: float) -> float:
@@ -232,57 +218,32 @@ def strategy_cost_linear(p: ExcursionProfile, target: float) -> float:
     x = abs(target)
     if not 0.0 < x < math.inf:
         raise DomainError(f"target must be nonzero and finite, got {target!r}")
-    if target > 0.0:
-        return x + 2.0 * C_plus(p, p.g_plus.tau(x))
-    return x + 2.0 * C_minus(p, p.g_minus.tau(x))
-
-
-def _pair_residuals(p: ExcursionProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(C+ - rho G+, C- - rho G-) at every grid node x <= 0."""
-    gp, gm = p.g_plus, p.g_minus
-    r_plus, r_minus = _pair_integrals(gp._cum, gm._cum,
-                                      gp.tail_mass + gm.tail_mass,
-                                      _piece_cumints(p.psi, gp.grid), gp.grid)
-    r_plus -= p.rho * gp.left_values
-    r_minus -= p.rho * gm.left_values
-    return r_plus, r_minus
+    cond = p.conditions[target < 0.0]
+    return x + 2.0 * _delayed_integral(p, cond,
+                                       p.components[cond.right].tau(x))
 
 
 def verify_excursion(p: ExcursionProfile) -> VerificationReport:
-    """Check the excursion-profile conditions and tightness identities.
-
-    Both robustness conditions are checked at every grid node, on the
-    integrals the build's sweep assembles, and on a log grid over (0, 10],
-    at the tolerances of :func:`~profile_lab.bidding.verify` (``TOL_REL``,
-    ``TOL_ABS`` and ``ATOL_FLOOR`` in ``bidding``).  Tightness (equality) is
-    reported over x <= 0 for both components and over x > 0 for the minus
-    component, where the construction is tight by design and must hold to
-    ``TOL_REL``.  The boundary identity chi + integral_0^1 G+ = rho K e^{-s}
-    is reported as an absolute residual and enforced at 1e-5.
-    """
-    rho = p.rho
-    r_plus, r_minus = _pair_residuals(p)
-    tight = max(float(np.max(np.abs(r_plus))), float(np.max(np.abs(r_minus))))
-
-    gp, gm = p.g_plus, p.g_minus
-    xs = _right_checkpoints(gp.h)
-    gm_right = gm.value(xs)
-    rho_gp, rho_gm = rho * gp.value(xs), rho * gm_right
-    a_minus = gm.integrals_right(xs)
-    r_plus_right = gp.integrals_right(xs) + a_minus - rho_gp
-    r_minus_right = gp.integrals_right(xs + 1.0) + a_minus - rho_gm
+    """Check the pair as :func:`~profile_lab.bidding.verify` checks a
+    bidding profile, over both conditions, and what belongs to the pair
+    alone: G- positive and C- = rho G- (tight by design) to ``TOL_REL`` on
+    x > 0, and the boundary identity chi + integral_0^1 G+ = rho K e^{-s}
+    to 1e-5 absolute."""
+    rows = _robustness(p)
+    _, xs, c_minus, gm_right = rows[-1]  # C- at the right checkpoints
     extra = []
     positive = gm_right > 0.0  # no relative tightness elsewhere
     if not positive.all():
         i = int(np.argmin(positive))  # report the first such x
         extra.append(f"positivity: G- must be positive, is "
                      f"{float(gm_right[i])!r} at x = {xs[i]:.6g}")
+    rho_gm = p.rho * gm_right[positive]
     minus_tight_right = float(np.max(
-        np.abs(r_minus_right[positive]) / rho_gm[positive], initial=0.0))
+        np.abs(c_minus[positive] - rho_gm) / rho_gm, initial=0.0))
 
-    c0 = C_plus(p, 0.0)
-    psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
-    boundary_resid = abs(c0 + psi_mass - rho * p.K * math.exp(-p.s))
+    psi_mass = sum(q.integral(0.0, 1.0) for q in p.g_plus.right_pieces)
+    boundary_resid = abs(C_plus(p, 0.0) + psi_mass
+                         - p.rho * p.K * math.exp(-p.s))
 
     if minus_tight_right > TOL_REL:
         extra.append(
@@ -290,13 +251,7 @@ def verify_excursion(p: ExcursionProfile) -> VerificationReport:
     if boundary_resid > 1e-5:
         extra.append(f"boundary identity residual {boundary_resid:.3e} > 1e-5")
     return _assemble_report(
-        (gp, gm),
-        np.concatenate([r_plus, r_minus, r_plus_right, r_minus_right]),
-        np.concatenate([rho * np.maximum(gp.left_values, 0.0),
-                        rho * np.maximum(gm.left_values, 0.0),
-                        rho_gp, rho_gm]),
-        float(c0 - p.chi), tight,
-        consistency="C+(0)",
+        p, rows, consistency="C+(0)",
         offset="plus-offset: G+ must be < 1 left of 0 and >= 1 right of 0",
         monotone="monotone: G+ and G- must be non-decreasing and positive",
         extra_failures=tuple(extra))

@@ -499,13 +499,18 @@ class GridFunction:
             total += piece.integral(piece.lo, x)
         return float(total)
 
-    def integrals_right(self, x: np.ndarray) -> np.ndarray:
-        """A(x) at every point of an array x > 0, as :meth:`integral_to`
-        sums it one point at a time."""
+    def integrals(self, x: np.ndarray) -> np.ndarray:
+        """A(x) at every point of an array x > x_min, as :meth:`integral_to`
+        sums it one point at a time (a cell or piece it skips adds 0.0)."""
         total = np.full(x.shape, self.tail_mass)
-        total += self._cum[self.grid.m]
+        left, right = x <= 0.0, x > 0.0
+        pos = (x[left] - self.x_min) / self.h
+        i = np.minimum(pos.astype(np.intp), self.grid.m - 1)
+        total[left] += self._cum[i]
+        total[left] += self._hermite_cell_integral(i, pos - i)
+        total[right] += self._cum[self.grid.m]
         for piece in self.right_pieces:
-            total += piece.integrals(piece.lo, x)
+            total[right] += piece.integrals(piece.lo, x[right])
         return total
 
     def tau(self, target: float) -> float:

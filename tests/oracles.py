@@ -5,7 +5,7 @@ tests use them to check the library from outside its own code path.
 
 * ``phi_pieces``, ``right_pieces`` and ``psi_pieces`` name the closed-form
   right parts at an (s, chi) or (s, K) the test picks, so an operator test
-  can feed them without building a profile.
+  can feed the inducing function phi or psi with or without a profile.
 * ``apply_F`` and ``apply_F_pair`` apply each profile operator once, as a
   plain (Jacobi) map F.  The builds run the operators only inside the
   fixed-point driver, and the pair build sweeps Gauss-Seidel, so these are
@@ -21,14 +21,15 @@ tests use them to check the library from outside its own code path.
   closed form, and ``weighted`` is the piece transform only they use.
 * ``invert_linear_strategy_chi`` inverts the linear-search strategy curve,
   to place points of the curve at a chosen consistency.
-* ``offnode_residual`` checks robustness between the nodes, on the Hermite
-  model that answers queries, where ``verify`` checks only the nodes;
-  ``tools/outputs.py`` records it for every saved profile.
+* ``offnode_residual`` checks every condition of a profile's table between
+  the nodes, on the Hermite model that answers queries, where ``verify``
+  checks only the nodes; ``tools/outputs.py`` records it for every saved
+  profile.
 
-They import the library's private helpers (``_sweep``, ``_pair_integrals``,
-``_bidding_profile``, ``_piece_cumints``, ``_rising_pieces``, and the
-``_cum`` and ``_hermite_cell_integral`` of a ``GridFunction``) so that each
-reference computes exactly what it did inside the library.
+They import the library's private helpers (``_sweep``, ``_shifted_integrals``,
+``_piece_cumints``, ``_delayed_integral``, ``_bidding_profile`` and
+``_rising_pieces``) so that each reference computes exactly what it did
+inside the library.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
                                   s_star)
 from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
                                  TOL_REL, BiddingProfile, _bidding_profile,
-                                 _piece_cumints, _rising_pieces, _sweep)
-from profile_lab.excursion import ExcursionProfile, _pair_integrals
-from profile_lab.grids import (GridFunction, GridSpec, Piece,
-                               cumulative_integral, make_grid)
+                                 _delayed_integral, _piece_cumints,
+                                 _rising_pieces, _shifted_integrals, _sweep)
+from profile_lab.excursion import ExcursionProfile
+from profile_lab.grids import GridSpec, Piece, cumulative_integral, make_grid
 
 
 def phi_pieces(s: float, chi: float) -> tuple[Piece, ...]:
@@ -98,10 +99,14 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
     plus = np.asarray(left_plus, float)
     minus = np.asarray(left_minus, float)
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    return _pair_integrals(cumulative_integral(plus, h),
-                           cumulative_integral(minus, h, kinks=minus_kinks),
-                           (plus[0] + minus[0]) / (tail_rate * rho),
-                           _piece_cumints(psi, grid) / rho, grid)
+    a_plus = cumulative_integral(plus, h)
+    a_minus = cumulative_integral(minus, h, kinks=minus_kinks)
+    tail_mass = (plus[0] + minus[0]) / (tail_rate * rho)
+    # A+ at min(x + 1, 0) plus the psi mass on (0, x + 1]
+    new_minus = _shifted_integrals(a_plus, tail_mass,
+                                   _piece_cumints(psi, grid) / rho, grid)
+    new_minus += a_minus
+    return a_plus + a_minus + tail_mass, new_minus
 
 
 def build_profile_backward(s: float, x_min: float = DEFAULT_X_MIN,
@@ -175,7 +180,7 @@ def check_bpb(p: BiddingProfile) -> tuple[float, float]:
     """
     lhs = p.g.integral_to(1.0)
     rhs = math.exp(p.s) * sum(weighted(piece, p.s).integral(0.0, 1.0)
-                              for piece in p.phi)
+                              for piece in phi_pieces(p.s, p.chi))
     return lhs, rhs
 
 
@@ -214,43 +219,25 @@ def invert_linear_strategy_chi(chi_ls: float) -> float:
     return bisect(lambda s: linear_tradeoff(s)[1].chi - chi_ls, 1e-8, hi)
 
 
-def model_integrals(g: GridFunction, y: np.ndarray) -> np.ndarray:
-    """A(y) = integral of the stored model over (-inf, y] at every point of
-    an array y > x_min, summed as :meth:`GridFunction.integral_to` sums it:
-    the tail mass, the corrected node integral and the Hermite cell integral
-    on the grid, and ``integrals_right`` beyond 0."""
-    out = np.empty_like(y)
-    left = y <= 0.0
-    pos = (y[left] - g.x_min) / g.h
-    i = np.minimum(pos.astype(np.intp), g.grid.m - 1)
-    out[left] = g.tail_mass + g._cum[i] + g._hermite_cell_integral(i, pos - i)
-    out[~left] = g.integrals_right(y[~left])
-    return out
-
-
 def offnode_residual(
         p: BiddingProfile | ExcursionProfile) -> tuple[float, float]:
-    """(worst |A(x+1) - rho G(x)| / (rho G(x) + ATOL_FLOOR / TOL_REL), x) at
-    15 evenly spaced points inside every cell of [x_min, 0].
+    """(worst |C(x) - rho G(x)| / (rho G(x) + ATOL_FLOOR / TOL_REL), x) over
+    every condition of the profile, at 15 evenly spaced points inside every
+    cell of [x_min, 0].
 
     The residual is that of the stored model (value and integrals of the
     Hermite interpolant), normalised as ``verify`` normalises its node
     residuals, so it shows how far the model that answers queries is from
-    tight between the nodes.  A linear-search pair checks both C+ and C-.
+    tight between the nodes.
     """
-    g0 = p.g if isinstance(p, BiddingProfile) else p.g_plus
-    u = np.arange(1, 16) / 16.0
-    x = (g0.x_min + (np.arange(g0.grid.m)[:, None] + u) * g0.h).ravel()
-    if isinstance(p, BiddingProfile):
-        pairs = [(model_integrals(p.g, x + 1.0), p.g.value(x))]
-    else:
-        a_minus = model_integrals(p.g_minus, x)
-        pairs = [(model_integrals(p.g_plus, x) + a_minus, p.g_plus.value(x)),
-                 (model_integrals(p.g_plus, x + 1.0) + a_minus,
-                  p.g_minus.value(x))]
+    gs, u = p.components, np.arange(1, 16) / 16.0
+    x = (gs[0].x_min + (np.arange(gs[0].grid.m)[:, None] + u) * gs[0].h)
+    x = x.ravel()
     worst, at = 0.0, math.nan
-    for a, g in pairs:
-        rel = np.abs(a - p.rho * g) / (p.rho * g + ATOL_FLOOR / TOL_REL)
+    for cond in p.conditions:
+        rho_g = p.rho * gs[cond.right].value(x)
+        rel = (np.abs(_delayed_integral(p, cond, x) - rho_g)
+               / (rho_g + ATOL_FLOOR / TOL_REL))
         k = int(np.argmax(rel))
         if rel[k] > worst:
             worst, at = float(rel[k]), float(x[k])

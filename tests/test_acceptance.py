@@ -93,7 +93,8 @@ def test_criterion_5_linear_search_verification(excursion_profiles):
     for s, p in excursion_profiles.items():
         rep = verify_excursion(p)
         all_pass &= rep.passed
-        psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
+        psi_mass = sum(piece.integral(0.0, 1.0)
+                       for piece in psi_pieces(p.s, p.K))
         resid = abs(C_plus(p, 0.0) + psi_mass - p.rho * p.K * math.exp(-p.s))
         worst_boundary = max(worst_boundary, resid)
     elapsed = time.perf_counter() - start
@@ -104,7 +105,8 @@ def test_criterion_5_linear_search_verification(excursion_profiles):
 
 
 def test_criterion_6_chi_identity(excursion_profiles):
-    worst = max(abs(C_plus(p, 0.0) - weighted_psi_integral(s, p.psi))
+    worst = max(abs(C_plus(p, 0.0)
+                    - weighted_psi_integral(s, psi_pieces(p.s, p.K)))
                 for s, p in excursion_profiles.items())
     check(6, worst <= 1e-5,
           f"max |C+(0) - weighted psi integral| = {worst:.2e} (<=1e-5)")

@@ -1,5 +1,6 @@
 """Bidding profile construction, evaluation, and verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,8 +105,8 @@ class TestBuildProfile:
         for s, p in bidding_profiles.items():
             if p.iterations == 0:
                 continue  # closed-form endpoint
-            out = apply_F(p.g.left_values, p.phi, p.rho, p.g.grid,
-                          p.g.tail_rate, kinks=p.g.kink_nodes)
+            out = apply_F(p.g.left_values, phi_pieces(p.s, p.chi), p.rho,
+                          p.g.grid, p.g.tail_rate, kinks=p.g.kink_nodes)
             assert np.max(np.abs(out - p.g.left_values)) <= 10 * 1e-12
 
     @pytest.mark.parametrize("build", [build_profile, build_excursion_profile],
@@ -296,8 +297,8 @@ class TestVerify:
     def test_tightness_is_the_operator_residual(self, bidding_profiles):
         p = bidding_profiles[0.5]
         g = p.g
-        F = apply_F(g.left_values, p.phi, p.rho, g.grid, g.tail_rate,
-                    g.kink_nodes)
+        F = apply_F(g.left_values, phi_pieces(p.s, p.chi), p.rho, g.grid,
+                    g.tail_rate, g.kink_nodes)
         expect = float(np.max(np.abs(p.rho * (F - g.left_values))))
         assert verify(p).tightness_residual == pytest.approx(expect, rel=0,
                                                              abs=1e-14)
@@ -327,6 +328,21 @@ class TestVerify:
         assert not rep.passed
         assert any("robustness" in f for f in rep.failures)
         assert rep.offset_ok and rep.monotone_ok
+
+    def test_robustness_failure_names_the_condition_and_x(
+            self, bidding_profiles):
+        # one node at x = -3 lowered by 1e-2: the worst relative residual
+        # is there, in the one condition
+        p = bidding_profiles[0.8]
+        g = p.g
+        left = g.left_values.copy()
+        left[g.grid.m - 3 * g.grid.steps_per_unit] *= 1.0 - 1e-2
+        rep = verify(dataclasses.replace(
+            p, g=dataclasses.replace(g, left_values=left)))
+        assert rep.max_relative_residual == pytest.approx(1.01e-2, rel=1e-2)
+        assert (f"robustness: relative residual "
+                f"{rep.max_relative_residual:.3e} > 0.0001 in "
+                f"A(x+1) <= rho G at x = -3") in rep.failures
 
 
 class TestTighten:
@@ -359,8 +375,8 @@ class TestTighten:
         c = 0.5 * (p.s + 1.0)
         left = 2.0 * np.exp(c * g.grid.positions)
         for _ in range(25):
-            new = apply_F(left, p.phi, p.rho, g.grid, tail_rate=c,
-                          kinks=g.kink_nodes)
+            new = apply_F(left, phi_pieces(p.s, p.chi), p.rho, g.grid,
+                          tail_rate=c, kinks=g.kink_nodes)
             assert np.all(new <= left + 1e-15)
             left = new
 

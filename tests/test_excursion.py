@@ -90,8 +90,8 @@ class TestApplyFPair:
 
 def _gs_step(p):
     """The build's Gauss-Seidel sweep on the grid, tail and kinks of ``p``."""
-    return ex._pair_sweep(p.psi, p.rho, p.g_plus.grid, p.g_plus.tail_rate,
-                          p.g_minus.kink_nodes)
+    return ex._pair_sweep(psi_pieces(p.s, p.K), p.rho, p.g_plus.grid,
+                          p.g_plus.tail_rate, p.g_minus.kink_nodes)
 
 
 def _from_zero(p, step):
@@ -149,7 +149,8 @@ class TestPairSweep:
         p = build_excursion_profile(s)
 
         def jacobi(x, out):
-            for o, f in zip(out, apply_F_pair(*x, p.psi, p.rho, p.g_plus.grid,
+            for o, f in zip(out, apply_F_pair(*x, psi_pieces(p.s, p.K), p.rho,
+                                              p.g_plus.grid,
                                               p.g_plus.tail_rate,
                                               p.g_minus.kink_nodes)):
                 o[...] = f
@@ -213,7 +214,7 @@ class TestBuild:
         for s, p in excursion_profiles.items():
             if p.iterations == 0:
                 continue
-            psi = p.psi
+            psi = psi_pieces(p.s, p.K)
             kinks = p.g_minus.kink_nodes
             FP, FM = apply_F_pair(p.g_plus.left_values, p.g_minus.left_values,
                                   psi, p.rho, p.g_plus.grid,
@@ -264,8 +265,9 @@ class TestVerify:
     def test_tightness_is_the_operator_residual(self, excursion_profiles):
         p = excursion_profiles[0.9]
         gp, gm = p.g_plus, p.g_minus
-        FP, FM = apply_F_pair(gp.left_values, gm.left_values, p.psi, p.rho,
-                              gp.grid, gp.tail_rate, gm.kink_nodes)
+        FP, FM = apply_F_pair(gp.left_values, gm.left_values,
+                              psi_pieces(p.s, p.K), p.rho, gp.grid,
+                              gp.tail_rate, gm.kink_nodes)
         expect = max(float(np.max(np.abs(p.rho * (F - g.left_values))))
                      for F, g in ((FP, gp), (FM, gm)))
         assert verify_excursion(p).tightness_residual == pytest.approx(
@@ -287,6 +289,21 @@ class TestVerify:
         assert not rep.monotone_ok
         assert any(f.startswith("monotone") for f in rep.failures)
 
+    def test_robustness_failure_names_the_condition_and_x(
+            self, excursion_profiles):
+        # G-'s node at x = -3 lowered by 1e-2 breaks C- <= rho G- there
+        # (relative residual about 9.4e-3) and leaves C+ <= rho G+ tight
+        p = excursion_profiles[0.9]
+        gm = p.g_minus
+        left = gm.left_values.copy()
+        left[gm.grid.m - 3 * gm.grid.steps_per_unit] *= 1.0 - 1e-2
+        rep = verify_excursion(dataclasses.replace(
+            p, g_minus=dataclasses.replace(gm, left_values=left)))
+        assert rep.max_relative_residual == pytest.approx(9.4e-3, rel=1e-2)
+        assert (f"robustness: relative residual "
+                f"{rep.max_relative_residual:.3e} > 0.0001 in "
+                f"C- <= rho G- at x = -3") in rep.failures
+
     def test_vanishing_minus_right_part_fails(self):
         # at s = 1e-20 G-'s right part rounds to 0 and the build stops
         # after one sweep; the relative tightness on x > 0 is undefined
@@ -296,14 +313,15 @@ class TestVerify:
 
     def test_boundary_identity(self, excursion_profiles):
         for s, p in excursion_profiles.items():
-            psi_mass = sum(piece.integral(0.0, 1.0) for piece in p.psi)
+            psi_mass = sum(piece.integral(0.0, 1.0)
+                           for piece in psi_pieces(p.s, p.K))
             lhs = C_plus(p, 0.0) + psi_mass
             assert lhs == pytest.approx(p.rho * p.K * math.exp(-s), abs=1e-5)
 
     def test_chi_identity(self, excursion_profiles):
         # converged consistency equals the weighted psi integral
         for s, p in excursion_profiles.items():
-            ident = weighted_psi_integral(s, p.psi)
+            ident = weighted_psi_integral(s, psi_pieces(p.s, p.K))
             assert C_plus(p, 0.0) == pytest.approx(ident, abs=1e-5)
             assert p.chi == pytest.approx(ident, rel=1e-10)
 
@@ -323,8 +341,8 @@ class TestVerify:
             t = rng.uniform(0.05, 0.95)
             mix_p = (1 - t) * p.g_plus.left_values + t * Wp
             mix_m = (1 - t) * p.g_minus.left_values + t * Wm
-            FP, FM = apply_F_pair(mix_p, mix_m, p.psi, p.rho, grid,
-                                  tail_rate=2.0 * c,
+            FP, FM = apply_F_pair(mix_p, mix_m, psi_pieces(p.s, p.K), p.rho,
+                                  grid, tail_rate=2.0 * c,
                                   minus_kinks=p.g_minus.kink_nodes)
             assert np.all(FP <= mix_p * (1 + 1e-8))  # still a valid profile
             assert np.all(FM <= mix_m * (1 + 1e-8))

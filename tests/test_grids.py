@@ -12,7 +12,6 @@ from oracles import offnode_residual, weighted
 from profile_lab import (build_excursion_profile, build_profile, s_star,
                          solve_sK)
 from profile_lab.analysis import DomainError
-from profile_lab.bidding import _right_checkpoints
 from profile_lab.grids import (MAX_NODES, GridFunction, Lanes, Piece,
                                cumulative_integral, make_grid)
 from profile_lab.simulate import counter_uniforms
@@ -272,15 +271,15 @@ class TestGridFunction:
 
     def test_array_integrals_equal_scalar_ones(self, bidding_profiles,
                                                excursion_profiles):
-        # verify's right-part residuals read integrals_right and its node
-        # residuals Piece.integrals; the costs read integral_to and
-        # Piece.integral: each pair must agree bit for bit
+        # verify's right-part residuals and the off-node probe read
+        # integrals and its node residuals Piece.integrals; the costs read
+        # integral_to and Piece.integral: each pair must agree bit for bit
         gs = [p.g for p in bidding_profiles.values()]
         gs += [g for p in excursion_profiles.values()
                for g in (p.g_plus, p.g_minus)]
         mismatches = 0
         for g in gs:
-            xs = _right_checkpoints(g.h)
+            xs = np.geomspace(max(g.h, 1e-4), 10.0, 400)  # verify's
             xs = np.concatenate([xs, xs + 1.0])
             ys = np.arange(g.grid.steps_per_unit + 1) * g.h
             for piece in g.right_pieces:
@@ -288,9 +287,15 @@ class TestGridFunction:
                     scalar = [piece.integral(a, float(x)) for x in b]
                     mismatches += int(np.sum(
                         piece.integrals(a, b) != np.array(scalar)))
-            scalar = [g.integral_to(float(x)) for x in xs]
-            mismatches += int(np.sum(g.integrals_right(xs)
-                                     != np.array(scalar)))
+            # every node but x_min, points inside cells, x = 0 exactly
+            # (integral_to reads the last cell's Hermite integral there, not
+            # the node sum) and points in the last cell
+            nodes = g.grid.positions[1:]
+            inside = nodes - np.array([0.1, 0.5, 0.9])[:, None] * g.h
+            last = -g.h * np.array([1.0, 0.75, 0.5, 0.25, 1e-9])
+            for x in (xs, nodes, inside.ravel(), last, np.zeros(1)):
+                scalar = [g.integral_to(float(y)) for y in x]
+                mismatches += int(np.sum(g.integrals(x) != np.array(scalar)))
         assert mismatches == 0
 
     def test_tau_inverts(self, exp_grid_function):
