@@ -12,8 +12,9 @@ expected cost at target T is A(tau(T) + 1), tau(T) = sup{t : G(t) < T}.
 
 Each profile type lists its delayed conditions as data, a table of
 :class:`Condition`; one evaluator, :func:`_delayed_integral`, reads it for
-both problems wherever a condition is evaluated: in :func:`verify` and
-``excursion.verify_excursion``, for the consistency and for the costs.
+both problems wherever a condition is evaluated: in :func:`verify`, which
+checks a profile of either problem from its table alone, for the
+consistency and for the costs.
 
 The optimal profile at parameter s has the closed-form right part
 max(1, s chi e^{s(x-1)}) on (0, 1] (continuing exponentially beyond 1) and a
@@ -64,11 +65,13 @@ ATOL_FLOOR = 1e-9
 class Condition:
     """A delayed condition C(x) <= rho G(x): C(x) sums A_k(x + shift), the
     integral of component k up to x + shift, over the (k, shift) ``terms``;
-    G is component ``right``."""
+    G is component ``right``.  A ``tight`` condition holds with equality on
+    x > 0 as well."""
 
     name: str
     terms: tuple[tuple[int, int], ...]
     right: int
+    tight: bool
 
 
 @dataclass
@@ -89,7 +92,8 @@ class BiddingProfile:
     iterations: int = 0
     final_delta: float = math.nan
 
-    conditions = (Condition("A(x+1) <= rho G", ((0, 1),), 0),)
+    conditions = (Condition("A(x+1) <= rho G", ((0, 1),), 0, tight=False),)
+    names = ("G",)
 
     @property
     def components(self) -> tuple[GridFunction, ...]:
@@ -101,9 +105,9 @@ class VerificationReport:
     """Residuals of the profile conditions on the grid and a log grid.
 
     ``max_robustness_residual`` is the largest positive part of
-    integral_{-inf}^{x+1} G - rho G(x); ``max_relative_residual`` is the same
-    normalized by rho G(x).  ``tightness_residual`` is the largest absolute
-    residual over x <= 0, where a tight profile satisfies equality.
+    C(x) - rho G(x) over every condition; ``max_relative_residual`` is the
+    same normalized by rho G(x).  ``tightness_residual`` is the largest
+    absolute residual over x <= 0, where a tight profile satisfies equality.
     """
 
     max_robustness_residual: float
@@ -172,12 +176,12 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
 
     Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H at every grid node
     x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
-    (endpoint-corrected trapezoid between nodes), ``phi`` on (0, 1] (closed
-    form), and the exponential tail ``x[0][0] e^{tail_rate (t - x_min)}``
-    below the window.  ``kinks`` marks nodes where H has a derivative jump
-    (x = -1 when the right part jumps at 0).  F preserves order: every
-    quadrature weight is non-negative and the tail mass increases with
-    ``x[0][0]``.
+    (endpoint-corrected trapezoid between nodes), the right part ``phi`` on
+    (0, 1] (closed form; its pieces from 1 on are not read), and the
+    exponential tail ``x[0][0] e^{tail_rate (t - x_min)}`` below the window.
+    ``kinks`` marks nodes where H has a derivative jump (x = -1 when the
+    right part jumps at 0).  F preserves order: every quadrature weight is
+    non-negative and the tail mass increases with ``x[0][0]``.
     """
     phi_cum = _piece_cumints(phi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
@@ -319,7 +323,7 @@ def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
         breaks = _unit_breaks(grid)  # and G'' jumps at x = -2
     if left is None:
         (left,), iterations, final_delta = _iterate_to_fixed_point(
-            _sweep(right[:-1], point.rho, grid, tail_rate, kinks),
+            _sweep(right, point.rho, grid, tail_rate, kinks),
             (np.zeros(grid.m + 1),), max_iter)
     g = GridFunction(grid=grid, left_values=left, right_pieces=right,
                      tail_rate=tail_rate, kink_nodes=kinks,
@@ -380,59 +384,41 @@ def expected_cost(p: BiddingProfile, target: float) -> float:
 # -- verification ---------------------------------------------------------
 
 
-def verify(p: BiddingProfile) -> VerificationReport:
-    """Check offset, monotonicity, robustness, consistency, and tightness.
+def verify(p) -> VerificationReport:
+    """Check a profile of either problem against its ``conditions`` table:
+    offset, monotonicity, robustness, consistency and tightness.
 
-    Robustness is checked at every grid node, on the build's quadrature, and
-    on a log grid over (0, 10]: the positive residual must stay below
-    ``TOL_REL`` relative to rho G(x) plus the floor ``ATOL_FLOOR`` (which
-    keeps roundoff deep in the tail, where G underflows the build tolerance,
-    from counting).  The consistency integral may exceed chi by at most
-    ``TOL_ABS``.
+    Every condition is checked at every grid node x <= 0, on the build's
+    quadrature, and at 400 log-spaced x in (0, 10], on the stored model:
+    each residual C(x) - rho G(x) must stay below ``TOL_REL`` relative to
+    rho max(G(x), 0) plus the floor ``ATOL_FLOOR`` (which keeps roundoff deep
+    in the tail, where G underflows the build tolerance, from counting), and
+    a failure names the condition and x of the worst.  On (0, 10] each
+    condition's right component must be positive (the first x where it is
+    not is reported), and a ``tight`` condition must hold with equality, to
+    ``TOL_REL`` relative there and to 1e-5 absolute at 0+.  Tightness is the
+    largest absolute node residual.  The consistency, the first condition's
+    C(0), may exceed chi by at most ``TOL_ABS``.  Component names in the
+    failures come from ``p.names``.
     """
-    return _assemble_report(
-        p, _robustness(p), consistency="integral",
-        offset="offset: G must be < 1 left of 0 and >= 1 right of 0",
-        monotone="monotone: G must be non-decreasing and positive")
-
-
-def _robustness(p) -> list[tuple[Condition, np.ndarray, np.ndarray,
-                                 np.ndarray]]:
-    """(condition, x, C(x), G(x)) for every condition of ``p``, G its right
-    component: first at every grid node x <= 0, on the build's quadrature,
-    then at 400 log-spaced x in (0, 10], on the stored model."""
-    gs = p.components
-    nodes, xs = gs[0].grid.positions, np.geomspace(max(gs[0].h, 1e-4), 10.0,
-                                                   400)
-    return ([(c, nodes, _delayed_integral(p, c), gs[c.right].left_values)
-             for c in p.conditions]
-            + [(c, xs, _delayed_integral(p, c, xs), gs[c.right].value(xs))
-               for c in p.conditions])
-
-
-def _assemble_report(p, rows, *, consistency: str, offset: str, monotone: str,
-                     extra_failures: tuple[str, ...] = ()) -> VerificationReport:
-    """The checks and the report shared by both verifications.
-
-    Each residual C(x) - rho G(x) of ``rows`` (:func:`_robustness`'s) is
-    relative to rho max(G(x), 0) plus ``ATOL_FLOOR``; a failure names the
-    condition and x of the worst.  Tightness is the largest absolute node
-    residual; the consistency (named ``consistency``) is the first
-    condition's C(0).  ``offset`` and ``monotone`` name the failures of the
-    structural checks; ``extra_failures`` follow consistency's.
-    """
-    components, rho = p.components, p.rho
-    g = components[0]
+    gs, rho, names = p.components, p.rho, p.names
+    g = gs[0]
     v = g.left_values
     offset_ok = bool(np.all(v[:-1] < 1.0) and v[-1] <= 1.0 + 1e-12
                      and g.right_value_at_zero() >= 1.0 - 1e-12)
-    scale = max(1.0, *(float(np.max(c.left_values)) for c in components))
+    scale = max(1.0, *(float(np.max(c.left_values)) for c in gs))
     # the grid value at 0 meets the closed-form right limit only to
     # quadrature accuracy, so that junction is held to TOL_REL
     monotone_ok = all(
         c.is_monotone(tol=1e-12 * scale,
                       junction_tol=TOL_REL * float(c.left_values[-1]))
-        and c.is_nonnegative() for c in components)
+        and c.is_nonnegative() for c in gs)
+
+    nodes, xs = g.grid.positions, np.geomspace(max(g.h, 1e-4), 10.0, 400)
+    rows = ([(c, nodes, _delayed_integral(p, c), gs[c.right].left_values)
+             for c in p.conditions]
+            + [(c, xs, _delayed_integral(p, c, xs), gs[c.right].value(xs))
+               for c in p.conditions])
     resid = [c - rho * gx for _, _, c, gx in rows]
     tight = max(float(np.max(np.abs(r))) for r in resid[:len(p.conditions)])
     resid = np.concatenate(resid)
@@ -449,12 +435,34 @@ def _assemble_report(p, rows, *, consistency: str, offset: str, monotone: str,
         failures.append(f"robustness: relative residual {max_rel:.3e} > "
                         f"{TOL_REL} in {cond.name} at x = {x:.6g}")
     if gap > TOL_ABS:
-        failures.append(f"consistency: {consistency} exceeds chi by {gap:.3e}")
-    failures.extend(extra_failures)
+        failures.append(f"consistency: C(0) exceeds chi by {gap:.3e}")
+    for cond, _, c, gx in rows[len(p.conditions):]:
+        name = names[cond.right]
+        positive = gx > 0.0  # no relative tightness elsewhere
+        if not positive.all():
+            i = int(np.argmin(positive))  # report the first such x
+            failures.append(f"positivity: {name} must be positive, is "
+                            f"{float(gx[i])!r} at x = {xs[i]:.6g}")
+        if cond.tight:
+            rho_g = rho * gx[positive]
+            off = float(np.max(np.abs(c[positive] - rho_g) / rho_g,
+                               initial=0.0))
+            if off > TOL_REL:
+                failures.append(f"tightness: {cond.name} is not tight on "
+                                f"x > 0, relative residual {off:.3e}")
+            # C(0) against rho G(0+): for C- the boundary identity
+            # C+(0) + integral_0^1 G+ = rho K e^{-s}
+            edge = abs(_delayed_integral(p, cond, 0.0)
+                       - rho * gs[cond.right].right_value_at_zero())
+            if edge > 1e-5:
+                failures.append(f"tightness: {cond.name} is not tight at "
+                                f"x = 0+, residual {edge:.3e} > 1e-5")
     if not offset_ok:
-        failures.append(offset)
+        failures.append(f"offset: {names[0]} must be < 1 left of 0 and >= 1 "
+                        f"right of 0")
     if not monotone_ok:
-        failures.append(monotone)
+        failures.append(f"monotone: {' and '.join(names)} must be "
+                        f"non-decreasing and positive")
 
     return VerificationReport(
         max_robustness_residual=float(np.max(resid)),
@@ -464,7 +472,7 @@ def _assemble_report(p, rows, *, consistency: str, offset: str, monotone: str,
         tightness_residual=tight,
         offset_ok=offset_ok,
         monotone_ok=monotone_ok,
-        tail_bound=sum(c.tail_mass for c in components),
+        tail_bound=sum(c.tail_mass for c in gs),
         grid_meta=(g.x_min, g.h),
         passed=not failures,
         failures=tuple(failures),
@@ -478,8 +486,7 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
     sequence; the limit is tight and its consistency integral never exceeds
     the input's.  Sweeps stop as a build's do, at ``SWEEP_TOL``.
     """
-    phi = tuple(p for p in g.right_pieces if p.lo < 1.0)
     (left,), _, _ = _iterate_to_fixed_point(
-        _sweep(phi, rho, g.grid, g.tail_rate, g.kink_nodes), (g.left_values,),
-        DEFAULT_MAX_ITER)
+        _sweep(g.right_pieces, rho, g.grid, g.tail_rate, g.kink_nodes),
+        (g.left_values,), DEFAULT_MAX_ITER)
     return replace(g, left_values=left)

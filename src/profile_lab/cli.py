@@ -141,6 +141,7 @@ def _print_report(rep) -> None:
 
 def cmd_profile_verify(args) -> int:
     p = load_profile(args.profile)
+    # one function, two names: a trace of each name sees its problem's calls
     if isinstance(p, bidding.BiddingProfile):
         rep = bidding.verify(p)
     else:

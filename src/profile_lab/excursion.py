@@ -13,9 +13,12 @@ evaluator of :mod:`profile_lab.bidding` reads, are
     C-(x) = A+(x+1) + A-(x) <= rho G-(x)
 
 at every x.  The profile is (rho, chi)-valid if also G+ < 1 left of 0 and
->= 1 right of 0 (plus-offset) and C+(0) <= chi; the driven strategy is then
+>= 1 right of 0 (offset) and C+(0) <= chi; the driven strategy is then
 (1+2 rho)-robust and (1+2 chi)-consistent, and costs |T| + 2 C±(tau±(|T|))
-at a target T.
+at a target T.  ``verify_excursion`` is :func:`profile_lab.bidding.verify`,
+which checks either problem from its table: the condition C- is ``tight``,
+so it must also hold with equality on x > 0 and at 0+, where it is the
+boundary identity C+(0) + integral_0^1 G+ = rho G-(0+) = rho K e^{-s}.
 
 The near-optimal profile at parameter s has closed-form right parts
 
@@ -38,11 +41,11 @@ import numpy as np
 
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
-from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, TOL_REL,
-                      Condition, VerificationReport, _assemble_report,
+from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, Condition,
                       _delayed_integral, _iterate_to_fixed_point,
-                      _piece_cumints, _rising_pieces, _robustness,
-                      _shifted_integrals, _unit_breaks)
+                      _piece_cumints, _rising_pieces, _shifted_integrals,
+                      _unit_breaks)
+from .bidding import verify as verify_excursion
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -78,8 +81,9 @@ class ExcursionProfile:
     final_delta: float = math.nan
 
     conditions = (
-        Condition("C+ <= rho G+", ((0, 0), (1, 0)), 0),
-        Condition("C- <= rho G-", ((0, 1), (1, 0)), 1))
+        Condition("C+ <= rho G+", ((0, 0), (1, 0)), 0, tight=False),
+        Condition("C- <= rho G-", ((0, 1), (1, 0)), 1, tight=True))
+    names = ("G+", "G-")
 
     @property
     def components(self) -> tuple[GridFunction, ...]:
@@ -160,8 +164,7 @@ def _excursion_profile(s: float, grid: GridSpec,
         breaks = _unit_breaks(grid)
     if left is None:
         left, iterations, final_delta = _iterate_to_fixed_point(
-            _pair_sweep(plus_right[:-1], exc.rho, grid, tail_rate,
-                        minus_kinks),
+            _pair_sweep(plus_right, exc.rho, grid, tail_rate, minus_kinks),
             (np.zeros(grid.m + 1),) * 2, max_iter)
     left_plus, left_minus = left
     # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
@@ -221,37 +224,3 @@ def strategy_cost_linear(p: ExcursionProfile, target: float) -> float:
     cond = p.conditions[target < 0.0]
     return x + 2.0 * _delayed_integral(p, cond,
                                        p.components[cond.right].tau(x))
-
-
-def verify_excursion(p: ExcursionProfile) -> VerificationReport:
-    """Check the pair as :func:`~profile_lab.bidding.verify` checks a
-    bidding profile, over both conditions, and what belongs to the pair
-    alone: G- positive and C- = rho G- (tight by design) to ``TOL_REL`` on
-    x > 0, and the boundary identity chi + integral_0^1 G+ = rho K e^{-s}
-    to 1e-5 absolute."""
-    rows = _robustness(p)
-    _, xs, c_minus, gm_right = rows[-1]  # C- at the right checkpoints
-    extra = []
-    positive = gm_right > 0.0  # no relative tightness elsewhere
-    if not positive.all():
-        i = int(np.argmin(positive))  # report the first such x
-        extra.append(f"positivity: G- must be positive, is "
-                     f"{float(gm_right[i])!r} at x = {xs[i]:.6g}")
-    rho_gm = p.rho * gm_right[positive]
-    minus_tight_right = float(np.max(
-        np.abs(c_minus[positive] - rho_gm) / rho_gm, initial=0.0))
-
-    psi_mass = sum(q.integral(0.0, 1.0) for q in p.g_plus.right_pieces)
-    boundary_resid = abs(C_plus(p, 0.0) + psi_mass
-                         - p.rho * p.K * math.exp(-p.s))
-
-    if minus_tight_right > TOL_REL:
-        extra.append(
-            f"tightness: C- = rho G- fails on x > 0 ({minus_tight_right:.3e})")
-    if boundary_resid > 1e-5:
-        extra.append(f"boundary identity residual {boundary_resid:.3e} > 1e-5")
-    return _assemble_report(
-        p, rows, consistency="C+(0)",
-        offset="plus-offset: G+ must be < 1 left of 0 and >= 1 right of 0",
-        monotone="monotone: G+ and G- must be non-decreasing and positive",
-        extra_failures=tuple(extra))

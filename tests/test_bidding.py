@@ -344,6 +344,27 @@ class TestVerify:
                 f"{rep.max_relative_residual:.3e} > 0.0001 in "
                 f"A(x+1) <= rho G at x = -3") in rep.failures
 
+    def test_raised_left_part_fails_consistency_only(self, bidding_profiles):
+        # the left part raised by 1e-3 relative stays robust (worst relative
+        # residual about 9.8e-10) but its C(0) exceeds chi by about 2.97e-4
+        p = bidding_profiles[0.5]
+        rep = verify(dataclasses.replace(p, g=dataclasses.replace(
+            p.g, left_values=p.g.left_values * (1.0 + 1e-3))))
+        assert rep.consistency_gap == pytest.approx(2.97e-4, rel=1e-2)
+        assert rep.max_relative_residual < 1e-8
+        assert rep.failures == (
+            f"consistency: C(0) exceeds chi by {rep.consistency_gap:.3e}",)
+
+    def test_each_component_is_the_right_of_one_condition(
+            self, bidding_profiles, excursion_profiles):
+        # verify checks positivity per condition on x > 0, so each profile
+        # type names every component and puts each on the right of exactly
+        # one condition
+        for p in (bidding_profiles[0.5], excursion_profiles[0.9]):
+            assert len(p.names) == len(p.components)
+            assert (sorted(c.right for c in p.conditions)
+                    == list(range(len(p.components))))
+
 
 class TestTighten:
     def test_optimal_profile_is_already_tight(self, bidding_profiles):

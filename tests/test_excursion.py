@@ -304,6 +304,36 @@ class TestVerify:
                 f"{rep.max_relative_residual:.3e} > 0.0001 in "
                 f"C- <= rho G- at x = -3") in rep.failures
 
+    def test_raised_minus_right_part_is_not_tight(self, excursion_profiles):
+        # G-'s right part raised by 1e-3 relative leaves C- = rho G- short
+        # on x > 0 and at 0+, where the boundary identity fails
+        p = excursion_profiles[0.9]
+        gm = p.g_minus
+        (right,) = gm.right_pieces
+        raised = dataclasses.replace(right, terms=tuple(
+            (a * (1.0 + 1e-3), rate, anchor)
+            for a, rate, anchor in right.terms))
+        rep = verify_excursion(dataclasses.replace(
+            p, g_minus=dataclasses.replace(gm, right_pieces=(raised,))))
+        assert ("tightness: C- <= rho G- is not tight on x > 0, relative "
+                "residual 9.982e-04") in rep.failures
+        assert ("tightness: C- <= rho G- is not tight at x = 0+, residual "
+                "1.812e-03 > 1e-5") in rep.failures
+
+    def test_offset_failure_names_G_plus(self, excursion_profiles):
+        p = excursion_profiles[0.9]
+        gp = p.g_plus
+        left = gp.left_values.copy()
+        left[-1] = 1.0 + 1e-6
+        rep = verify_excursion(dataclasses.replace(
+            p, g_plus=dataclasses.replace(gp, left_values=left)))
+        assert not rep.offset_ok
+        assert ("offset: G+ must be < 1 left of 0 and >= 1 right of 0"
+                in rep.failures)
+
+    def test_one_verify_for_both_problems(self):
+        assert verify_excursion is bd.verify
+
     def test_vanishing_minus_right_part_fails(self):
         # at s = 1e-20 G-'s right part rounds to 0 and the build stops
         # after one sweep; the relative tightness on x > 0 is undefined

@@ -105,9 +105,7 @@ def write_outputs(out_dir: Path) -> None:
             p = load_profile(path)
             worst, x = offnode_residual(p)
             offnode.write(f"{path} {worst!r} {x!r}\n")
-            components = ({"G": p.g} if path.startswith("bidding")
-                          else {"G+": p.g_plus, "G-": p.g_minus})
-            for label, g in components.items():
+            for label, g in zip(p.names, p.components):
                 for T in TAU_TARGETS + [float(g.left_values[-1]),
                                         g.right_value_at_zero()]:
                     out.write(f"{path} {label} {T!r} {g.tau(T)!r}\n")
