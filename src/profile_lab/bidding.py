@@ -14,7 +14,9 @@ Each profile type lists its delayed conditions as data, a table of
 :class:`Condition`; one evaluator, :func:`_delayed_integral`, reads it for
 both problems wherever a condition is evaluated: in :func:`verify`, which
 checks a profile of either problem from its table alone, for the
-consistency and for the costs.
+consistency and for the costs.  At the grid nodes it and both operator
+sweeps assemble a row by :func:`_at_nodes`; a sweep owns only its
+quadratures and, for the pair, its Gauss-Seidel order.
 
 The optimal profile at parameter s has the closed-form right part
 max(1, s chi e^{s(x-1)}) on (0, 1] (continuing exponentially beyond 1) and a
@@ -147,16 +149,25 @@ def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _shifted_integrals(cum: np.ndarray, tail_mass: float,
-                       phi_cum: np.ndarray, grid: GridSpec,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """A(x_i + 1) = integral_{-inf}^{x_i + 1} for every grid node x_i <= 0,
-    written into ``out`` when given."""
+def _at_nodes(cond: Condition, cums: tuple[np.ndarray, ...],
+              right_cum: np.ndarray, mass: float, grid: GridSpec,
+              out: np.ndarray) -> np.ndarray:
+    """C(x_i) of row ``cond`` at every grid node x_i <= 0, into ``out``,
+    from component k's integrals from x_min ``cums[k]``, the tail ``mass``
+    and, for a shifted term, ``right_cum`` (the :func:`_piece_cumints` of
+    its right part).  A row's one shifted term comes first and takes the
+    mass; otherwise the mass is added last."""
     n, m = grid.steps_per_unit, grid.m
-    if out is None:
-        out = np.empty(m + 1)
-    np.add(tail_mass, cum[n:], out=out[:m + 1 - n])            # x_i + 1 <= 0
-    np.add(tail_mass + cum[m], phi_cum[1:], out=out[m + 1 - n:])  # in (0, 1]
+    (k, shift), *rest = cond.terms
+    if shift:
+        np.add(mass, cums[k][n:], out=out[:m + 1 - n])  # x_i + 1 <= 0
+        np.add(mass + cums[k][m], right_cum[1:], out=out[m + 1 - n:])
+    else:
+        out[:] = cums[k]
+    for k, _ in rest:
+        out += cums[k]
+    if not shift:
+        out += mass
     return out
 
 
@@ -174,7 +185,8 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
     :func:`_iterate_to_fixed_point`, with the quadrature in a buffer of its
     own.
 
-    Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H at every grid node
+    Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H, the row of
+    ``BiddingProfile.conditions`` by :func:`_at_nodes`, at every grid node
     x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
     (endpoint-corrected trapezoid between nodes), the right part ``phi`` on
     (0, 1] (closed form; its pieces from 1 on are not read), and the
@@ -183,6 +195,7 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
     right part jumps at 0).  F preserves order: every quadrature weight is
     non-negative and the tail mass increases with ``x[0][0]``.
     """
+    (row,) = BiddingProfile.conditions
     phi_cum = _piece_cumints(phi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cum = np.empty(grid.m + 1)
@@ -190,8 +203,8 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
     def step(x, out):
         (left,), (new,) = x, out
         cumulative_integral(left, h, kinks=kinks, out=cum)
-        _shifted_integrals(cum, left[0] / (tail_rate * rho), phi_cum, grid,
-                           out=new)
+        _at_nodes(row, (cum,), phi_cum, left[0] / (tail_rate * rho), grid,
+                  new)
         return out
 
     return step
@@ -354,24 +367,17 @@ def _delayed_integral(p, cond: Condition, x=None):
     """C(x) of condition ``cond`` of profile ``p``: at a float x by
     :meth:`GridFunction.integral_to`, at an array x by its array form
     ``integrals``; with x None at every grid node x <= 0, on the build's
-    quadrature and summed as the sweeps sum it (a shifted term with the
-    summed tail mass first, else the tail mass last)."""
+    quadrature and by the sweeps' evaluator :func:`_at_nodes`."""
     gs = p.components
     if x is not None:
         integral = "integral_to" if np.ndim(x) == 0 else "integrals"
         return sum(getattr(gs[k], integral)(x + shift)
                    for k, shift in cond.terms)
-    grid = gs[0].grid
-    mass = sum(gs[k].tail_mass for k, _ in cond.terms)
-    c = np.zeros(grid.m + 1)
-    for k, shift in sorted(cond.terms, key=lambda term: -term[1]):
-        if shift:
-            c = _shifted_integrals(gs[k]._cum, mass, _piece_cumints(
-                gs[k].right_pieces, grid), grid)
-            mass = 0.0
-        else:
-            c += gs[k]._cum
-    return c + mass
+    grid, first = gs[0].grid, gs[cond.terms[0][0]]
+    return _at_nodes(cond, tuple(c._cum for c in gs),
+                     _piece_cumints(first.right_pieces, grid),
+                     sum(gs[k].tail_mass for k, _ in cond.terms), grid,
+                     np.empty(grid.m + 1))
 
 
 def expected_cost(p: BiddingProfile, target: float) -> float:

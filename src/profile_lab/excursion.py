@@ -29,7 +29,8 @@ with K = K(s), M = max(1, K), and its left parts are the minimal tight
 extension: the least fixed point on x <= 0 of the pair operator
 (F H)± = C±/rho, with C± those of H and G+ pinned to its right part psi on
 (0, 1].  The build reaches it from zero by block Gauss-Seidel sweeps
-(:func:`_pair_sweep`).
+(:func:`_pair_sweep`), which assemble both rows of the table at the nodes
+as :func:`~profile_lab.bidding.verify` does.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, Condition,
-                      _delayed_integral, _iterate_to_fixed_point,
-                      _piece_cumints, _rising_pieces, _shifted_integrals,
-                      _unit_breaks)
+                      _at_nodes, _delayed_integral, _iterate_to_fixed_point,
+                      _piece_cumints, _rising_pieces, _unit_breaks)
 from .bidding import verify as verify_excursion
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
@@ -96,9 +96,11 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
     ``step(x, out)`` of the fixed-point iteration.
 
     The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
-    G- = (F (new G+, G-))- into ``out[1]``: the minus update already reads
-    the new plus component.  Below the window both integrands carry the
-    exponential tails ``left[0] e^{tail_rate (x - x_min)}``.  Each
+    G- = (F (new G+, G-))- into ``out[1]``, each the C/rho of its row of
+    ``ExcursionProfile.conditions`` by :func:`bidding._at_nodes`: the minus
+    update already reads the new plus component.  Below the window both
+    integrands carry the exponential tails
+    ``left[0] e^{tail_rate (x - x_min)}``.  Each
     half-update preserves order (every quadrature weight is non-negative,
     and the tail mass increases with each component's value at x_min), so
     sweeps from zero still rise to the same minimal fixed point as plain
@@ -110,9 +112,11 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
     when ``x`` is not the pair the step wrote last: on the first sweep and
     after an extrapolation jump.
     """
+    plus_row, minus_row = ExcursionProfile.conditions
     psi_cum = _piece_cumints(psi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
+    cums = (A_plus, A_minus)
     tail = tail_rate * rho  # tail mass below x_min is left[0] / tail
     wrote = None  # the plus array whose integral A_plus holds
 
@@ -122,14 +126,12 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
         if plus is not wrote:
             cumulative_integral(plus, h, out=A_plus)
         cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
-        np.add(A_plus, A_minus, out=new_plus)
-        new_plus += (plus[0] + minus[0]) / tail
+        _at_nodes(plus_row, cums, psi_cum, (plus[0] + minus[0]) / tail, grid,
+                  new_plus)
         cumulative_integral(new_plus, h, out=A_plus)
         wrote = new_plus
-        # A+ at min(x_i + 1, 0) plus the psi mass on (0, x_i + 1]
-        _shifted_integrals(A_plus, (new_plus[0] + minus[0]) / tail, psi_cum,
-                           grid, out=new_minus)
-        new_minus += A_minus
+        _at_nodes(minus_row, cums, psi_cum, (new_plus[0] + minus[0]) / tail,
+                  grid, new_minus)
         return out
 
     return step

@@ -26,10 +26,11 @@ tests use them to check the library from outside its own code path.
   checks only the nodes; ``tools/outputs.py`` records it for every saved
   profile.
 
-They import the library's private helpers (``_sweep``, ``_shifted_integrals``,
+They import the library's private helpers (``_sweep``, ``_at_nodes``,
 ``_piece_cumints``, ``_delayed_integral``, ``_bidding_profile`` and
 ``_rising_pieces``) so that each reference computes exactly what it did
-inside the library.
+inside the library; ``apply_F_pair`` assembles its two Jacobi rows from
+``ExcursionProfile.conditions`` by ``_at_nodes``, as the sweeps do.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
                                   bidding_tradeoff, bisect, linear_tradeoff,
                                   s_star)
 from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
-                                 TOL_REL, BiddingProfile, _bidding_profile,
-                                 _delayed_integral, _piece_cumints,
-                                 _rising_pieces, _shifted_integrals, _sweep)
+                                 TOL_REL, BiddingProfile, _at_nodes,
+                                 _bidding_profile, _delayed_integral,
+                                 _piece_cumints, _rising_pieces, _sweep)
 from profile_lab.excursion import ExcursionProfile
 from profile_lab.grids import GridSpec, Piece, cumulative_integral, make_grid
 
@@ -99,14 +100,13 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
     plus = np.asarray(left_plus, float)
     minus = np.asarray(left_minus, float)
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    a_plus = cumulative_integral(plus, h)
-    a_minus = cumulative_integral(minus, h, kinks=minus_kinks)
+    cums = (cumulative_integral(plus, h),
+            cumulative_integral(minus, h, kinks=minus_kinks))
     tail_mass = (plus[0] + minus[0]) / (tail_rate * rho)
-    # A+ at min(x + 1, 0) plus the psi mass on (0, x + 1]
-    new_minus = _shifted_integrals(a_plus, tail_mass,
-                                   _piece_cumints(psi, grid) / rho, grid)
-    new_minus += a_minus
-    return a_plus + a_minus + tail_mass, new_minus
+    psi_cum = _piece_cumints(psi, grid) / rho
+    return tuple(_at_nodes(row, cums, psi_cum, tail_mass, grid,
+                           np.empty(grid.m + 1))
+                 for row in ExcursionProfile.conditions)
 
 
 def build_profile_backward(s: float, x_min: float = DEFAULT_X_MIN,
