@@ -115,7 +115,6 @@ class VerificationReport:
     max_robustness_residual: float
     max_relative_residual: float
     consistency_gap: float
-    consistency_abs_gap: float
     tightness_residual: float
     offset_ok: bool
     monotone_ok: bool
@@ -474,7 +473,6 @@ def verify(p) -> VerificationReport:
         max_robustness_residual=float(np.max(resid)),
         max_relative_residual=max_rel,
         consistency_gap=gap,
-        consistency_abs_gap=abs(gap),
         tightness_residual=tight,
         offset_ok=offset_ok,
         monotone_ok=monotone_ok,

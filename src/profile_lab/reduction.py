@@ -58,10 +58,6 @@ class DiscreteStrategy:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @property
-    def t_min(self) -> float:
-        return min(bids[0] for _, bids in self.outcomes)
-
-    @property
     def t_max(self) -> float:
         return min(bids[-1] for _, bids in self.outcomes)
 
@@ -158,15 +154,6 @@ class StepProfile:
     def expected_cost(self, target: float) -> float:
         """Cost of the profile-driven strategy: integral to tau(target) + 1."""
         return self.integral_to(self.tau(target) + 1.0)
-
-    def pushforward_mass(self, lo: float, hi: float) -> float:
-        """Lebesgue measure of G^{-1}([lo, hi]): total width of step values
-        in [lo, hi]; exact for step functions."""
-        total = 0.0
-        for value, width in self.below + self.above:
-            if lo <= value <= hi:
-                total += width
-        return total
 
 
 def inverse_profile(mu: dict[float, float]) -> StepProfile:

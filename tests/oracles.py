@@ -21,6 +21,8 @@ tests use them to check the library from outside its own code path.
   closed form, and ``weighted`` is the piece transform only they use.
 * ``invert_linear_strategy_chi`` inverts the linear-search strategy curve,
   to place points of the curve at a chosen consistency.
+* ``pushforward_mass`` measures a reduction step profile's preimages, the
+  identity that the quantile construction must meet.
 * ``offnode_residual`` checks every condition of a profile's table between
   the nodes, on the Hermite model that answers queries, where ``verify``
   checks only the nodes; ``tools/outputs.py`` records it for every saved
@@ -48,6 +50,7 @@ from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
                                  _piece_cumints, _rising_pieces, _sweep)
 from profile_lab.excursion import ExcursionProfile
 from profile_lab.grids import GridSpec, Piece, cumulative_integral, make_grid
+from profile_lab.reduction import StepProfile
 
 
 def phi_pieces(s: float, chi: float) -> tuple[Piece, ...]:
@@ -217,6 +220,14 @@ def invert_linear_strategy_chi(chi_ls: float) -> float:
         raise DomainError(
             f"linear-search strategy chi must lie in (1, {top:.6f}], got {chi_ls}")
     return bisect(lambda s: linear_tradeoff(s)[1].chi - chi_ls, 1e-8, hi)
+
+
+def pushforward_mass(sp: StepProfile, lo: float, hi: float) -> float:
+    """Lebesgue measure of G^{-1}([lo, hi]) for the step profile ``sp``:
+    the total width of its step values in [lo, hi], exact for step
+    functions."""
+    return sum(width for value, width in sp.below + sp.above
+               if lo <= value <= hi)
 
 
 def offnode_residual(

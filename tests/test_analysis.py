@@ -261,6 +261,11 @@ class TestRates:
     def test_bidding_conjugate_double_root(self):
         assert conjugate_rate_bidding(1.0) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5, 1.0000001, math.nan])
+    def test_bidding_conjugate_outside_its_domain(self, s):
+        with pytest.raises(DomainError):
+            conjugate_rate_bidding(s)
+
     def test_linear_conjugate_is_characteristic(self):
         for s in (0.2, 0.6, 1.0):
             lam = conjugate_rate_linear(s)

@@ -292,7 +292,7 @@ class TestVerify:
         for p in bidding_profiles.values():
             rep = verify(p)
             assert rep.passed, rep.failures
-            assert rep.consistency_abs_gap <= 1e-6
+            assert abs(rep.consistency_gap) <= 1e-6
 
     def test_tightness_is_the_operator_residual(self, bidding_profiles):
         p = bidding_profiles[0.5]
@@ -359,11 +359,15 @@ class TestVerify:
             self, bidding_profiles, excursion_profiles):
         # verify checks positivity per condition on x > 0, so each profile
         # type names every component and puts each on the right of exactly
-        # one condition
+        # one condition; the node evaluator _at_nodes reads a row's one
+        # shifted term, if any, first, and shifts only by 0 or 1
         for p in (bidding_profiles[0.5], excursion_profiles[0.9]):
             assert len(p.names) == len(p.components)
             assert (sorted(c.right for c in p.conditions)
                     == list(range(len(p.components))))
+            for c in p.conditions:
+                shifts = [shift for _, shift in c.terms]
+                assert set(shifts) <= {0, 1} and 1 not in shifts[1:]
 
 
 class TestTighten:

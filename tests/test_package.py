@@ -2,6 +2,7 @@
 has a user, and the README's quick tour runs as written."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -36,9 +37,11 @@ def test_readme_quick_tour_runs():
 
 
 def test_every_public_name_has_a_user():
-    # a name in a module's __all__ is loaded by library code (not merely
-    # mentioned in a docstring), documented in README or used by the
-    # benchmark; test-only helpers live in tests/oracles.py instead
+    # a name in a module's __all__, and a public method, property or field
+    # of a class there, is loaded by library code (not merely mentioned in
+    # a docstring) or named by a string there (the CLI prints report fields
+    # by name), documented in README or used by the benchmark; test-only
+    # helpers live in tests/oracles.py instead
     src = Path(profile_lab.__file__).resolve().parent
     loaded = set()
     for path in src.glob("*.py"):
@@ -48,13 +51,24 @@ def test_every_public_name_has_a_user():
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 loaded.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                loaded.add(node.value)
     docs = README.read_text() + "".join(
         path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
     unused = []
     for info in pkgutil.iter_modules(profile_lab.__path__):
         module = importlib.import_module(f"profile_lab.{info.name}")
         for attr in getattr(module, "__all__", ()):
-            if (attr not in loaded
-                    and not re.search(rf"\b{re.escape(attr)}\b", docs)):
-                unused.append(f"{info.name}.{attr}")
+            obj = getattr(module, attr)
+            names = [(f"{info.name}.{attr}", attr, rf"\b{attr}\b")]
+            if isinstance(obj, type):
+                members = set(vars(obj))
+                if dataclasses.is_dataclass(obj):
+                    members |= {f.name for f in dataclasses.fields(obj)}
+                # a member is documented where it is read off an object
+                names += [(f"{info.name}.{attr}.{m}", m, rf"\.{m}\b")
+                          for m in sorted(members) if not m.startswith("_")]
+            unused += [label for label, name, pattern in names
+                       if name not in loaded and not re.search(pattern, docs)]
     assert not unused

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pushforward_mass
 from profile_lab.reduction import (DiscreteStrategy, aggregate_measure,
                                    cost_dominance_check, inverse_profile,
                                    truncate_to_algorithm)
@@ -34,7 +35,8 @@ def fixture_targets(ds: DiscreteStrategy, rng, count: int = 20) -> list[float]:
                      if b <= ds.t_max})
     targets = list(values[:count // 2])
     while len(targets) < count:
-        targets.append(float(rng.uniform(ds.t_min / 2.0, ds.t_max)))
+        t_min = min(bids[0] for _, bids in ds.outcomes)
+        targets.append(float(rng.uniform(t_min / 2.0, ds.t_max)))
     return targets[:count]
 
 
@@ -46,6 +48,16 @@ class TestDiscreteStrategy:
             DiscreteStrategy(outcomes=((1.0, (2.0, 1.0)),))  # not increasing
         with pytest.raises(ValueError):
             DiscreteStrategy(outcomes=((1.0, (-1.0, 2.0)),))  # negative bid
+        with pytest.raises(ValueError):
+            DiscreteStrategy(outcomes=())
+
+    def test_cost_only_up_to_t_max(self):
+        ds = DiscreteStrategy(outcomes=((0.5, (1.0, 2.0)), (0.5, (4.0,))))
+        assert ds.t_max == 2.0
+        assert ds.expected_cost(2.0) == 0.5 * 3.0 + 0.5 * 4.0
+        for target in (math.nextafter(2.0, math.inf), 0.0):
+            with pytest.raises(ValueError):
+                ds.expected_cost(target)
 
 
 NAN, INF = math.nan, math.inf
@@ -71,6 +83,13 @@ def test_rejects_non_finite_input(build):
 
 
 class TestTruncation:
+    @pytest.mark.parametrize("cutoff, u", [(0.0, 0.5), (-1.0, 0.5),
+                                           (0.01, 0.0), (0.01, 1.5),
+                                           (0.01, math.nan)])
+    def test_rejects_bad_cutoff_or_shift(self, bidding_profiles, cutoff, u):
+        with pytest.raises(ValueError):
+            truncate_to_algorithm(bidding_profiles[0.5], cutoff, u)
+
     def test_closed_form_bids(self, bidding_profiles):
         # ties count: at cutoff 1 with U = 1 the first kept bid is e^0 = 1
         alg = truncate_to_algorithm(bidding_profiles[1.0], 1.0, 1.0)
@@ -156,7 +175,7 @@ class TestInverseProfile:
                     if hi < lo:
                         continue
                     expected = sum(w for v, w in mu.items() if lo <= v <= hi)
-                    assert sp.pushforward_mass(lo, hi) == pytest.approx(
+                    assert pushforward_mass(sp, lo, hi) == pytest.approx(
                         expected, abs=1e-12)
 
     def test_pushforward_against_dense_scan(self):
@@ -168,7 +187,7 @@ class TestInverseProfile:
         dx = xs[1] - xs[0]
         for lo, hi in ((0.25, 0.5), (0.5, 2.0), (1.0, 4.0)):
             mass = np.count_nonzero((gv >= lo) & (gv <= hi)) * dx
-            assert mass == pytest.approx(sp.pushforward_mass(lo, hi),
+            assert mass == pytest.approx(pushforward_mass(sp, lo, hi),
                                          abs=5 * dx)
 
 

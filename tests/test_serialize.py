@@ -65,6 +65,8 @@ def test_saved_bytes_are_json_dumps(tmp_path, bidding_profiles,
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         profile_from_dict({"problem": "mystery"})
+    with pytest.raises(TypeError):
+        profile_to_dict(object())
 
 
 def test_dict_identity(bidding_profiles):

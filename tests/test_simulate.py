@@ -129,6 +129,16 @@ def test_oracles_reject_non_finite_target(oracle, target, bidding_profiles,
         sim(p, target, 100, seed=0)
 
 
+@pytest.mark.parametrize("oracle", ["bidding", "linear"])
+def test_oracles_need_a_sample(oracle, bidding_profiles, excursion_profiles):
+    if oracle == "bidding":
+        sim, p = simulate_bidding, bidding_profiles[0.5]
+    else:
+        sim, p = simulate_linear, excursion_profiles[0.9]
+    with pytest.raises(ValueError):
+        sim(p, 2.0, 0, seed=0)
+
+
 class TestLaneBlocks:
     @pytest.mark.parametrize("n", [23, 20_000])
     def test_reports_do_not_depend_on_block_size(self, n, monkeypatch,

@@ -19,7 +19,7 @@ PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
     import tracing
-    from workloads import MC, TINY, CertifyCurve
+    from workloads import CERTIFY, COST, MC, TINY, CertifyCurve
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -49,11 +49,13 @@ def perfbench_run(monkeypatch):
         os.environ.update(env)
 
 
-def test_traced_mc_crosscheck_reaches_every_binding(perfbench_run, tmp_path):
-    # the Monte Carlo oracle must still reach the bindings that name it as
-    # a home (grids.value, grids.tau), or its layer metrics read nothing
-    out = perfbench_run.run(MC, seed=5, seconds=0, trace=True, sizes=TINY,
-                            out_dir=tmp_path)
+@pytest.mark.parametrize("workload", [CERTIFY, COST, MC])
+def test_traced_run_reaches_every_binding(perfbench_run, tmp_path, workload):
+    # each workload must still reach the bindings that name it as a home
+    # (certify-curve both sweeps' cumulative_integral, the Monte Carlo
+    # oracle grids.value and grids.tau), or its layer metrics read nothing
+    out = perfbench_run.run(workload, seed=5, seconds=0, trace=True,
+                            sizes=TINY, out_dir=tmp_path)
     assert out["meta"]["self_check_problems"] == []
 
 
