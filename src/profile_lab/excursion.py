@@ -100,17 +100,16 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
     ``ExcursionProfile.conditions`` by :func:`bidding._at_nodes`: the minus
     update already reads the new plus component.  Below the window both
     integrands carry the exponential tails
-    ``left[0] e^{tail_rate (x - x_min)}``.  Each
-    half-update preserves order (every quadrature weight is non-negative,
-    and the tail mass increases with each component's value at x_min), so
-    sweeps from zero still rise to the same minimal fixed point as plain
-    (Jacobi) applications of F, and for this nonnegative splitting they
-    contract no slower than Jacobi sweeps (Stein-Rosenberg).  The minus
-    update needs A+, the integral of the new G+; it stays in a buffer of
-    the step's own and serves the next sweep's plus update, so a sweep
-    costs two quadratures, as a Jacobi sweep does.  A+ is recomputed only
-    when ``x`` is not the pair the step wrote last: on the first sweep and
-    after an extrapolation jump.
+    ``left[0] e^{tail_rate (x - x_min)}``.  Each half-update preserves order
+    (every quadrature weight is non-negative, and the tail mass increases
+    with each component's value at x_min), so sweeps from zero still rise
+    to the same minimal fixed point as plain (Jacobi) applications of F,
+    and for this nonnegative splitting they contract no slower than Jacobi
+    sweeps (Stein-Rosenberg).  The minus update needs A+, the integral of
+    the new G+; it stays in a buffer of the step's own and serves the next
+    sweep's plus update, so a sweep costs two quadratures, as a Jacobi
+    sweep does.  A+ is recomputed only when ``x`` is not the pair the step
+    wrote last: on the first sweep and after an extrapolation jump.
     """
     plus_row, minus_row = ExcursionProfile.conditions
     psi_cum = _piece_cumints(psi, grid) / rho
