@@ -75,6 +75,13 @@ class Condition:
     right: int
     tight: bool
 
+    def __post_init__(self):
+        # the shape that the node evaluator _at_nodes reads
+        shifts = [shift for _, shift in self.terms]
+        if not set(shifts) <= {0, 1} or 1 in shifts[1:]:
+            raise ValueError(f"{self.name}: shifts must be 0 or 1, and only "
+                             f"the first term shifted, got {self.terms}")
+
 
 @dataclass
 class BiddingProfile:
@@ -149,12 +156,12 @@ def _piece_cumints(pieces: tuple[Piece, ...], grid: GridSpec) -> np.ndarray:
 
 
 def _at_nodes(cond: Condition, cums: tuple[np.ndarray, ...],
-              right_cum: np.ndarray, mass: float, grid: GridSpec,
+              right_cum: np.ndarray | None, mass: float, grid: GridSpec,
               out: np.ndarray) -> np.ndarray:
     """C(x_i) of row ``cond`` at every grid node x_i <= 0, into ``out``,
     from component k's integrals from x_min ``cums[k]``, the tail ``mass``
     and, for a shifted term, ``right_cum`` (the :func:`_piece_cumints` of
-    its right part).  A row's one shifted term comes first and takes the
+    its right part; not read for a row without one).  A row's one shifted term comes first and takes the
     mass; otherwise the mass is added last."""
     n, m = grid.steps_per_unit, grid.m
     (k, shift), *rest = cond.terms
@@ -372,9 +379,9 @@ def _delayed_integral(p, cond: Condition, x=None):
         integral = "integral_to" if np.ndim(x) == 0 else "integrals"
         return sum(getattr(gs[k], integral)(x + shift)
                    for k, shift in cond.terms)
-    grid, first = gs[0].grid, gs[cond.terms[0][0]]
-    return _at_nodes(cond, tuple(c._cum for c in gs),
-                     _piece_cumints(first.right_pieces, grid),
+    grid, (k, shift) = gs[0].grid, cond.terms[0]
+    right_cum = _piece_cumints(gs[k].right_pieces, grid) if shift else None
+    return _at_nodes(cond, tuple(c._cum for c in gs), right_cum,
                      sum(gs[k].tail_mass for k, _ in cond.terms), grid,
                      np.empty(grid.m + 1))
 

@@ -359,15 +359,18 @@ class TestVerify:
             self, bidding_profiles, excursion_profiles):
         # verify checks positivity per condition on x > 0, so each profile
         # type names every component and puts each on the right of exactly
-        # one condition; the node evaluator _at_nodes reads a row's one
-        # shifted term, if any, first, and shifts only by 0 or 1
+        # one condition
         for p in (bidding_profiles[0.5], excursion_profiles[0.9]):
             assert len(p.names) == len(p.components)
             assert (sorted(c.right for c in p.conditions)
                     == list(range(len(p.components))))
-            for c in p.conditions:
-                shifts = [shift for _, shift in c.terms]
-                assert set(shifts) <= {0, 1} and 1 not in shifts[1:]
+
+    @pytest.mark.parametrize("terms", [((1, 0), (0, 1)), ((0, 2),),
+                                       ((0, 1), (1, 1)), ((0, -1),)])
+    def test_a_row_the_node_evaluator_misreads_is_refused(self, terms):
+        # _at_nodes reads the shift of a row's first term only
+        with pytest.raises(ValueError, match="only the first term shifted"):
+            bd.Condition("C <= rho G", terms, 0, tight=False)
 
 
 class TestTighten:
