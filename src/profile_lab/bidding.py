@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (ConvergenceError, DomainError, bidding_tradeoff,
-                       conjugate_rate_bidding)
+                       conjugate_rate_bidding, lambert_w0)
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
 __all__ = [
@@ -50,7 +50,9 @@ __all__ = [
     "tighten",
 ]
 
-DEFAULT_X_MIN = -10.0  # below it, the tail at the conjugate rate
+# Below it, one exponential carrying the exact mass of the closure; at -4
+# that single exponential already breaks robustness deeper in the tail
+DEFAULT_X_MIN = -6.0
 DEFAULT_H = 1.6e-3  # 625 steps per unit
 DEFAULT_MAX_ITER = 10_000
 SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
@@ -161,8 +163,9 @@ def _at_nodes(cond: Condition, cums: tuple[np.ndarray, ...],
     """C(x_i) of row ``cond`` at every grid node x_i <= 0, into ``out``,
     from component k's integrals from x_min ``cums[k]``, the tail ``mass``
     and, for a shifted term, ``right_cum`` (the :func:`_piece_cumints` of
-    its right part; not read for a row without one).  A row's one shifted term comes first and takes the
-    mass; otherwise the mass is added last."""
+    its right part; not read for a row without one).  A row's one shifted
+    term comes first and takes the mass; otherwise the mass is added
+    last."""
     n, m = grid.steps_per_unit, grid.m
     (k, shift), *rest = cond.terms
     if shift:
@@ -185,8 +188,28 @@ def _unit_breaks(grid: GridSpec) -> tuple[int, ...]:
     return tuple(k for k in (m - 2 * n, m - n) if k > 0)
 
 
-def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
-           tail_rate: float, kinks: tuple[int, ...]):
+def _closure_weights(rate: float, scale: float, grid: GridSpec) -> np.ndarray:
+    """Weights w_j over the window's first unit, nodes j = 0..n, with
+    sum_j w_j C(x_j) = scale integral_0^1 e^{rate (1 - u)} C(x_min + u) du:
+    the corrected trapezoid of :func:`cumulative_integral` (end weights
+    h (9, 28, 23)/24), times the exponential.  Every weight is positive."""
+    n, h = grid.steps_per_unit, grid.h
+    q = np.ones(n + 1)
+    q[:3] = q[:-4:-1] = np.array([9.0, 28.0, 23.0]) / 24.0
+    return scale * h * q * np.exp(rate * (1.0 - h * np.arange(n + 1)))
+
+
+def _tail_rate(first: float, mass: float,
+               underflow: Callable[[], float]) -> float:
+    """The rate first / mass of the one exponential below x_min that starts
+    at the window's first value ``first`` and holds the closure's ``mass``;
+    where either underflows, ``underflow()`` (the conjugate rate)."""
+    rate = float(first) / float(mass) if mass > 0.0 else 0.0
+    return rate if 0.0 < rate < math.inf else underflow()
+
+
+def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
+           kinks: tuple[int, ...]):
     """The bidding operator as the ``step(x, out)`` of
     :func:`_iterate_to_fixed_point`, with the quadrature in a buffer of its
     own.
@@ -194,23 +217,30 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec,
     Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H, the row of
     ``BiddingProfile.conditions`` by :func:`_at_nodes`, at every grid node
     x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
-    (endpoint-corrected trapezoid between nodes), the right part ``phi`` on
-    (0, 1] (closed form; its pieces from 1 on are not read), and the
-    exponential tail ``x[0][0] e^{tail_rate (t - x_min)}`` below the window.
-    ``kinks`` marks nodes where H has a derivative jump (x = -1 when the
-    right part jumps at 0).  F preserves order: every quadrature weight is
-    non-negative and the tail mass increases with ``x[0][0]``.
+    (endpoint-corrected trapezoid between nodes) and the right part ``phi``
+    on (0, 1] (closed form; its pieces from 1 on are not read).  ``kinks``
+    marks nodes where H has a derivative jump (x = -1 when the right part
+    jumps at 0).
+
+    The mass M below x_min is the exact closure, from C, the integral from
+    x_min: M = s integral_0^1 e^{s(1-u)} C(x_min + u) du.  With
+    e^s = rho s, Q(x) = e^{-sx} (A(x) - s integral_0^1 e^{-su} A(x+u) du)
+    has Q' = 0 along rho A' = A(x+1) and vanishes on every mode but e^{sx},
+    which the minimal profile does not carry; Q(x_min) = 0 with
+    A = M + C is the closure.  F preserves order: every quadrature weight
+    and every closure weight is non-negative.
     """
     (row,) = BiddingProfile.conditions
     phi_cum = _piece_cumints(phi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cum = np.empty(grid.m + 1)
+    closure = _closure_weights(s, s, grid)
 
     def step(x, out):
         (left,), (new,) = x, out
         cumulative_integral(left, h, kinks=kinks, out=cum)
-        _at_nodes(row, (cum,), phi_cum, left[0] / (tail_rate * rho), grid,
-                  new)
+        mass = float(closure @ cum[:closure.size])
+        _at_nodes(row, (cum,), phi_cum, mass, grid, new)
         return out
 
     return step
@@ -279,11 +309,13 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     (bidding), delta is the operator residual |F(x) - x| of the last iterate
     swept.  The pair sweep is Gauss-Seidel: its G- update reads the new G+,
     so delta bounds the Jacobi residual of that iterate by (1 + c) delta,
-    and of the returned pair by 2 c delta, where c = (|x_min| + 1/lam)/rho
-    is the largest change of one component of F per unit sup-norm change of
-    one component of its argument (lam the tail rate; c is about 5.8 near
-    s_* at x_min = -10).  Raises DomainError, before the first sweep, unless
-    ``max_iter`` >= 1.
+    and of the returned pair by 2 c delta, where c = (|x_min| + k)/rho is
+    the largest change of one component of F per unit sup-norm change of
+    one component of its argument: the window adds |x_min|, and the tail
+    closure k = integral_0^1 u w(u) du, with w its weight (1/rho)
+    e^{2s(1-u)} on C+ (k = (e^{2s} - 1 - 2s)/(4 s^2 rho); c is about 3.8
+    near s_* at x_min = -6).  Raises DomainError, before the first sweep,
+    unless ``max_iter`` >= 1.
     """
     if not max_iter >= 1:
         raise DomainError(f"need max_iter >= 1, got max_iter={max_iter!r}")
@@ -321,8 +353,8 @@ def _iterate_to_fixed_point(step: Callable[..., object],
 def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
                      max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
     """The bidding profile at ``s`` with left part ``left`` on ``grid``, the
-    one place where s fixes rho, chi, the right part, tail, kinks and slope
-    breaks.
+    one place where s fixes rho, chi, the right part, kinks and slope
+    breaks, and s and ``left`` fix the tail rate.
 
     ``left`` is the grid values, or None to sweep from zero to
     ``SWEEP_TOL`` (at most ``max_iter`` sweeps).  At s = 1, where the
@@ -333,17 +365,23 @@ def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
     right = _rising_pieces(s * point.chi, s)
     iterations, final_delta = 0, math.nan
     if s == 1.0:
-        tail_rate, kinks, breaks = 1.0, (), ()
+        kinks, breaks = (), ()
         if left is None:
             left, final_delta = np.exp(grid.positions), 0.0
     else:  # the right part jumps at 0, so G kinks at x = -1
-        tail_rate = conjugate_rate_bidding(s)
         kinks = (grid.m - grid.steps_per_unit,)
         breaks = _unit_breaks(grid)  # and G'' jumps at x = -2
     if left is None:
         (left,), iterations, final_delta = _iterate_to_fixed_point(
-            _sweep(right, point.rho, grid, tail_rate, kinks),
+            _sweep(right, point.rho, grid, s, kinks),
             (np.zeros(grid.m + 1),), max_iter)
+    if s == 1.0:
+        tail_rate = 1.0
+    else:
+        cum = cumulative_integral(left, grid.h, kinks=kinks)
+        closure = _closure_weights(s, s, grid)
+        tail_rate = _tail_rate(left[0], closure @ cum[:closure.size],
+                               lambda: conjugate_rate_bidding(s))
     g = GridFunction(grid=grid, left_values=left, right_pieces=right,
                      tail_rate=tail_rate, kink_nodes=kinks,
                      slope_breaks=breaks)
@@ -357,11 +395,11 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
 
     The right part is the closed form; the left part is the monotone limit
     of operator sweeps starting from zero, stopped once the sup-norm change
-    per sweep is at most ``SWEEP_TOL``.  The tail below ``x_min`` extends the
-    profile at its true asymptotic decay rate, the conjugate root of the
-    delayed equation's characteristic equation; a mismatched tail rate
-    would feed a window-scale bias into the fixed point through the
-    near-resonant mode.
+    per sweep is at most ``SWEEP_TOL``.  The sweeps take the mass below
+    ``x_min`` from the exact closure over the window's first unit (see
+    :func:`_sweep`), so the window need not reach the asymptotic decay.
+    The stored tail is one exponential from G(x_min) holding that mass, at
+    the rate G(x_min)/M; where both underflow, at the conjugate rate.
     """
     return _bidding_profile(s, make_grid(x_min, h), None, max_iter)
 
@@ -401,7 +439,8 @@ def verify(p) -> VerificationReport:
     offset, monotonicity, robustness, consistency and tightness.
 
     Every condition is checked at every grid node x <= 0, on the build's
-    quadrature, and at 400 log-spaced x in (0, 10], on the stored model:
+    quadrature, and on the stored model at 100 evenly spaced x in
+    [x_min - 3, x_min), on the tail, and at 400 log-spaced x in (0, 10]:
     each residual C(x) - rho G(x) must stay below ``TOL_REL`` relative to
     rho max(G(x), 0) plus the floor ``ATOL_FLOOR`` (which keeps roundoff deep
     in the tail, where G underflows the build tolerance, from counting), and
@@ -426,11 +465,12 @@ def verify(p) -> VerificationReport:
                       junction_tol=TOL_REL * float(c.left_values[-1]))
         and c.is_nonnegative() for c in gs)
 
-    nodes, xs = g.grid.positions, np.geomspace(max(g.h, 1e-4), 10.0, 400)
-    rows = ([(c, nodes, _delayed_integral(p, c), gs[c.right].left_values)
-             for c in p.conditions]
+    tail = np.linspace(g.x_min - 3.0, g.x_min, 100, endpoint=False)
+    right = np.geomspace(max(g.h, 1e-4), 10.0, 400)
+    rows = ([(c, g.grid.positions, _delayed_integral(p, c),
+              gs[c.right].left_values) for c in p.conditions]
             + [(c, xs, _delayed_integral(p, c, xs), gs[c.right].value(xs))
-               for c in p.conditions])
+               for xs in (tail, right) for c in p.conditions])
     resid = [c - rho * gx for _, _, c, gx in rows]
     tight = max(float(np.max(np.abs(r))) for r in resid[:len(p.conditions)])
     resid = np.concatenate(resid)
@@ -448,7 +488,7 @@ def verify(p) -> VerificationReport:
                         f"{TOL_REL} in {cond.name} at x = {x:.6g}")
     if gap > TOL_ABS:
         failures.append(f"consistency: C(0) exceeds chi by {gap:.3e}")
-    for cond, _, c, gx in rows[len(p.conditions):]:
+    for cond, xs, c, gx in rows[-len(p.conditions):]:  # on (0, 10]
         name = names[cond.right]
         positive = gx > 0.0  # no relative tightness elsewhere
         if not positive.all():
@@ -495,9 +535,12 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
 
     Operator sweeps from a valid profile form a pointwise non-increasing
     sequence; the limit is tight and its consistency integral never exceeds
-    the input's.  Sweeps stop as a build's do, at ``SWEEP_TOL``.
+    the input's.  Sweeps stop as a build's do, at ``SWEEP_TOL``, and close
+    the tail at the slow root s = -W0(-1/rho) of e^s = rho s.  The tail
+    keeps g's rate.
     """
     (left,), _, _ = _iterate_to_fixed_point(
-        _sweep(g.right_pieces, rho, g.grid, g.tail_rate, g.kink_nodes),
+        _sweep(g.right_pieces, rho, g.grid, -lambert_w0(-1.0 / rho),
+               g.kink_nodes),
         (g.left_values,), DEFAULT_MAX_ITER)
     return replace(g, left_values=left)

@@ -43,8 +43,9 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, Condition,
-                      _at_nodes, _delayed_integral, _iterate_to_fixed_point,
-                      _piece_cumints, _rising_pieces, _unit_breaks)
+                      _at_nodes, _closure_weights, _delayed_integral,
+                      _iterate_to_fixed_point, _piece_cumints, _rising_pieces,
+                      _tail_rate, _unit_breaks)
 from .bidding import verify as verify_excursion
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
@@ -90,19 +91,25 @@ class ExcursionProfile:
         return (self.g_plus, self.g_minus)
 
 
-def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
-                tail_rate: float, minus_kinks: tuple[int, ...]):
+def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
+                minus_kinks: tuple[int, ...]):
     """One block Gauss-Seidel sweep of the pair operator as the
     ``step(x, out)`` of the fixed-point iteration.
 
     The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
     G- = (F (new G+, G-))- into ``out[1]``, each the C/rho of its row of
     ``ExcursionProfile.conditions`` by :func:`bidding._at_nodes`: the minus
-    update already reads the new plus component.  Below the window both
-    integrands carry the exponential tails
-    ``left[0] e^{tail_rate (x - x_min)}``.  Each half-update preserves order
-    (every quadrature weight is non-negative, and the tail mass increases
-    with each component's value at x_min), so sweeps from zero still rise
+    update already reads the new plus component.  Both rows add the same
+    mass below x_min, S = M+ + M-, and it is the exact closure from C+, the
+    integral of G+ from x_min: S = (1/rho) integral_0^1 e^{2s(1-u)}
+    C+(x_min + u) du.  The pair's slow modes are lam = 0 and 2s, roots of
+    (rho lam - 1)^2 = e^lam; for each, Q(x) = e^{-lam x} (rho (rho lam - 1)
+    A+(x) + rho A-(x) - integral_0^1 e^{lam(1-u)} A+(x+u) du) is constant
+    along the pair equation and 0 on the minimal profile, and
+    rho (e^s - 1) = (e^{2s} - 1)/(2s) reduces Q_{2s}(x_min) = 0 to S (Q_0
+    splits it: M+ = integral_0^1 (e^{2s(1-u)} - 1) C+ du / (2 rho + 1)).
+    Each half-update preserves order (every quadrature and closure weight
+    is non-negative), so sweeps from zero still rise
     to the same minimal fixed point as plain (Jacobi) applications of F,
     and for this nonnegative splitting they contract no slower than Jacobi
     sweeps (Stein-Rosenberg).  The minus update needs A+, the integral of
@@ -116,7 +123,8 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
     cums = (A_plus, A_minus)
-    tail = tail_rate * rho  # tail mass below x_min is left[0] / tail
+    closure = _closure_weights(2.0 * s, 1.0 / rho, grid)
+    n = closure.size  # the nodes of the window's first unit
     wrote = None  # the plus array whose integral A_plus holds
 
     def step(x, out):
@@ -125,12 +133,12 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec,
         if plus is not wrote:
             cumulative_integral(plus, h, out=A_plus)
         cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
-        _at_nodes(plus_row, cums, psi_cum, (plus[0] + minus[0]) / tail, grid,
+        _at_nodes(plus_row, cums, psi_cum, float(closure @ A_plus[:n]), grid,
                   new_plus)
         cumulative_integral(new_plus, h, out=A_plus)
         wrote = new_plus
-        _at_nodes(minus_row, cums, psi_cum, (new_plus[0] + minus[0]) / tail,
-                  grid, new_minus)
+        _at_nodes(minus_row, cums, psi_cum, float(closure @ A_plus[:n]), grid,
+                  new_minus)
         return out
 
     return step
@@ -140,8 +148,11 @@ def _excursion_profile(s: float, grid: GridSpec,
                        left: tuple[np.ndarray, np.ndarray] | None,
                        max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
     """The excursion profile at ``s`` with left parts ``left`` on ``grid``,
-    the one place where s fixes rho, chi, K, M, right parts, tail, kinks and
-    slope breaks.
+    the one place where s fixes rho, chi, K, M, right parts, kinks and slope
+    breaks, and s and ``left`` fix the tail rate: one rate for both tails,
+    (G+ + G-)(x_min)/S with S the closure's mass (see :func:`_pair_sweep`),
+    since separate rates would let C-'s deep-tail residual grow without
+    bound; where both underflow, the conjugate rate.
 
     ``left`` is the pair ``(left_plus, left_minus)``, or None to sweep from
     zero to ``bidding.SWEEP_TOL`` (at most ``max_iter`` sweeps).  At
@@ -153,21 +164,29 @@ def _excursion_profile(s: float, grid: GridSpec,
     M = max(1.0, K)
     plus_right = _rising_pieces(K, 2.0 * s)
     iterations, final_delta = 0, math.nan
-    if K >= math.exp(2.0 * s) * (1.0 - 1e-12):
-        tail_rate, minus_kinks, breaks = 2.0 * s, (), ()
+    endpoint = K >= math.exp(2.0 * s) * (1.0 - 1e-12)
+    if endpoint:
+        minus_kinks, breaks = (), ()
         if left is None:
             plus = np.exp(2.0 * s * grid.positions)
             left, final_delta = (plus, math.exp(s) * plus), 0.0
     else:
-        tail_rate = conjugate_rate_linear(s)
         minus_kinks = (grid.m - grid.steps_per_unit,)  # G- kinks at x = -1
         # so G+'' jumps at -1 and G-'s third derivative at -2
         breaks = _unit_breaks(grid)
     if left is None:
         left, iterations, final_delta = _iterate_to_fixed_point(
-            _pair_sweep(plus_right, exc.rho, grid, tail_rate, minus_kinks),
+            _pair_sweep(plus_right, exc.rho, grid, s, minus_kinks),
             (np.zeros(grid.m + 1),) * 2, max_iter)
     left_plus, left_minus = left
+    if endpoint:
+        tail_rate = 2.0 * s
+    else:  # one rate for both tails, holding the closure's S between them
+        cum = cumulative_integral(left_plus, grid.h)
+        closure = _closure_weights(2.0 * s, 1.0 / exc.rho, grid)
+        tail_rate = _tail_rate(left_plus[0] + left_minus[0],
+                               closure @ cum[:closure.size],
+                               lambda: conjugate_rate_linear(s))
     # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
     # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
     minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (

@@ -32,7 +32,7 @@ from .analysis import DomainError, _level_search
 __all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
            "cumulative_integral"]
 
-# The most nodes a grid may hold: about 1600 times the default grid's 6 251.
+# The most nodes a grid may hold: about 2700 times the default grid's 3 751.
 # Every array over the window costs 8 bytes a node.
 MAX_NODES = 10**7
 
@@ -500,10 +500,14 @@ class GridFunction:
         return float(total)
 
     def integrals(self, x: np.ndarray) -> np.ndarray:
-        """A(x) at every point of an array x > x_min, as :meth:`integral_to`
-        sums it one point at a time (a cell or piece it skips adds 0.0)."""
+        """A(x) at every point of an array x, as :meth:`integral_to` sums it
+        one point at a time (a cell or piece it skips adds 0.0)."""
         total = np.full(x.shape, self.tail_mass)
-        left, right = x <= 0.0, x > 0.0
+        tail = x <= self.x_min
+        if tail.any():
+            rx = (self.tail_rate * (x[tail] - self.x_min)).tolist()
+            total[tail] *= np.fromiter(map(math.exp, rx), float, len(rx))
+        left, right = (x > self.x_min) & (x <= 0.0), x > 0.0
         pos = (x[left] - self.x_min) / self.h
         i = np.minimum(pos.astype(np.intp), self.grid.m - 1)
         total[left] += self._cum[i]

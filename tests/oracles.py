@@ -29,8 +29,8 @@ tests use them to check the library from outside its own code path.
   profile.
 
 They import the library's private helpers (``_sweep``, ``_at_nodes``,
-``_piece_cumints``, ``_delayed_integral``, ``_bidding_profile`` and
-``_rising_pieces``) so that each reference computes exactly what it did
+``_closure_weights``, ``_piece_cumints``, ``_delayed_integral``,
+``_bidding_profile`` and ``_rising_pieces``) so that each reference computes exactly what it did
 inside the library; ``apply_F_pair`` assembles its two Jacobi rows from
 ``ExcursionProfile.conditions`` by ``_at_nodes``, as the sweeps do.
 """
@@ -46,8 +46,9 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
                                   s_star)
 from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
                                  TOL_REL, BiddingProfile, _at_nodes,
-                                 _bidding_profile, _delayed_integral,
-                                 _piece_cumints, _rising_pieces, _sweep)
+                                 _bidding_profile, _closure_weights,
+                                 _delayed_integral, _piece_cumints,
+                                 _rising_pieces, _sweep)
 from profile_lab.excursion import ExcursionProfile
 from profile_lab.grids import GridSpec, Piece, cumulative_integral, make_grid
 from profile_lab.reduction import StepProfile
@@ -69,43 +70,47 @@ def psi_pieces(s: float, K: float) -> tuple[Piece, ...]:
 
 
 def apply_F(left: np.ndarray, phi: tuple[Piece, ...], rho: float,
-            grid: GridSpec, tail_rate: float,
+            grid: GridSpec, s: float,
             kinks: tuple[int, ...] = ()) -> np.ndarray:
     """One application of the profile operator to a left part.
 
     Returns (F H)(x) = (1/rho) integral_{-inf}^{x+1} H at every grid node
     x <= 0, where H is ``left`` on the grid (endpoint-corrected trapezoid
-    between nodes), ``phi`` on (0, 1] (closed form), and the exponential
-    tail ``left[0] e^{tail_rate (x - x_min)}`` below the window.  ``kinks``
-    marks nodes where H has a derivative jump (x = -1 for profile
-    iterates whose right part jumps at 0).
+    between nodes), ``phi`` on (0, 1] (closed form), and below the window
+    carries the closure's mass s integral_0^1 e^{s(1-u)} C(x_min + u) du,
+    C the integral of H from x_min.  ``kinks`` marks nodes where H has a
+    derivative jump (x = -1 for profile iterates whose right part jumps at
+    0).
 
-    The operator is order-preserving: all quadrature weights are
-    non-negative and the tail mass is increasing in ``left[0]``.
+    The operator is order-preserving for every s > 0: all quadrature and
+    closure weights are non-negative.
     """
-    (out,) = _sweep(phi, rho, grid, tail_rate, kinks)(
+    (out,) = _sweep(phi, rho, grid, s, kinks)(
         (np.asarray(left, float),), (np.empty(grid.m + 1),))
     return out
 
 
 def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
                  psi: tuple[Piece, ...], rho: float, grid: GridSpec,
-                 tail_rate: float,
+                 s: float,
                  minus_kinks: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """One application of the pair operator on the left window.
 
-    Both integrands carry exponential tails ``left[0] e^{tail_rate (x -
-    x_min)}`` below the window.  The plus update integrates both components
-    up to x; the minus update couples the plus component at x+1 (capped at
-    0, with the closed-form psi integral beyond) with the minus component
-    at x.  Order-preserving for the same reason as the scalar operator.
+    Below the window both rows carry the closure's summed mass
+    (1/rho) integral_0^1 e^{2s(1-u)} C+(x_min + u) du, C+ the integral of
+    the plus component from x_min.  The plus update integrates both
+    components up to x; the minus update couples the plus component at x+1
+    (capped at 0, with the closed-form psi integral beyond) with the minus
+    component at x.  Order-preserving for the same reason as the scalar
+    operator.
     """
     plus = np.asarray(left_plus, float)
     minus = np.asarray(left_minus, float)
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cums = (cumulative_integral(plus, h),
             cumulative_integral(minus, h, kinks=minus_kinks))
-    tail_mass = (plus[0] + minus[0]) / (tail_rate * rho)
+    closure = _closure_weights(2.0 * s, 1.0 / rho, grid)
+    tail_mass = float(closure @ cums[0][:closure.size])
     psi_cum = _piece_cumints(psi, grid) / rho
     return tuple(_at_nodes(row, cums, psi_cum, tail_mass, grid,
                            np.empty(grid.m + 1))

@@ -189,13 +189,13 @@ def test_criterion_11_property_suite():
     for _ in range(50):
         a = np.cumsum(rng.random(grid.m + 1)) * 1e-3
         b = a + np.cumsum(rng.random(grid.m + 1)) * 1e-3
-        fa = apply_F(a, phi, pt.rho, grid, tail_rate=0.8)
-        fb = apply_F(b, phi, pt.rho, grid, tail_rate=0.8)
+        fa = apply_F(a, phi, pt.rho, grid, s=s)
+        fb = apply_F(b, phi, pt.rho, grid, s=s)
         order_ok &= bool(np.all(fb - fa >= -1e-15))
         am = np.cumsum(rng.random(grid.m + 1)) * 1e-3
         bm = am + np.cumsum(rng.random(grid.m + 1)) * 1e-3
-        fpa = apply_F_pair(a, am, psi, exc.rho, grid, tail_rate=1.5)
-        fpb = apply_F_pair(b, bm, psi, exc.rho, grid, tail_rate=1.5)
+        fpa = apply_F_pair(a, am, psi, exc.rho, grid, s=s)
+        fpb = apply_F_pair(b, bm, psi, exc.rho, grid, s=s)
         order_ok &= bool(np.all(fpb[0] - fpa[0] >= -1e-15))
         order_ok &= bool(np.all(fpb[1] - fpa[1] >= -1e-15))
 
@@ -209,10 +209,10 @@ def test_criterion_11_property_suite():
     kinks = (grid.m - grid.steps_per_unit,)
     left = np.zeros(grid.m + 1)
     bounded_ok = bool(np.all(
-        apply_F(H, phi, pt.rho, grid, tail_rate=c, kinks=kinks)
+        apply_F(H, phi, pt.rho, grid, s=s, kinks=kinks)
         <= H * (1 + 1e-12)))
     for _ in range(50):
-        new = apply_F(left, phi, pt.rho, grid, tail_rate=c, kinks=kinks)
+        new = apply_F(left, phi, pt.rho, grid, s=s, kinks=kinks)
         bounded_ok &= bool(np.all(new >= left - 1e-15))
         bounded_ok &= bool(np.all(new <= H * (1 + 1e-12)))
         left = new

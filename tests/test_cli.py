@@ -13,14 +13,28 @@ import pytest
 import profile_lab
 from profile_lab import excursion, simulate
 from profile_lab.analysis import ConvergenceError, rho_ls_star, s_star
-from profile_lab.bidding import DEFAULT_X_MIN
+from profile_lab.bidding import DEFAULT_X_MIN, _bidding_profile
 from profile_lab.cli import main
+from profile_lab.grids import make_grid
+from profile_lab.serialize import profile_to_dict
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def scaled_bidding_file(path, factor):
+    """Scale the left values of the bidding profile saved at ``path`` by
+    ``factor`` and write the tail the loader derives from them: the tail
+    rate is G(x_min) over the closure's mass, so scaling both can move its
+    last bits."""
+    doc = json.loads(open(path).read())
+    left = [v * factor for v in doc["left_values"]]
+    p = _bidding_profile(doc["s"], make_grid(doc["x_min"], doc["h"]), left)
+    with open(path, "w") as fh:
+        json.dump(profile_to_dict(p), fh)
 
 
 class TestTradeoff:
@@ -110,12 +124,8 @@ class TestProfileCommands:
         out_file = str(tmp_path / "b.json")
         run(capsys, "profile", "build", "--problem", "bidding",
             "--s", "0.5", "--out", out_file)
-        doc = json.loads(open(out_file).read())
         # deflating the left part breaks tight robustness near 0
-        doc["left_values"] = [v * 0.9 for v in doc["left_values"]]
-        doc["left_tail"]["coeff"] *= 0.9
-        with open(out_file, "w") as fh:
-            json.dump(doc, fh)
+        scaled_bidding_file(out_file, 0.9)
         code, out, _ = run(capsys, "profile", "verify", out_file)
         assert code == 1
         assert "robustness" in out
@@ -155,6 +165,20 @@ class TestProfileCommands:
         code, out, _ = run(capsys, "profile", "verify", out_file)
         assert code == 0, out
         assert "passed=True" in out
+
+    @pytest.mark.parametrize("grid", [["--x-min", "-10"],
+                                      ["--x-min", "-12", "--h", "0.0078125"]],
+                             ids=["x_min-10", "x_min-12-h-1/128"])
+    @pytest.mark.parametrize("problem, s", [("bidding", "0.8"),
+                                            ("linsearch", "1.1")])
+    def test_deeper_windows_build_and_verify(self, capsys, tmp_path, grid,
+                                             problem, s):
+        out_file = str(tmp_path / "p.json")
+        code, _, _ = run(capsys, "profile", "build", "--problem", problem,
+                         "--s", s, "--out", out_file, *grid)
+        assert code == 0
+        code, out, _ = run(capsys, "profile", "verify", out_file)
+        assert code == 0, out
 
     def test_tiny_s_linsearch_verify_names_failure(self, capsys, tmp_path):
         out_file = str(tmp_path / "l.json")
@@ -328,11 +352,7 @@ class TestProfileCommands:
         out_file = str(tmp_path / "b.json")
         run(capsys, "profile", "build", "--problem", "bidding", "--s", "0.5",
             "--out", out_file, "--x-min", "-12", "--h", repr(1 / 128))
-        doc = json.loads(open(out_file).read())
-        doc["left_values"] = [v * 1.5 for v in doc["left_values"]]
-        doc["left_tail"]["coeff"] *= 1.5
-        with open(out_file, "w") as fh:
-            json.dump(doc, fh)
+        scaled_bidding_file(out_file, 1.5)
         code, out, _ = run(capsys, "profile", "verify", out_file)
         assert code == 1
         assert "failure: consistency" in out

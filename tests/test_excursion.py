@@ -24,7 +24,7 @@ class TestApplyFPair:
         grid = make_grid(-5.0, 1e-2)
         psi = psi_pieces(0.3, 0.5)  # K < 1 so psi == 1 on (0, 1]
         zero = np.zeros(grid.m + 1)
-        new_p, new_m = apply_F_pair(zero, zero, psi, 2.0, grid, tail_rate=1.0)
+        new_p, new_m = apply_F_pair(zero, zero, psi, 2.0, grid, s=0.3)
         np.testing.assert_allclose(new_p, 0.0, atol=1e-15)
         expected = np.maximum(0.0, grid.positions + 1.0) / 2.0
         np.testing.assert_allclose(new_m, expected, atol=1e-14)
@@ -40,8 +40,8 @@ class TestApplyFPair:
             am = np.cumsum(rng.random(grid.m + 1)) * 1e-3
             bp = ap + np.cumsum(rng.random(grid.m + 1)) * 1e-3
             bm = am + np.cumsum(rng.random(grid.m + 1)) * 1e-3
-            fa = apply_F_pair(ap, am, psi, exc.rho, grid, tail_rate=1.5)
-            fb = apply_F_pair(bp, bm, psi, exc.rho, grid, tail_rate=1.5)
+            fa = apply_F_pair(ap, am, psi, exc.rho, grid, s=s)
+            fb = apply_F_pair(bp, bm, psi, exc.rho, grid, s=s)
             assert np.all(fb[0] - fa[0] >= -1e-15)
             assert np.all(fb[1] - fa[1] >= -1e-15)
 
@@ -60,7 +60,7 @@ class TestApplyFPair:
         Wm = eta * Wp
         kinks = (grid.m - grid.steps_per_unit,)
         FWp, FWm = apply_F_pair(Wp, Wm, psi_pieces(s, K), exc.rho, grid,
-                                tail_rate=2.0 * c, minus_kinks=kinks)
+                                s=s, minus_kinks=kinks)
         assert np.all(FWp <= Wp * (1 + 1e-8))
         assert np.all(FWm <= Wm * (1 + 1e-8))
 
@@ -80,7 +80,7 @@ class TestApplyFPair:
         Q = np.zeros(grid.m + 1)
         for _ in range(40):
             new_P, new_Q = apply_F_pair(P, Q, psi, exc.rho, grid,
-                                        tail_rate=2.0 * c, minus_kinks=kinks)
+                                        s=s, minus_kinks=kinks)
             assert np.all(new_P >= P - 1e-15)
             assert np.all(new_Q >= Q - 1e-15)
             assert np.all(new_P <= Wp * (1 + 1e-10))
@@ -90,8 +90,8 @@ class TestApplyFPair:
 
 def _gs_step(p):
     """The build's Gauss-Seidel sweep on the grid, tail and kinks of ``p``."""
-    return ex._pair_sweep(psi_pieces(p.s, p.K), p.rho, p.g_plus.grid,
-                          p.g_plus.tail_rate, p.g_minus.kink_nodes)
+    return ex._pair_sweep(psi_pieces(p.s, p.K), p.rho, p.g_plus.grid, p.s,
+                          p.g_minus.kink_nodes)
 
 
 def _from_zero(p, step):
@@ -101,7 +101,7 @@ def _from_zero(p, step):
 
 
 class TestPairSweep:
-    # at s = 1.1 the driver jumps once, after 284 sweeps
+    # at s = 1.1 the iteration jumps once, after 136 of 277 sweeps
     def test_carried_integral_matches_recomputed_across_a_jump(self):
         p = build_excursion_profile(1.1)
         carried = _gs_step(p)
@@ -150,8 +150,7 @@ class TestPairSweep:
 
         def jacobi(x, out):
             for o, f in zip(out, apply_F_pair(*x, psi_pieces(p.s, p.K), p.rho,
-                                              p.g_plus.grid,
-                                              p.g_plus.tail_rate,
+                                              p.g_plus.grid, p.s,
                                               p.g_minus.kink_nodes)):
                 o[...] = f
 
@@ -217,8 +216,8 @@ class TestBuild:
             psi = psi_pieces(p.s, p.K)
             kinks = p.g_minus.kink_nodes
             FP, FM = apply_F_pair(p.g_plus.left_values, p.g_minus.left_values,
-                                  psi, p.rho, p.g_plus.grid,
-                                  p.g_plus.tail_rate, minus_kinks=kinks)
+                                  psi, p.rho, p.g_plus.grid, p.s,
+                                  minus_kinks=kinks)
             assert np.max(np.abs(FP - p.g_plus.left_values)) <= 1e-11
             assert np.max(np.abs(FM - p.g_minus.left_values)) <= 1e-11
 
@@ -266,8 +265,8 @@ class TestVerify:
         p = excursion_profiles[0.9]
         gp, gm = p.g_plus, p.g_minus
         FP, FM = apply_F_pair(gp.left_values, gm.left_values,
-                              psi_pieces(p.s, p.K), p.rho, gp.grid,
-                              gp.tail_rate, gm.kink_nodes)
+                              psi_pieces(p.s, p.K), p.rho, gp.grid, p.s,
+                              gm.kink_nodes)
         expect = max(float(np.max(np.abs(p.rho * (F - g.left_values))))
                      for F, g in ((FP, gp), (FM, gm)))
         assert verify_excursion(p).tightness_residual == pytest.approx(
@@ -372,8 +371,7 @@ class TestVerify:
             mix_p = (1 - t) * p.g_plus.left_values + t * Wp
             mix_m = (1 - t) * p.g_minus.left_values + t * Wm
             FP, FM = apply_F_pair(mix_p, mix_m, psi_pieces(p.s, p.K), p.rho,
-                                  grid, tail_rate=2.0 * c,
-                                  minus_kinks=p.g_minus.kink_nodes)
+                                  grid, s=s, minus_kinks=p.g_minus.kink_nodes)
             assert np.all(FP <= mix_p * (1 + 1e-8))  # still a valid profile
             assert np.all(FM <= mix_m * (1 + 1e-8))
             assert np.all(mix_p >= p.g_plus.left_values - 1e-12)

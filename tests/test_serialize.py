@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from profile_lab.analysis import conjugate_rate_bidding, conjugate_rate_linear
 from profile_lab.bidding import BiddingProfile, build_profile, verify
 from profile_lab.excursion import (ExcursionProfile, build_excursion_profile,
                                    verify_excursion)
@@ -53,10 +54,10 @@ def test_double_roundtrip_is_stable(tmp_path, bidding_profiles):
     assert open(a).read() == open(b).read()
 
 
-def test_saved_bytes_are_json_dumps(tmp_path, bidding_profiles,
-                                    excursion_profiles):
-    # the default grid's 6 251 left values are written in slices of 4096
-    for i, p in enumerate((bidding_profiles[0.8], excursion_profiles[0.9])):
+def test_saved_bytes_are_json_dumps(tmp_path):
+    # a window from -10 holds 6 251 left values, written in slices of 4096
+    for i, p in enumerate((build_profile(0.8, x_min=-10.0),
+                           build_excursion_profile(0.9, x_min=-10.0))):
         path = tmp_path / f"{i}.json"
         save_profile(p, str(path))
         assert path.read_text() == json.dumps(profile_to_dict(p)) + "\n"
@@ -145,3 +146,23 @@ def test_saved_documents_load(tmp_path, small_docs):
         path = tmp_path / "p.json"
         path.write_text(text)
         assert profile_to_dict(load_profile(str(path))) == json.loads(text)
+
+
+@pytest.mark.parametrize("problem", ["bidding", "linsearch"])
+def test_a_tail_at_the_conjugate_rate_is_rejected(tmp_path, problem):
+    # files saved before the tail closure store the conjugate rate; the
+    # loader derives the closure's rate from the left values instead
+    build, rate, key = {
+        "bidding": (build_profile, conjugate_rate_bidding, ()),
+        "linsearch": (build_excursion_profile, conjugate_rate_linear,
+                      ("g_plus",))}[problem]
+    doc = profile_to_dict(build(0.5, x_min=-12.0, h=1 / 128))
+    node = doc
+    for k in key:
+        node = node[k]
+    node["left_tail"]["rate"] = rate(0.5)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="/".join(key + ("left_tail",
+                                                          "rate"))):
+        load_profile(str(path))

@@ -27,12 +27,22 @@ OUT_DIR receives, with paths relative to it so that two runs compare:
 * ``costs.txt``: ``repr`` of ``expected_cost`` (bidding) and
   ``strategy_cost_linear`` (linear search, both signs) of every saved
   profile at 100 log-spaced targets on [1e-3, 1e4], one ``<file> <T>
-  <cost>`` line each.
+  <cost>`` line each;
+* ``tail.txt``: the tail below the window of every component of the saved
+  profiles, one ``<file> <component> x_min coeff rate mass deep excess``
+  line each (``repr``): ``deep`` is the closed-form relative residual of
+  the component's condition below x_min - 1, where both sides are
+  exponentials (bidding e^lam/(rho lam) - 1; with r = G-(x_min)/G+(x_min),
+  (1 + r)/(rho lam) - 1 for G+ and (e^lam + r)/(rho lam r) - 1 for G-), and
+  ``excess`` the largest C(tau(T))/(rho T) - 1 over 50 log-spaced targets
+  T in [1e-6 G(x_min), G(x_min)], C the component's share of the cost
+  (``expected_cost``; half of ``strategy_cost_linear`` less |T|/2).
 
 Comparing two trees is ``diff -r OUT_A OUT_B``.
 """
 
 import contextlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,6 +65,7 @@ SIMULATE = ("0.5", "2.0", "300.0")
 SAMPLES, SEED = "20000", "7"
 # log-spaced over the tail, the window and the right part of every profile
 TAU_TARGETS = np.geomspace(1e-12, 1e8, 500).tolist()
+TAIL_TARGETS = 50  # log-spaced on [1e-6 G(x_min), G(x_min)]
 COST_TARGETS = np.geomspace(1e-3, 1e4, 100).tolist()
 ROOTS_BIDDING = (1e-300, 1e-200, 1e-9, 0.3, 0.8, 0.95, 1.0)
 
@@ -81,6 +92,29 @@ def _roots():
             yield f"linear_tradeoff({name})[0].chi", a.linear_tradeoff(s)[0].chi
             yield f"solve_K({name})", a.solve_K(s)
             yield f"conjugate_rate_linear({name})", a.conjugate_rate_linear(s)
+
+
+def _tail_lines(path: str, p):
+    """The lines of tail.txt for the profile ``p`` saved at ``path``."""
+    first = [g.tail_coeff for g in p.components]
+    r = first[-1] / first[0]
+    for k, (label, g) in enumerate(zip(p.names, p.components)):
+        lam, rho = g.tail_rate, p.rho
+        if path.startswith("bidding"):
+            deep = math.exp(lam) / (rho * lam) - 1.0
+
+            def share(T):
+                return expected_cost(p, T)
+        else:
+            deep = ((1.0 + r) / (rho * lam) if k == 0
+                    else (math.exp(lam) + r) / (rho * lam * r)) - 1.0
+
+            def share(T, sign=(1.0, -1.0)[k]):
+                return 0.5 * (strategy_cost_linear(p, sign * T) - T)
+        excess = max(share(T) / (rho * T) - 1.0 for T in np.geomspace(
+            1e-6 * g.tail_coeff, g.tail_coeff, TAIL_TARGETS).tolist())
+        yield (f"{path} {label} {g.x_min!r} {g.tail_coeff!r} {lam!r} "
+               f"{g.tail_mass!r} {deep!r} {excess!r}\n")
 
 
 def write_outputs(out_dir: Path) -> None:
@@ -122,6 +156,9 @@ def write_outputs(out_dir: Path) -> None:
                          for T in COST_TARGETS for sign in (1.0, -1.0)]
             for T, cost in costs:
                 out.write(f"{path} {T!r} {cost!r}\n")
+    with open("tail.txt", "w") as out:
+        for path in files:
+            out.writelines(_tail_lines(path, load_profile(path)))
     with open("roots.txt", "w") as out:
         for call, root in _roots():
             out.write(f"{call} {root!r}\n")
