@@ -105,6 +105,10 @@ class BiddingProfile:
 
     conditions = (Condition("A(x+1) <= rho G", ((0, 1),), 0, tight=False),)
     names = ("G",)
+    # the slow root and scale of the tail closure at (s, rho) (see
+    # _closure), and the tail rate where the closure's mass underflows
+    closure = staticmethod(lambda s, rho: (s, 1.0))
+    conjugate_rate = staticmethod(conjugate_rate_bidding)
 
     @property
     def components(self) -> tuple[GridFunction, ...]:
@@ -188,24 +192,35 @@ def _unit_breaks(grid: GridSpec) -> tuple[int, ...]:
     return tuple(k for k in (m - 2 * n, m - n) if k > 0)
 
 
-def _closure_weights(rate: float, scale: float, grid: GridSpec) -> np.ndarray:
-    """Weights w_j over the window's first unit, nodes j = 0..n, with
-    sum_j w_j C(x_j) = scale integral_0^1 e^{rate (1 - u)} C(x_min + u) du:
-    the corrected trapezoid of :func:`cumulative_integral` (end weights
-    h (9, 28, 23)/24), times the exponential.  Every weight is positive."""
+def _closure(kind, s: float, rho: float, grid: GridSpec) -> np.ndarray:
+    """Weights w_j at the nodes j = 0..n of the window's first unit whose
+    sum_j w_j G(x_j) over the first component G of a minimal profile of
+    type ``kind`` at (s, rho) is its mass below x_min:
+    scale integral_0^1 (e^{root(1-u)} - 1) G(x_min + u) du, with
+    (root, scale) = ``kind.closure(s, rho)``, by the corrected trapezoid
+    of :func:`cumulative_integral` (end weights h (9, 28, 23)/24).  Every
+    weight is non-negative (the last is 0), and each comes from
+    ``math.expm1`` and correctly rounded products."""
+    root, scale = kind.closure(s, rho)
     n, h = grid.steps_per_unit, grid.h
     q = np.ones(n + 1)
     q[:3] = q[:-4:-1] = np.array([9.0, 28.0, 23.0]) / 24.0
-    return scale * h * q * np.exp(rate * (1.0 - h * np.arange(n + 1)))
+    e = np.fromiter((math.expm1(root * (n - j) / n) for j in range(n + 1)),
+                    float, n + 1)  # e^{root(1-u)} - 1 at u = j/n
+    return (scale * h) * q * e
 
 
-def _tail_rate(first: float, mass: float,
-               underflow: Callable[[], float]) -> float:
-    """The rate first / mass of the one exponential below x_min that starts
-    at the window's first value ``first`` and holds the closure's ``mass``;
-    where either underflows, ``underflow()`` (the conjugate rate)."""
-    rate = float(first) / float(mass) if mass > 0.0 else 0.0
-    return rate if 0.0 < rate < math.inf else underflow()
+def _tail_rate(kind, s: float, rho: float, lefts, grid: GridSpec) -> float:
+    """The rate of the one exponential below x_min that starts at the sum
+    of the first values of the components ``lefts`` and holds the mass
+    M = w . lefts[0] of :func:`_closure`; where either underflows,
+    ``kind.conjugate_rate(s)``.  M is summed by ``math.fsum``, correctly
+    rounded, so the rate depends on the values alone, not on a reduction
+    order, and a saved profile reloads to the same rate on any machine."""
+    w = _closure(kind, s, rho, grid)
+    mass = math.fsum((w * np.asarray(lefts[0])[:w.size]).tolist())
+    rate = sum(float(v[0]) for v in lefts) / mass if mass > 0.0 else 0.0
+    return rate if 0.0 < rate < math.inf else kind.conjugate_rate(s)
 
 
 def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
@@ -227,20 +242,22 @@ def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
     e^s = rho s, Q(x) = e^{-sx} (A(x) - s integral_0^1 e^{-su} A(x+u) du)
     has Q' = 0 along rho A' = A(x+1) and vanishes on every mode but e^{sx},
     which the minimal profile does not carry; Q(x_min) = 0 with
-    A = M + C is the closure.  F preserves order: every quadrature weight
-    and every closure weight is non-negative.
+    A = M + C is the closure.  By parts, M = integral_0^1 (e^{s(1-u)} - 1)
+    G(x_min + u) du, one dot product with the weights of :func:`_closure`.
+    F preserves order: every quadrature weight and every closure weight is
+    non-negative.
     """
     (row,) = BiddingProfile.conditions
     phi_cum = _piece_cumints(phi, grid) / rho
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cum = np.empty(grid.m + 1)
-    closure = _closure_weights(s, s, grid)
+    closure = _closure(BiddingProfile, s, rho, grid) / rho
+    n = closure.size  # the nodes of the window's first unit
 
     def step(x, out):
         (left,), (new,) = x, out
         cumulative_integral(left, h, kinks=kinks, out=cum)
-        mass = float(closure @ cum[:closure.size])
-        _at_nodes(row, (cum,), phi_cum, mass, grid, new)
+        _at_nodes(row, (cum,), phi_cum, float(closure @ left[:n]), grid, new)
         return out
 
     return step
@@ -375,13 +392,8 @@ def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
         (left,), iterations, final_delta = _iterate_to_fixed_point(
             _sweep(right, point.rho, grid, s, kinks),
             (np.zeros(grid.m + 1),), max_iter)
-    if s == 1.0:
-        tail_rate = 1.0
-    else:
-        cum = cumulative_integral(left, grid.h, kinks=kinks)
-        closure = _closure_weights(s, s, grid)
-        tail_rate = _tail_rate(left[0], closure @ cum[:closure.size],
-                               lambda: conjugate_rate_bidding(s))
+    tail_rate = (1.0 if s == 1.0
+                 else _tail_rate(BiddingProfile, s, point.rho, (left,), grid))
     g = GridFunction(grid=grid, left_values=left, right_pieces=right,
                      tail_rate=tail_rate, kink_nodes=kinks,
                      slope_breaks=breaks)
@@ -536,11 +548,17 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
     Operator sweeps from a valid profile form a pointwise non-increasing
     sequence; the limit is tight and its consistency integral never exceeds
     the input's.  Sweeps stop as a build's do, at ``SWEEP_TOL``, and close
-    the tail at the slow root s = -W0(-1/rho) of e^s = rho s.  The tail
-    keeps g's rate.
+    the tail at the slow root s = -W0(-1/rho) of e^s = rho s, which is
+    real for rho >= e (the rho of every bidding profile, e^s/s); a smaller
+    rho raises DomainError.  The returned tail rate is derived from the new
+    left part as a build's is (:func:`_tail_rate`).
     """
+    if not rho >= math.e:
+        raise DomainError(f"tighten needs rho >= e, got rho={rho!r}")
+    s = -lambert_w0(-1.0 / rho)
     (left,), _, _ = _iterate_to_fixed_point(
-        _sweep(g.right_pieces, rho, g.grid, -lambert_w0(-1.0 / rho),
-               g.kink_nodes),
+        _sweep(g.right_pieces, rho, g.grid, s, g.kink_nodes),
         (g.left_values,), DEFAULT_MAX_ITER)
-    return replace(g, left_values=left)
+    return replace(g, left_values=left,
+                   tail_rate=_tail_rate(BiddingProfile, s, rho, (left,),
+                                        g.grid))

@@ -43,7 +43,7 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, Condition,
-                      _at_nodes, _closure_weights, _delayed_integral,
+                      _at_nodes, _closure, _delayed_integral,
                       _iterate_to_fixed_point, _piece_cumints, _rising_pieces,
                       _tail_rate, _unit_breaks)
 from .bidding import verify as verify_excursion
@@ -85,6 +85,10 @@ class ExcursionProfile:
         Condition("C+ <= rho G+", ((0, 0), (1, 0)), 0, tight=False),
         Condition("C- <= rho G-", ((0, 1), (1, 0)), 1, tight=True))
     names = ("G+", "G-")
+    # the slow root and scale of the tail closure at (s, rho) (see
+    # _pair_sweep), and the tail rate where the closure's mass underflows
+    closure = staticmethod(lambda s, rho: (2.0 * s, 0.5 / (s * rho)))
+    conjugate_rate = staticmethod(conjugate_rate_linear)
 
     @property
     def components(self) -> tuple[GridFunction, ...]:
@@ -108,11 +112,14 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
     along the pair equation and 0 on the minimal profile, and
     rho (e^s - 1) = (e^{2s} - 1)/(2s) reduces Q_{2s}(x_min) = 0 to S (Q_0
     splits it: M+ = integral_0^1 (e^{2s(1-u)} - 1) C+ du / (2 rho + 1)).
+    By parts, S = integral_0^1 (e^{2s(1-u)} - 1) G+(x_min + u) du
+    / (2 s rho), one dot product with the weights of
+    :func:`bidding._closure`.
     Each half-update preserves order (every quadrature and closure weight
-    is non-negative), so sweeps from zero still rise
-    to the same minimal fixed point as plain (Jacobi) applications of F,
-    and for this nonnegative splitting they contract no slower than Jacobi
-    sweeps (Stein-Rosenberg).  The minus update needs A+, the integral of
+    is non-negative), so sweeps from zero still rise to the same minimal
+    fixed point as plain (Jacobi) applications of F, and for this
+    nonnegative splitting they contract no slower than Jacobi sweeps
+    (Stein-Rosenberg).  The minus update needs A+, the integral of
     the new G+; it stays in a buffer of the step's own and serves the next
     sweep's plus update, so a sweep costs two quadratures, as a Jacobi
     sweep does.  A+ is recomputed only when ``x`` is not the pair the step
@@ -123,7 +130,7 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
     cums = (A_plus, A_minus)
-    closure = _closure_weights(2.0 * s, 1.0 / rho, grid)
+    closure = _closure(ExcursionProfile, s, rho, grid) / rho
     n = closure.size  # the nodes of the window's first unit
     wrote = None  # the plus array whose integral A_plus holds
 
@@ -133,12 +140,12 @@ def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
         if plus is not wrote:
             cumulative_integral(plus, h, out=A_plus)
         cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
-        _at_nodes(plus_row, cums, psi_cum, float(closure @ A_plus[:n]), grid,
+        _at_nodes(plus_row, cums, psi_cum, float(closure @ plus[:n]), grid,
                   new_plus)
         cumulative_integral(new_plus, h, out=A_plus)
         wrote = new_plus
-        _at_nodes(minus_row, cums, psi_cum, float(closure @ A_plus[:n]), grid,
-                  new_minus)
+        _at_nodes(minus_row, cums, psi_cum, float(closure @ new_plus[:n]),
+                  grid, new_minus)
         return out
 
     return step
@@ -179,14 +186,8 @@ def _excursion_profile(s: float, grid: GridSpec,
             _pair_sweep(plus_right, exc.rho, grid, s, minus_kinks),
             (np.zeros(grid.m + 1),) * 2, max_iter)
     left_plus, left_minus = left
-    if endpoint:
-        tail_rate = 2.0 * s
-    else:  # one rate for both tails, holding the closure's S between them
-        cum = cumulative_integral(left_plus, grid.h)
-        closure = _closure_weights(2.0 * s, 1.0 / exc.rho, grid)
-        tail_rate = _tail_rate(left_plus[0] + left_minus[0],
-                               closure @ cum[:closure.size],
-                               lambda: conjugate_rate_linear(s))
+    tail_rate = (2.0 * s if endpoint
+                 else _tail_rate(ExcursionProfile, s, exc.rho, left, grid))
     # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
     # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
     minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (

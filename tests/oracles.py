@@ -29,10 +29,11 @@ tests use them to check the library from outside its own code path.
   profile.
 
 They import the library's private helpers (``_sweep``, ``_at_nodes``,
-``_closure_weights``, ``_piece_cumints``, ``_delayed_integral``,
-``_bidding_profile`` and ``_rising_pieces``) so that each reference computes exactly what it did
-inside the library; ``apply_F_pair`` assembles its two Jacobi rows from
-``ExcursionProfile.conditions`` by ``_at_nodes``, as the sweeps do.
+``_closure``, ``_piece_cumints``, ``_delayed_integral``,
+``_bidding_profile`` and ``_rising_pieces``) so that each reference
+computes exactly what it did inside the library; ``apply_F_pair``
+assembles its two Jacobi rows from ``ExcursionProfile.conditions`` by
+``_at_nodes``, with the closure of ``_closure``, as the sweeps do.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
                                   s_star)
 from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
                                  TOL_REL, BiddingProfile, _at_nodes,
-                                 _bidding_profile, _closure_weights,
+                                 _bidding_profile, _closure,
                                  _delayed_integral, _piece_cumints,
                                  _rising_pieces, _sweep)
 from profile_lab.excursion import ExcursionProfile
@@ -98,7 +99,8 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
 
     Below the window both rows carry the closure's summed mass
     (1/rho) integral_0^1 e^{2s(1-u)} C+(x_min + u) du, C+ the integral of
-    the plus component from x_min.  The plus update integrates both
+    the plus component from x_min, as the weights of ``_closure`` read it
+    from the plus values.  The plus update integrates both
     components up to x; the minus update couples the plus component at x+1
     (capped at 0, with the closed-form psi integral beyond) with the minus
     component at x.  Order-preserving for the same reason as the scalar
@@ -109,8 +111,8 @@ def apply_F_pair(left_plus: np.ndarray, left_minus: np.ndarray,
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
     cums = (cumulative_integral(plus, h),
             cumulative_integral(minus, h, kinks=minus_kinks))
-    closure = _closure_weights(2.0 * s, 1.0 / rho, grid)
-    tail_mass = float(closure @ cums[0][:closure.size])
+    closure = _closure(ExcursionProfile, s, rho, grid) / rho
+    tail_mass = float(closure @ plus[:closure.size])
     psi_cum = _piece_cumints(psi, grid) / rho
     return tuple(_at_nodes(row, cums, psi_cum, tail_mass, grid,
                            np.empty(grid.m + 1))

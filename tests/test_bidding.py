@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
                                   bidding_tradeoff, conjugate_rate_bidding,
                                   conjugate_rate_linear, s_star, solve_sK)
 from profile_lab.bidding import build_profile, expected_cost, tighten, verify
-from profile_lab.excursion import build_excursion_profile, verify_excursion
+from profile_lab.excursion import (ExcursionProfile, build_excursion_profile,
+                                   verify_excursion)
 from profile_lab.grids import (GridFunction, Piece, cumulative_integral,
                                make_grid)
 
@@ -346,18 +348,31 @@ class TestVerify:
                 f"A(x+1) <= rho G at x = -3") in rep.failures
 
     def test_raised_left_part_fails_consistency_only(self, bidding_profiles):
-        # the left part raised by 1e-3 relative stays as robust as the built
-        # profile (every residual but those on (-1, 0], which the fixed
-        # right part lowers, scales with it; the worst, about 1.1e-5, lies
-        # on the tail) but its C(0) exceeds chi by about 2.97e-4
+        # the left part raised by 1e-3 relative stays robust at the nodes
+        # and on (0, 10] (worst relative residual about 5.2e-10); on the
+        # tail both sides of the row scale with it, so it is as robust as
+        # the built profile there; but its C(0) exceeds chi by about 2.97e-4
         p = bidding_profiles[0.5]
-        rep = verify(dataclasses.replace(p, g=dataclasses.replace(
-            p.g, left_values=p.g.left_values * (1.0 + 1e-3))))
+        raised = dataclasses.replace(p, g=dataclasses.replace(
+            p.g, left_values=p.g.left_values * (1.0 + 1e-3)))
+        rep = verify(raised)
         assert rep.consistency_gap == pytest.approx(2.97e-4, rel=1e-2)
-        assert (rep.max_relative_residual
-                <= (1.0 + 1e-3) * verify(p).max_relative_residual)
         assert rep.failures == (
             f"consistency: C(0) exceeds chi by {rep.consistency_gap:.3e}",)
+        (cond,) = p.conditions
+
+        def worst(q, xs):
+            # verify's relative residual at xs, or at the nodes for None
+            c = bd._delayed_integral(q, cond, xs)
+            gx = q.g.left_values if xs is None else q.g.value(xs)
+            return float(np.max((c - q.rho * gx) / (
+                q.rho * np.maximum(gx, 0.0) + bd.ATOL_FLOOR / bd.TOL_REL)))
+
+        g = p.g
+        assert worst(raised, None) < 1e-8
+        assert worst(raised, np.geomspace(max(g.h, 1e-4), 10.0, 400)) < 1e-8
+        tail = np.linspace(g.x_min - 3.0, g.x_min, 100, endpoint=False)
+        assert worst(raised, tail) <= (1.0 + 1e-3) * worst(p, tail)
 
     def test_each_component_is_the_right_of_one_condition(
             self, bidding_profiles, excursion_profiles):
@@ -381,15 +396,25 @@ class TestTailClosure:
     """The mass below x_min from the closure over the window's first unit,
     the one exponential that carries it, and verify's check of that tail."""
 
-    def test_weights_are_the_corrected_trapezoid(self):
+    @pytest.mark.parametrize("kind", [bd.BiddingProfile, ExcursionProfile])
+    def test_weights_are_the_corrected_trapezoid(self, kind):
+        # w . G is the corrected trapezoid of scale (e^{root(1-u)} - 1) G
+        # over the first unit and, by parts, of
+        # scale root e^{root(1-u)} C, C the integral of G from x_min
         grid = make_grid(-6.0, bd.DEFAULT_H)
+        s, rho = 0.7, 3.1
+        root, scale = kind.closure(s, rho)
         u = np.arange(grid.steps_per_unit + 1) * grid.h
-        C = np.expm1(2.0 * u) + u * u
-        w = bd._closure_weights(0.7, 1.3, grid)
-        want = 1.3 * cumulative_integral(np.exp(0.7 * (1.0 - u)) * C,
-                                         grid.h)[-1]
-        assert np.all(w > 0.0)
-        assert float(w @ C) == pytest.approx(want, rel=1e-14)
+        G = np.exp(2.0 * u) + u * u
+        w = bd._closure(kind, s, rho, grid)
+        assert np.all(w[:-1] > 0.0) and w[-1] == 0.0
+        trapezoid = cumulative_integral(scale * np.expm1(root * (1.0 - u))
+                                        * G, grid.h)[-1]
+        assert float(w @ G) == pytest.approx(trapezoid, rel=1e-14)
+        C = cumulative_integral(G, grid.h)
+        by_parts = cumulative_integral(scale * root * np.exp(root * (1.0 - u))
+                                       * C, grid.h)[-1]
+        assert float(w @ G) == pytest.approx(by_parts, rel=1e-10)
 
     @pytest.mark.parametrize("build, s", [
         *[(build_profile, s) for s in (0.5, 0.8, 0.95)],
@@ -399,15 +424,25 @@ class TestTailClosure:
         # [x0, x0 + 1] gives the mass that build holds below x0
         p = build(s, x_min=-10.0)
         g, grid = p.components[0], p.components[0].grid
-        if build is build_profile:
-            w = bd._closure_weights(s, s, grid)
-        else:
-            w = bd._closure_weights(2.0 * s, 1.0 / p.rho, grid)
+        w = bd._closure(type(p), s, p.rho, grid)
         for x0 in (-6.0, -4.0):
             i = grid.m - round(-x0 * grid.steps_per_unit)
-            C = g._cum[i:i + w.size] - g._cum[i]
             below = sum(c.integral_to(x0) for c in p.components)
-            assert float(w @ C) == pytest.approx(below, rel=1e-8)
+            assert float(w @ g.left_values[i:i + w.size]) == pytest.approx(
+                below, rel=1e-8)
+
+    @pytest.mark.parametrize("build, s", [(build_profile, 0.5),
+                                          (build_excursion_profile, 1.1)])
+    def test_the_tail_rate_is_the_correctly_rounded_closure(self, build, s):
+        # the stored rate divides by the correctly rounded sum of the
+        # closure's products, which no reduction order (a BLAS kernel, a
+        # pairwise sum) changes, so a saved file reloads on any machine
+        p = build(s)
+        g = p.components[0]
+        w = bd._closure(type(p), s, p.rho, g.grid)
+        terms = (w * g.left_values[:w.size]).tolist()
+        exact = float(sum(map(Fraction, terms)))
+        assert g.tail_rate == sum(c.tail_coeff for c in p.components) / exact
 
     @pytest.mark.parametrize("build, s", [
         *[(build_profile, s) for s in (0.3, 0.5, 0.8, 0.95, 0.05, 0.1, 0.99)],
@@ -472,6 +507,22 @@ class TestTailClosure:
 
 
 class TestTighten:
+    def test_the_returned_tail_is_derived(self, bidding_profiles):
+        # tighten derives the tail rate from its left part as a build does,
+        # whatever rate g carried, so verify's node rows read the mass that
+        # its sweeps closed with
+        p = bidding_profiles[0.5]
+        g2 = tighten(dataclasses.replace(p.g, tail_rate=2.0 * p.g.tail_rate),
+                     p.rho)
+        assert g2.tail_rate == pytest.approx(p.g.tail_rate, rel=1e-9)
+        assert verify(dataclasses.replace(p, g=g2)).tightness_residual < 1e-10
+
+    def test_rho_below_e_is_refused(self, bidding_profiles):
+        # e^s = rho s has no real root below rho = e, the least rho a
+        # bidding profile has
+        with pytest.raises(DomainError, match="rho >= e"):
+            tighten(bidding_profiles[0.5].g, 2.7)
+
     def test_optimal_profile_is_already_tight(self, bidding_profiles):
         p = bidding_profiles[0.5]
         g2 = tighten(p.g, p.rho)
