@@ -18,6 +18,9 @@ Linear search (s in (0, s_*], s_* = 1 + W0(1/e)), excursion-profile level:
     with K = K(s) from :func:`solve_K`.  A strategy driven by such a profile
     achieves the pair (1 + 2 rho, 1 + 2 chi).
 
+Each rho grows as 1/s; where it overflows, below about 5.6e-309 (1.1e-308
+for the linear-search strategy's 1 + 2 rho), the formulas raise DomainError.
+
 Every root is bracketed from its domain and bisected by :func:`bisect` to
 neighbouring doubles, by the same search that ``GridFunction.tau`` runs; no
 solver has a tolerance or an iteration cap.
@@ -81,6 +84,14 @@ class LowerBoundPoint:
     chi_ls: float
     rho_ls: float
     rho_ls_raw: float
+
+
+def _finite_rho(rho: float, what: str, s: float) -> float:
+    """``rho`` of the formula named ``what`` at ``s``; DomainError where it
+    overflows, about 1/s at s below about 5.6e-309."""
+    if math.isinf(rho):
+        raise DomainError(f"{what}: rho overflows at {s!r}")
+    return rho
 
 
 def _level_search(f, target: float, lo: float, hi: float) -> float:
@@ -163,7 +174,7 @@ def bidding_tradeoff(s: float) -> TradeoffPoint:
     """Optimal (rho, chi) pair for online bidding at trade-off parameter s."""
     if not (0.0 < s <= 1.0):
         raise DomainError(f"bidding trade-off requires s in (0, 1], got {s}")
-    rho = math.exp(s) / s
+    rho = _finite_rho(math.exp(s) / s, "bidding trade-off", s)
     if s < LN2:
         chi = math.expm1(s) / s  # e^s - 1 would cancel as s -> 0
     else:
@@ -258,7 +269,9 @@ def linear_tradeoff(s: float) -> tuple[TradeoffPoint, TradeoffPoint]:
         chi = (es * es + 1.0 + (1.0 + K) * math.log(K) - 2.0 * K - 2.0 * s) \
             / (2.0 * s * (1.0 + es))
     excursion = TradeoffPoint(s=s, rho=rho, chi=chi)
-    strategy = TradeoffPoint(s=s, rho=1.0 + 2.0 * rho, chi=1.0 + 2.0 * chi)
+    strategy = TradeoffPoint(
+        s=s, rho=_finite_rho(1.0 + 2.0 * rho, "linear trade-off", s),
+        chi=1.0 + 2.0 * chi)
     return excursion, strategy
 
 
@@ -274,7 +287,8 @@ def linear_lower_bound(t: float) -> LowerBoundPoint:
         raise DomainError(f"linear lower bound requires t in (0, 1], got {t}")
     q = -t ** 3 + 3.0 * t + 4.0
     chi_ls = 1.0 + 2.0 * t * (t + 2.0) ** 2 / q
-    rho_raw = 1.0 + 4.0 * (t * t + t + 1.0) / (t * q)
+    rho_raw = _finite_rho(1.0 + 4.0 * (t * t + t + 1.0) / (t * q),
+                          "linear lower bound", t)
     return LowerBoundPoint(t=t, chi_ls=chi_ls,
                            rho_ls=max(rho_ls_star(), rho_raw),
                            rho_ls_raw=rho_raw)
@@ -307,9 +321,7 @@ def conjugate_rate_linear(s: float) -> float:
     below about 5.6e-309, where rho itself overflows, it raises DomainError.
     """
     s = _linear_s(s, "conjugate rate")
-    rho = (1.0 + math.exp(s)) / (2.0 * s)
-    if math.isinf(rho):
-        raise DomainError(f"conjugate rate: rho overflows at s={s!r}")
+    rho = _finite_rho((1.0 + math.exp(s)) / (2.0 * s), "conjugate rate", s)
 
     def f(lam: float) -> float:
         if 0.5 * lam > 709.0:  # e^{lam/2} overflows: ln(rho lam - 1) vs lam/2

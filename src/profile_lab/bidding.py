@@ -85,6 +85,54 @@ class Condition:
                              f"the first term shifted, got {self.terms}")
 
 
+def _closed_form(s: float):
+    """What s fixes of the bidding profile (see :func:`_profile`): at s = 1,
+    where the delayed equation is doubly resonant, the left part is e^x."""
+    point = bidding_tradeoff(s)
+    return (point.rho, point.chi, (), (_rising_pieces(s * point.chi, s),),
+            (1.0,) if s == 1.0 else None)
+
+
+def _sweep(rights: tuple[tuple[Piece, ...]], rho: float, grid: GridSpec,
+           s: float, kinks: tuple[tuple[int, ...]]):
+    """The bidding operator as the ``step(x, out)`` of
+    :func:`_iterate_to_fixed_point`, with the quadrature in a buffer of its
+    own.
+
+    Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H, the row of
+    ``BiddingProfile.conditions`` by :func:`_at_nodes`, at every grid node
+    x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
+    (endpoint-corrected trapezoid between nodes) and the right part
+    ``rights[0]`` on (0, 1] (closed form; its pieces from 1 on are not
+    read).  ``kinks[0]`` marks nodes where H has a derivative jump (x = -1
+    when the right part jumps at 0).
+
+    The mass M below x_min is the exact closure, from C, the integral from
+    x_min: M = s integral_0^1 e^{s(1-u)} C(x_min + u) du.  With
+    e^s = rho s, Q(x) = e^{-sx} (A(x) - s integral_0^1 e^{-su} A(x+u) du)
+    has Q' = 0 along rho A' = A(x+1) and vanishes on every mode but e^{sx},
+    which the minimal profile does not carry; Q(x_min) = 0 with
+    A = M + C is the closure.  By parts, M = integral_0^1 (e^{s(1-u)} - 1)
+    G(x_min + u) du, one dot product with the weights of :func:`_closure`.
+    F preserves order: every quadrature weight and every closure weight is
+    non-negative.
+    """
+    (row,), (phi,), (kinks,) = BiddingProfile.conditions, rights, kinks
+    phi_cum = _piece_cumints(phi, grid) / rho
+    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
+    cum = np.empty(grid.m + 1)
+    closure = _closure(BiddingProfile, s, rho, grid) / rho
+    n = closure.size  # the nodes of the window's first unit
+
+    def step(x, out):
+        (left,), (new,) = x, out
+        cumulative_integral(left, h, kinks=kinks, out=cum)
+        _at_nodes(row, (cum,), phi_cum, float(closure @ left[:n]), grid, new)
+        return out
+
+    return step
+
+
 @dataclass
 class BiddingProfile:
     """An (s, rho, chi) bidding profile on a uniform grid.
@@ -109,6 +157,10 @@ class BiddingProfile:
     # _closure), and the tail rate where the closure's mass underflows
     closure = staticmethod(lambda s, rho: (s, 1.0))
     conjugate_rate = staticmethod(conjugate_rate_bidding)
+    # what s fixes of the profile, and the sweep that builds its left part
+    # (see _profile)
+    closed_form = staticmethod(_closed_form)
+    sweep = staticmethod(_sweep)
 
     @property
     def components(self) -> tuple[GridFunction, ...]:
@@ -117,11 +169,13 @@ class BiddingProfile:
 
 @dataclass
 class VerificationReport:
-    """Residuals of the profile conditions on the grid and a log grid.
+    """Residuals of the profile conditions at the grid nodes, at 100 points
+    of the tail in [x_min - 3, x_min) and at 400 log-spaced points in
+    (0, 10] (see :func:`verify`).
 
-    ``max_robustness_residual`` is the largest positive part of
-    C(x) - rho G(x) over every condition; ``max_relative_residual`` is the
-    same normalized by rho G(x).  ``tightness_residual`` is the largest
+    ``max_robustness_residual`` is the largest C(x) - rho G(x) over every
+    condition and point; ``max_relative_residual`` is the same normalized
+    by rho G(x).  ``tightness_residual`` is the largest
     absolute residual over x <= 0, where a tight profile satisfies equality.
     """
 
@@ -221,46 +275,6 @@ def _tail_rate(kind, s: float, rho: float, lefts, grid: GridSpec) -> float:
     mass = math.fsum((w * np.asarray(lefts[0])[:w.size]).tolist())
     rate = sum(float(v[0]) for v in lefts) / mass if mass > 0.0 else 0.0
     return rate if 0.0 < rate < math.inf else kind.conjugate_rate(s)
-
-
-def _sweep(phi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
-           kinks: tuple[int, ...]):
-    """The bidding operator as the ``step(x, out)`` of
-    :func:`_iterate_to_fixed_point`, with the quadrature in a buffer of its
-    own.
-
-    Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H, the row of
-    ``BiddingProfile.conditions`` by :func:`_at_nodes`, at every grid node
-    x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
-    (endpoint-corrected trapezoid between nodes) and the right part ``phi``
-    on (0, 1] (closed form; its pieces from 1 on are not read).  ``kinks``
-    marks nodes where H has a derivative jump (x = -1 when the right part
-    jumps at 0).
-
-    The mass M below x_min is the exact closure, from C, the integral from
-    x_min: M = s integral_0^1 e^{s(1-u)} C(x_min + u) du.  With
-    e^s = rho s, Q(x) = e^{-sx} (A(x) - s integral_0^1 e^{-su} A(x+u) du)
-    has Q' = 0 along rho A' = A(x+1) and vanishes on every mode but e^{sx},
-    which the minimal profile does not carry; Q(x_min) = 0 with
-    A = M + C is the closure.  By parts, M = integral_0^1 (e^{s(1-u)} - 1)
-    G(x_min + u) du, one dot product with the weights of :func:`_closure`.
-    F preserves order: every quadrature weight and every closure weight is
-    non-negative.
-    """
-    (row,) = BiddingProfile.conditions
-    phi_cum = _piece_cumints(phi, grid) / rho
-    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    cum = np.empty(grid.m + 1)
-    closure = _closure(BiddingProfile, s, rho, grid) / rho
-    n = closure.size  # the nodes of the window's first unit
-
-    def step(x, out):
-        (left,), (new,) = x, out
-        cumulative_integral(left, h, kinks=kinks, out=cum)
-        _at_nodes(row, (cum,), phi_cum, float(closure @ left[:n]), grid, new)
-        return out
-
-    return step
 
 
 def _stable_ratio(deltas: deque[float]) -> float | None:
@@ -367,38 +381,47 @@ def _iterate_to_fixed_point(step: Callable[..., object],
         f"{max_iter} sweeps (last sup-norm delta {delta:.3e})")
 
 
-def _bidding_profile(s: float, grid: GridSpec, left: np.ndarray | None,
-                     max_iter: int = DEFAULT_MAX_ITER) -> BiddingProfile:
-    """The bidding profile at ``s`` with left part ``left`` on ``grid``, the
-    one place where s fixes rho, chi, the right part, kinks and slope
-    breaks, and s and ``left`` fix the tail rate.
+def _profile(kind, s: float, grid: GridSpec, lefts,
+             max_iter: int = DEFAULT_MAX_ITER):
+    """The one constructor of both problems: the profile of type ``kind`` at
+    ``s`` on ``grid`` with left parts ``lefts``, one array per component,
+    or None to sweep from zero with ``kind.sweep`` to ``SWEEP_TOL`` (at
+    most ``max_iter`` sweeps).
 
-    ``left`` is the grid values, or None to sweep from zero to
-    ``SWEEP_TOL`` (at most ``max_iter`` sweeps).  At s = 1, where the
-    delayed equation is doubly resonant, the exact e^x (no kink or break,
-    rate 1) replaces the sweeps.
+    ``kind.closed_form(s)`` gives rho, chi, the fields after chi, each
+    component's right part and, at the doubly resonant endpoint, the
+    coefficients c_k of the exact left parts c_k e^{root x}, root the slow
+    root of ``kind.closure``, which is also the tail rate there.  Elsewhere
+    the right component of every row with a unit-shifted term kinks at
+    x = -1, every component breaks at the :func:`_unit_breaks`, and the
+    tail rate is :func:`_tail_rate`'s.
     """
-    point = bidding_tradeoff(s)
-    right = _rising_pieces(s * point.chi, s)
+    rho, chi, fields, rights, exact = kind.closed_form(s)
+    width = len(rights)
     iterations, final_delta = 0, math.nan
-    if s == 1.0:
-        kinks, breaks = (), ()
-        if left is None:
-            left, final_delta = np.exp(grid.positions), 0.0
-    else:  # the right part jumps at 0, so G kinks at x = -1
-        kinks = (grid.m - grid.steps_per_unit,)
-        breaks = _unit_breaks(grid)  # and G'' jumps at x = -2
-    if left is None:
-        (left,), iterations, final_delta = _iterate_to_fixed_point(
-            _sweep(right, point.rho, grid, s, kinks),
-            (np.zeros(grid.m + 1),), max_iter)
-    tail_rate = (1.0 if s == 1.0
-                 else _tail_rate(BiddingProfile, s, point.rho, (left,), grid))
-    g = GridFunction(grid=grid, left_values=left, right_pieces=right,
-                     tail_rate=tail_rate, kink_nodes=kinks,
-                     slope_breaks=breaks)
-    return BiddingProfile(s=s, rho=point.rho, chi=point.chi, g=g,
-                          iterations=iterations, final_delta=final_delta)
+    if exact is not None:
+        root, _ = kind.closure(s, rho)
+        kinks, breaks = ((),) * width, ()
+        if lefts is None:
+            e = np.exp(root * grid.positions)
+            lefts, final_delta = tuple(c * e for c in exact), 0.0
+    else:  # a row integrating to x + 1 meets the jump at 0 at x = -1
+        kinked = {c.right for c in kind.conditions if c.terms[0][1]}
+        kinks = tuple((grid.m - grid.steps_per_unit,) if k in kinked else ()
+                      for k in range(width))
+        breaks = _unit_breaks(grid)  # G'' at -2, G+'' at -1, G-''' at -2
+    if lefts is None:
+        lefts, iterations, final_delta = _iterate_to_fixed_point(
+            kind.sweep(rights, rho, grid, s, kinks),
+            (np.zeros(grid.m + 1),) * width, max_iter)
+    # one rate for every component: for the pair, separate rates would let
+    # C-'s deep-tail residual grow without bound
+    rate = (root if exact is not None
+            else _tail_rate(kind, s, rho, lefts, grid))
+    gs = [GridFunction(grid=grid, left_values=left, right_pieces=right,
+                       tail_rate=rate, kink_nodes=k, slope_breaks=breaks)
+          for left, right, k in zip(lefts, rights, kinks)]
+    return kind(s, rho, chi, *fields, *gs, iterations, final_delta)
 
 
 def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
@@ -413,7 +436,7 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     The stored tail is one exponential from G(x_min) holding that mass, at
     the rate G(x_min)/M; where both underflow, at the conjugate rate.
     """
-    return _bidding_profile(s, make_grid(x_min, h), None, max_iter)
+    return _profile(BiddingProfile, s, make_grid(x_min, h), None, max_iter)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -557,7 +580,7 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
         raise DomainError(f"tighten needs rho >= e, got rho={rho!r}")
     s = -lambert_w0(-1.0 / rho)
     (left,), _, _ = _iterate_to_fixed_point(
-        _sweep(g.right_pieces, rho, g.grid, s, g.kink_nodes),
+        _sweep((g.right_pieces,), rho, g.grid, s, (g.kink_nodes,)),
         (g.left_values,), DEFAULT_MAX_ITER)
     return replace(g, left_values=left,
                    tail_rate=_tail_rate(BiddingProfile, s, rho, (left,),

@@ -43,9 +43,8 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, Condition,
-                      _at_nodes, _closure, _delayed_integral,
-                      _iterate_to_fixed_point, _piece_cumints, _rising_pieces,
-                      _tail_rate, _unit_breaks)
+                      _at_nodes, _closure, _delayed_integral, _piece_cumints,
+                      _profile, _rising_pieces)
 from .bidding import verify as verify_excursion
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
@@ -57,6 +56,81 @@ __all__ = [
     "verify_excursion",
     "strategy_cost_linear",
 ]
+
+
+def _pair_closed_form(s: float):
+    """What s fixes of the excursion profile (see :func:`bidding._profile`):
+    at s = s_* (K reaches e^{2s}), where the pair equation is doubly
+    resonant, the left parts are G+ = e^{2s x} and G- = e^s G+."""
+    exc, _ = linear_tradeoff(s)
+    K = solve_K(s)
+    M = max(1.0, K)
+    # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
+    # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
+    minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (
+        (((K - M) * math.exp(-s), 1.0 / exc.rho, 0.0),) if K != M else ())
+    rights = (_rising_pieces(K, 2.0 * s),
+              (Piece(lo=0.0, hi=math.inf, terms=minus_terms),))
+    endpoint = K >= math.exp(2.0 * s) * (1.0 - 1e-12)
+    return (exc.rho, exc.chi, (K, M), rights,
+            (1.0, math.exp(s)) if endpoint else None)
+
+
+def _pair_sweep(rights: tuple[tuple[Piece, ...], ...], rho: float,
+                grid: GridSpec, s: float, kinks: tuple[tuple[int, ...], ...]):
+    """One block Gauss-Seidel sweep of the pair operator as the
+    ``step(x, out)`` of the fixed-point iteration.
+
+    The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
+    G- = (F (new G+, G-))- into ``out[1]``, each the C/rho of its row of
+    ``ExcursionProfile.conditions`` by :func:`bidding._at_nodes`: the minus
+    update already reads the new plus component.  Both rows add the same
+    mass below x_min, S = M+ + M-, and it is the exact closure from C+, the
+    integral of G+ from x_min: S = (1/rho) integral_0^1 e^{2s(1-u)}
+    C+(x_min + u) du.  The pair's slow modes are lam = 0 and 2s, roots of
+    (rho lam - 1)^2 = e^lam; for each, Q(x) = e^{-lam x} (rho (rho lam - 1)
+    A+(x) + rho A-(x) - integral_0^1 e^{lam(1-u)} A+(x+u) du) is constant
+    along the pair equation and 0 on the minimal profile, and
+    rho (e^s - 1) = (e^{2s} - 1)/(2s) reduces Q_{2s}(x_min) = 0 to S (Q_0
+    splits it: M+ = integral_0^1 (e^{2s(1-u)} - 1) C+ du / (2 rho + 1)).
+    By parts, S = integral_0^1 (e^{2s(1-u)} - 1) G+(x_min + u) du
+    / (2 s rho), one dot product with the weights of
+    :func:`bidding._closure`.
+    Each half-update preserves order (every quadrature and closure weight
+    is non-negative), so sweeps from zero still rise to the same minimal
+    fixed point as plain (Jacobi) applications of F, and for this
+    nonnegative splitting they contract no slower than Jacobi sweeps
+    (Stein-Rosenberg).  The minus update needs A+, the integral of
+    the new G+; it stays in a buffer of the step's own and serves the next
+    sweep's plus update, so a sweep costs two quadratures, as a Jacobi
+    sweep does.  A+ is recomputed only when ``x`` is not the pair the step
+    wrote last: on the first sweep and after an extrapolation jump.
+    """
+    plus_row, minus_row = ExcursionProfile.conditions
+    plus_kinks, minus_kinks = kinks
+    psi_cum = _piece_cumints(rights[0], grid) / rho
+    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
+    A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
+    cums = (A_plus, A_minus)
+    closure = _closure(ExcursionProfile, s, rho, grid) / rho
+    n = closure.size  # the nodes of the window's first unit
+    wrote = None  # the plus array whose integral A_plus holds
+
+    def step(x, out):
+        nonlocal wrote
+        (plus, minus), (new_plus, new_minus) = x, out
+        if plus is not wrote:
+            cumulative_integral(plus, h, kinks=plus_kinks, out=A_plus)
+        cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
+        _at_nodes(plus_row, cums, psi_cum, float(closure @ plus[:n]), grid,
+                  new_plus)
+        cumulative_integral(new_plus, h, kinks=plus_kinks, out=A_plus)
+        wrote = new_plus
+        _at_nodes(minus_row, cums, psi_cum, float(closure @ new_plus[:n]),
+                  grid, new_minus)
+        return out
+
+    return step
 
 
 @dataclass
@@ -89,120 +163,14 @@ class ExcursionProfile:
     # _pair_sweep), and the tail rate where the closure's mass underflows
     closure = staticmethod(lambda s, rho: (2.0 * s, 0.5 / (s * rho)))
     conjugate_rate = staticmethod(conjugate_rate_linear)
+    # what s fixes of the profile, and the sweep that builds its left parts
+    # (see bidding._profile)
+    closed_form = staticmethod(_pair_closed_form)
+    sweep = staticmethod(_pair_sweep)
 
     @property
     def components(self) -> tuple[GridFunction, ...]:
         return (self.g_plus, self.g_minus)
-
-
-def _pair_sweep(psi: tuple[Piece, ...], rho: float, grid: GridSpec, s: float,
-                minus_kinks: tuple[int, ...]):
-    """One block Gauss-Seidel sweep of the pair operator as the
-    ``step(x, out)`` of the fixed-point iteration.
-
-    The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
-    G- = (F (new G+, G-))- into ``out[1]``, each the C/rho of its row of
-    ``ExcursionProfile.conditions`` by :func:`bidding._at_nodes`: the minus
-    update already reads the new plus component.  Both rows add the same
-    mass below x_min, S = M+ + M-, and it is the exact closure from C+, the
-    integral of G+ from x_min: S = (1/rho) integral_0^1 e^{2s(1-u)}
-    C+(x_min + u) du.  The pair's slow modes are lam = 0 and 2s, roots of
-    (rho lam - 1)^2 = e^lam; for each, Q(x) = e^{-lam x} (rho (rho lam - 1)
-    A+(x) + rho A-(x) - integral_0^1 e^{lam(1-u)} A+(x+u) du) is constant
-    along the pair equation and 0 on the minimal profile, and
-    rho (e^s - 1) = (e^{2s} - 1)/(2s) reduces Q_{2s}(x_min) = 0 to S (Q_0
-    splits it: M+ = integral_0^1 (e^{2s(1-u)} - 1) C+ du / (2 rho + 1)).
-    By parts, S = integral_0^1 (e^{2s(1-u)} - 1) G+(x_min + u) du
-    / (2 s rho), one dot product with the weights of
-    :func:`bidding._closure`.
-    Each half-update preserves order (every quadrature and closure weight
-    is non-negative), so sweeps from zero still rise to the same minimal
-    fixed point as plain (Jacobi) applications of F, and for this
-    nonnegative splitting they contract no slower than Jacobi sweeps
-    (Stein-Rosenberg).  The minus update needs A+, the integral of
-    the new G+; it stays in a buffer of the step's own and serves the next
-    sweep's plus update, so a sweep costs two quadratures, as a Jacobi
-    sweep does.  A+ is recomputed only when ``x`` is not the pair the step
-    wrote last: on the first sweep and after an extrapolation jump.
-    """
-    plus_row, minus_row = ExcursionProfile.conditions
-    psi_cum = _piece_cumints(psi, grid) / rho
-    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
-    cums = (A_plus, A_minus)
-    closure = _closure(ExcursionProfile, s, rho, grid) / rho
-    n = closure.size  # the nodes of the window's first unit
-    wrote = None  # the plus array whose integral A_plus holds
-
-    def step(x, out):
-        nonlocal wrote
-        (plus, minus), (new_plus, new_minus) = x, out
-        if plus is not wrote:
-            cumulative_integral(plus, h, out=A_plus)
-        cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
-        _at_nodes(plus_row, cums, psi_cum, float(closure @ plus[:n]), grid,
-                  new_plus)
-        cumulative_integral(new_plus, h, out=A_plus)
-        wrote = new_plus
-        _at_nodes(minus_row, cums, psi_cum, float(closure @ new_plus[:n]),
-                  grid, new_minus)
-        return out
-
-    return step
-
-
-def _excursion_profile(s: float, grid: GridSpec,
-                       left: tuple[np.ndarray, np.ndarray] | None,
-                       max_iter: int = DEFAULT_MAX_ITER) -> ExcursionProfile:
-    """The excursion profile at ``s`` with left parts ``left`` on ``grid``,
-    the one place where s fixes rho, chi, K, M, right parts, kinks and slope
-    breaks, and s and ``left`` fix the tail rate: one rate for both tails,
-    (G+ + G-)(x_min)/S with S the closure's mass (see :func:`_pair_sweep`),
-    since separate rates would let C-'s deep-tail residual grow without
-    bound; where both underflow, the conjugate rate.
-
-    ``left`` is the pair ``(left_plus, left_minus)``, or None to sweep from
-    zero to ``bidding.SWEEP_TOL`` (at most ``max_iter`` sweeps).  At
-    s = s_* (K reaches e^{2s}), where the pair equation is doubly resonant,
-    the exact pair G+ = e^{2s x}, G- = e^s G+ replaces the sweeps.
-    """
-    exc, _ = linear_tradeoff(s)
-    K = solve_K(s)
-    M = max(1.0, K)
-    plus_right = _rising_pieces(K, 2.0 * s)
-    iterations, final_delta = 0, math.nan
-    endpoint = K >= math.exp(2.0 * s) * (1.0 - 1e-12)
-    if endpoint:
-        minus_kinks, breaks = (), ()
-        if left is None:
-            plus = np.exp(2.0 * s * grid.positions)
-            left, final_delta = (plus, math.exp(s) * plus), 0.0
-    else:
-        minus_kinks = (grid.m - grid.steps_per_unit,)  # G- kinks at x = -1
-        # so G+'' jumps at -1 and G-'s third derivative at -2
-        breaks = _unit_breaks(grid)
-    if left is None:
-        left, iterations, final_delta = _iterate_to_fixed_point(
-            _pair_sweep(plus_right, exc.rho, grid, s, minus_kinks),
-            (np.zeros(grid.m + 1),) * 2, max_iter)
-    left_plus, left_minus = left
-    tail_rate = (2.0 * s if endpoint
-                 else _tail_rate(ExcursionProfile, s, exc.rho, left, grid))
-    # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
-    # non-decreasing because 1/rho < 2s; G-(0+) = K e^{-s}
-    minus_terms = ((M * math.exp(-s), 2.0 * s, 0.0),) + (
-        (((K - M) * math.exp(-s), 1.0 / exc.rho, 0.0),) if K != M else ())
-    g_plus = GridFunction(grid=grid, left_values=left_plus,
-                          right_pieces=plus_right, tail_rate=tail_rate,
-                          slope_breaks=breaks)
-    g_minus = GridFunction(grid=grid, left_values=left_minus,
-                           right_pieces=(Piece(lo=0.0, hi=math.inf,
-                                               terms=minus_terms),),
-                           tail_rate=tail_rate, kink_nodes=minus_kinks,
-                           slope_breaks=breaks)
-    return ExcursionProfile(s=s, rho=exc.rho, chi=exc.chi, K=K, M=M,
-                            g_plus=g_plus, g_minus=g_minus,
-                            iterations=iterations, final_delta=final_delta)
 
 
 def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
@@ -216,7 +184,7 @@ def build_excursion_profile(s: float, x_min: float = DEFAULT_X_MIN,
     most ``bidding.SWEEP_TOL``.  At the endpoint s = s_* the profile is the
     exact exponential pair.
     """
-    return _excursion_profile(s, make_grid(x_min, h), None, max_iter)
+    return _profile(ExcursionProfile, s, make_grid(x_min, h), None, max_iter)
 
 
 # -- cumulative search costs ----------------------------------------------

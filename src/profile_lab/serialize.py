@@ -16,8 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .bidding import BiddingProfile, _bidding_profile
-from .excursion import ExcursionProfile, _excursion_profile
+from .bidding import BiddingProfile, _profile
+from .excursion import ExcursionProfile
 from .grids import GridFunction, GridSpec, Piece, make_grid
 
 __all__ = ["profile_to_dict", "profile_from_dict", "save_profile",
@@ -100,10 +100,11 @@ def profile_from_dict(d: dict[str, Any]) -> BiddingProfile | ExcursionProfile:
         raise ValueError("profile fields s, x_min and h must be finite reals")
     grid = make_grid(x_min, h)
     if problem == "bidding":
-        p = _bidding_profile(s, grid, _left_values(d, grid))
+        p = _profile(BiddingProfile, s, grid, (_left_values(d, grid),))
     else:
-        p = _excursion_profile(s, grid, (_left_values(d.get("g_plus"), grid),
-                                         _left_values(d.get("g_minus"), grid)))
+        p = _profile(ExcursionProfile, s, grid,
+                     (_left_values(d.get("g_plus"), grid),
+                      _left_values(d.get("g_minus"), grid)))
     # left values are the document's own; the rest must match in type and repr
     got, want = _leaves(d), _leaves(_to_dict(p, left=False))
     diff = next((k for k in (*want, *got) if got.get(k) != want.get(k)), None)
@@ -118,8 +119,10 @@ def _write_json(doc: Any, fh) -> None:
 
     ``json.dumps`` runs the C encoder, about twice as fast as the
     pure-Python one of ``json.dump``, but holds one string per number until
-    it joins them (5 MB for a linear-search profile), so objects are
-    written key by key and long lists in slices of 4096 items.
+    it joins them (0.84 MB for a whole linear-search profile at the default
+    grid, 3 751 nodes per component), so objects are written key by key,
+    which holds one component's values at a time, and lists longer than
+    4096 items, which only finer grids give, in slices of 4096.
     """
     if isinstance(doc, dict):
         fh.write("{")
@@ -143,5 +146,10 @@ def save_profile(p: BiddingProfile | ExcursionProfile, path: str) -> None:
 
 
 def load_profile(path: str) -> BiddingProfile | ExcursionProfile:
+    """The profile saved at ``path``; ``ValueError`` for a document that
+    :func:`profile_from_dict` rejects or that nests too deeply to read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
+        try:
+            return profile_from_dict(json.load(fh))
+        except RecursionError:  # a RuntimeError, which is no bad input
+            raise ValueError(f"{path} nests too deeply") from None

@@ -28,12 +28,15 @@ tests use them to check the library from outside its own code path.
   checks only the nodes; ``tools/outputs.py`` records it for every saved
   profile.
 
-They import the library's private helpers (``_sweep``, ``_at_nodes``,
-``_closure``, ``_piece_cumints``, ``_delayed_integral``,
-``_bidding_profile`` and ``_rising_pieces``) so that each reference
-computes exactly what it did inside the library; ``apply_F_pair``
-assembles its two Jacobi rows from ``ExcursionProfile.conditions`` by
-``_at_nodes``, with the closure of ``_closure``, as the sweeps do.
+They import the library's private helpers so that each reference computes
+exactly what it did inside the library: ``apply_F`` runs one step of
+``_sweep``; ``apply_F_pair`` assembles its two Jacobi rows from
+``ExcursionProfile.conditions`` by ``_at_nodes``, with the closure of
+``_closure`` and the right-part integrals of ``_piece_cumints``, as the
+sweeps do; ``build_profile_backward`` hands its left part to
+``_profile``, the library's one profile constructor, as a loaded file
+does; ``phi_pieces`` and its siblings cut ``_rising_pieces``; and
+``offnode_residual`` reads each condition by ``_delayed_integral``.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
                                   s_star)
 from profile_lab.bidding import (ATOL_FLOOR, DEFAULT_H, DEFAULT_X_MIN,
                                  TOL_REL, BiddingProfile, _at_nodes,
-                                 _bidding_profile, _closure,
-                                 _delayed_integral, _piece_cumints,
-                                 _rising_pieces, _sweep)
+                                 _closure, _delayed_integral,
+                                 _piece_cumints, _profile, _rising_pieces,
+                                 _sweep)
 from profile_lab.excursion import ExcursionProfile
 from profile_lab.grids import GridSpec, Piece, cumulative_integral, make_grid
 from profile_lab.reduction import StepProfile
@@ -86,7 +89,7 @@ def apply_F(left: np.ndarray, phi: tuple[Piece, ...], rho: float,
     The operator is order-preserving for every s > 0: all quadrature and
     closure weights are non-negative.
     """
-    (out,) = _sweep(phi, rho, grid, s, kinks)(
+    (out,) = _sweep((phi,), rho, grid, s, (kinks,))(
         (np.asarray(left, float),), (np.empty(grid.m + 1),))
     return out
 
@@ -160,7 +163,7 @@ def build_profile_backward(s: float, x_min: float = DEFAULT_X_MIN,
                 f"backward recursion produced a negative value at x={bad:.6f}; "
                 "the grid is too coarse or the window too deep for this s")
         lo = new_lo
-    return _bidding_profile(s, grid, val)
+    return _profile(BiddingProfile, s, grid, (val,))
 
 
 def weighted(piece: Piece, w: float) -> Piece:

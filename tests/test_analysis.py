@@ -301,6 +301,21 @@ class TestRates:
             conjugate_rate_linear(s)
 
 
+@pytest.mark.parametrize("curve, rho, last", [
+    (bidding_tradeoff, lambda pt: pt.rho, 5.6e-309),
+    (linear_tradeoff, lambda pts: pts[1].rho, 1.12e-308),
+    (linear_lower_bound, lambda pt: pt.rho_ls_raw, 5.6e-309),
+], ids=["bidding", "linear", "lower-bound"])
+def test_curves_where_rho_overflows(curve, rho, last):
+    # rho grows as 1/s (the lower bound's as 1/t, the linear-search
+    # strategy's 1 + 2 rho as 2/s): finite at ``last``, past the largest
+    # double below it
+    assert math.isfinite(rho(curve(last)))
+    for s in (0.99 * last, 5.5e-309, 1e-310, 5e-324):
+        with pytest.raises(DomainError, match="rho overflows"):
+            curve(s)
+
+
 class TestInversion:
     def test_linear_roundtrip(self):
         for s in (0.2, 0.7, 1.1):

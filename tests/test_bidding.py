@@ -485,8 +485,8 @@ class TestTailClosure:
 
     def test_sweeps_from_zero_rise_until_the_first_jump(self):
         p = build_profile(0.8)
-        step = bd._sweep(p.g.right_pieces, p.rho, p.g.grid, p.s,
-                         p.g.kink_nodes)
+        step = bd._sweep((p.g.right_pieces,), p.rho, p.g.grid, p.s,
+                         (p.g.kink_nodes,))
         rises, last, jumped = [], None, False
 
         def watched(x, out):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import profile_lab
 from profile_lab import excursion, simulate
 from profile_lab.analysis import ConvergenceError, rho_ls_star, s_star
-from profile_lab.bidding import DEFAULT_X_MIN, _bidding_profile
+from profile_lab.bidding import DEFAULT_X_MIN, BiddingProfile, _profile
 from profile_lab.cli import main
 from profile_lab.grids import make_grid
 from profile_lab.serialize import profile_to_dict
@@ -32,7 +36,8 @@ def scaled_bidding_file(path, factor):
     last bits."""
     doc = json.loads(open(path).read())
     left = [v * factor for v in doc["left_values"]]
-    p = _bidding_profile(doc["s"], make_grid(doc["x_min"], doc["h"]), left)
+    p = _profile(BiddingProfile, doc["s"], make_grid(doc["x_min"], doc["h"]),
+                 (left,))
     with open(path, "w") as fh:
         json.dump(profile_to_dict(p), fh)
 
@@ -79,6 +84,21 @@ class TestTradeoff:
         assert err.startswith("error: ")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("tradeoff", "--problem", "bidding", "--s", "1e-320"),
+        ("tradeoff", "--problem", "linsearch", "--s", "1e-320"),
+        ("tradeoff", "--problem", "linsearch", "--s", "5.6e-309"),
+        ("lowerbound", "--t", "1e-320"),
+        ("lowerbound", "--t-min", "1e-320", "--steps", "3", "--log"),
+    ], ids=["bidding", "linsearch", "linsearch-strategy", "lowerbound",
+            "lowerbound-range"])
+    def test_overflowing_rho_exit_2(self, capsys, argv):
+        # rho would be inf: below about 5.6e-309, and for the linear-search
+        # strategy's 1 + 2 rho below about 1.1e-308
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "rho overflows" in err
+
 
 class TestLowerbound:
     def test_t_one_row(self, capsys):
@@ -108,6 +128,44 @@ class TestLowerbound:
         code, _, err = run(capsys, "lowerbound", "--t-min", "0.5",
                            "--t-max", "1.05")
         assert code == 2
+
+
+# curve parameters: anything a float flag parses, weighted to the domains'
+# ends, to subnormals and to values just past them
+_curve_values = st.one_of(
+    st.none(), st.floats(), st.floats(0.0, 1.3), st.floats(0.0, 1e-300),
+    st.sampled_from([0.0, 5e-324, 5.5e-309, 5.6e-309, 1.1e-308, 0.005, 0.035,
+                     0.0415, 1.0, 1.0 + 1e-12, s_star(), math.nan, math.inf,
+                     -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from([("tradeoff", "--problem=bidding"),
+                                ("tradeoff", "--problem=linsearch"),
+                                ("lowerbound",)]),
+       value=_curve_values, v_min=_curve_values, v_max=_curve_values,
+       steps=st.integers(-3, 20), log=st.booleans())
+def test_curve_commands_exit_2_or_write_finite_rows(command, value, v_min,
+                                                    v_max, steps, log):
+    name = "t" if command[0] == "lowerbound" else "s"
+    argv = [*command, f"--steps={steps}", *(["--log"] if log else [])]
+    for flag, v in ((name, value), (f"{name}-min", v_min),
+                    (f"{name}-max", v_max)):
+        if v is not None:
+            argv.append(f"--{flag}={v!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    assert code == 0, (argv, err.getvalue())
+    header, *rows = out.getvalue().splitlines()
+    assert rows
+    for row in rows:
+        cells = [float(c) for c in row.split(",")]
+        assert len(cells) == header.count(",") + 1
+        assert all(math.isfinite(c) for c in cells), (argv, row)
 
 
 class TestProfileCommands:
@@ -214,6 +272,25 @@ class TestProfileCommands:
         bad.write_text('{"problem": "mystery"}')
         code, _, err = run(capsys, "profile", "verify", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("problem", ["bidding", "linsearch"])
+    def test_build_where_rho_overflows_exit_2(self, capsys, tmp_path,
+                                              problem):
+        out_file = tmp_path / "p.json"
+        code, _, err = run(capsys, "profile", "build", "--problem", problem,
+                           "--s", "1e-320", "--out", str(out_file))
+        assert code == 2
+        assert "rho overflows" in err
+        assert not out_file.exists()
+
+    def test_deeply_nested_file_exit_2(self, capsys, tmp_path):
+        # json's RecursionError is a RuntimeError, the simulation's exit 4
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        for cmd in (["verify"], ["simulate", "--target", "2"]):
+            code, _, err = run(capsys, "profile", cmd[0], str(deep), *cmd[1:])
+            assert code == 2, cmd
+            assert "nests too deeply" in err
 
     def test_solver_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -90,8 +90,8 @@ class TestApplyFPair:
 
 def _gs_step(p):
     """The build's Gauss-Seidel sweep on the grid, tail and kinks of ``p``."""
-    return ex._pair_sweep(psi_pieces(p.s, p.K), p.rho, p.g_plus.grid, p.s,
-                          p.g_minus.kink_nodes)
+    return ex._pair_sweep((psi_pieces(p.s, p.K),), p.rho, p.g_plus.grid, p.s,
+                          tuple(g.kink_nodes for g in p.components))
 
 
 def _from_zero(p, step):

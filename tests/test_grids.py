@@ -461,7 +461,11 @@ class TestSlopeBreaks:
             assert g.grid.positions[list(g.slope_breaks)].tolist() == [-2.0,
                                                                        -1.0]
         for g in exact:
-            assert g.slope_breaks == ()
+            assert g.slope_breaks == () and g.kink_nodes == ()
+        # the quadrature kinks only where a right part jumping at 0 enters
+        # shifted by one unit: G and G- at -1, not G+
+        kinks = [g.grid.positions[list(g.kink_nodes)].tolist() for g in swept]
+        assert kinks == [[-1.0], [], [-1.0]]
         # a window that ends above -2 holds only the break at -1
         short = build_profile(0.5, x_min=-1.5, h=1.0 / 64).g
         assert short.grid.positions[list(short.slope_breaks)].tolist() == [-1.0]
