@@ -218,9 +218,29 @@ def _linear_s(s: float, what: str) -> float:
     return min(s, ss)
 
 
+# Below it, the linear-search chi and K take e^{2s} - 1 - 2s and e^{2s} - 1
+# in forms that do not cancel as s -> 0; from it on, the figures' lower
+# end, they keep the closed forms, whose values the saved curves and
+# profiles hold.
+_SMALL_S = 0.0415
+
+
+def _excess_over_2s(s: float) -> float:
+    """(e^{2s} - 1 - 2s)/(2s) for 0 < s < ``_SMALL_S`` by its series
+    sum_{k=1..10} (2s)^k/(k+1)! in Horner form: every term is positive, the
+    ten leave a remainder below 1e-19 relative, and nothing squares s,
+    which would underflow at s = 1e-300."""
+    u = 2.0 * s
+    acc = 0.0
+    for k in range(10, 0, -1):
+        acc = (acc + 1.0 / math.factorial(k + 1)) * u
+    return acc
+
+
 def _K_closed_form(s: float) -> float:
     es = math.exp(s)
-    return es * (es * es - 1.0 + 2.0 * s * es) / (1.0 + es) ** 2
+    e2m1 = math.expm1(2.0 * s) if s < _SMALL_S else es * es - 1.0
+    return es * (e2m1 + 2.0 * s * es) / (1.0 + es) ** 2
 
 
 def _K_equation(s: float, xi: float) -> float:
@@ -262,7 +282,9 @@ def linear_tradeoff(s: float) -> tuple[TradeoffPoint, TradeoffPoint]:
     es = math.exp(s)
     rho = (1.0 + es) / (2.0 * s)
     sk = solve_sK()
-    if s <= sk:
+    if s < _SMALL_S:
+        chi = _excess_over_2s(s) / (1.0 + es)
+    elif s <= sk:
         chi = (es * es - 1.0 - 2.0 * s) / (2.0 * s * (1.0 + es))
     else:
         K = solve_K(s)

@@ -153,6 +153,8 @@ class BiddingProfile:
 
     conditions = (Condition("A(x+1) <= rho G", ((0, 1),), 0, tight=False),)
     names = ("G",)
+    # its file (see serialize): tag, fields after chi, component blocks
+    problem, fields, blocks = "bidding", (), (None,)
     # the slow root and scale of the tail closure at (s, rho) (see
     # _closure), and the tail rate where the closure's mass underflows
     closure = staticmethod(lambda s, rho: (s, 1.0))

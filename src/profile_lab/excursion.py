@@ -159,6 +159,8 @@ class ExcursionProfile:
         Condition("C+ <= rho G+", ((0, 0), (1, 0)), 0, tight=False),
         Condition("C- <= rho G-", ((0, 1), (1, 0)), 1, tight=True))
     names = ("G+", "G-")
+    # its file (see serialize)
+    problem, fields, blocks = "linsearch", ("K", "M"), ("g_plus", "g_minus")
     # the slow root and scale of the tail closure at (s, rho) (see
     # _pair_sweep), and the tail rate where the closure's mass underflows
     closure = staticmethod(lambda s, rho: (2.0 * s, 0.5 / (s * rho)))

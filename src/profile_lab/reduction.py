@@ -101,54 +101,49 @@ class StepProfile:
     below: tuple[tuple[float, float], ...]  # (value, width), decreasing values
     above: tuple[tuple[float, float], ...]  # (value, width), increasing values
 
-    _below_edges: np.ndarray = field(init=False, repr=False)
-    _above_edges: np.ndarray = field(init=False, repr=False)
+    # the step edges in ascending order, measured outward from 0 on each
+    # side as the steps stack, and the step values: step i is
+    # (_edges[i], _edges[i + 1]] at _values[i]
+    _edges: np.ndarray = field(init=False, repr=False)
+    _values: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._below_edges = np.concatenate(
-            ([0.0], -np.cumsum([w for _, w in self.below])))
-        self._above_edges = np.concatenate(
-            ([0.0], np.cumsum([w for _, w in self.above])))
+        self._edges = np.concatenate(
+            (-np.cumsum([w for _, w in self.below])[::-1], [0.0],
+             np.cumsum([w for _, w in self.above])))
+        self._values = tuple(v for v, _ in (*reversed(self.below),
+                                            *self.above))
 
     def value(self, x: float) -> float:
         """G(x); 0 below the support, inf past the last packed bid."""
         if math.isnan(x):
             raise ValueError("G is undefined at nan")
-        if x <= self._below_edges[-1]:
-            return 0.0
-        if x <= 0.0:
-            i = int(np.searchsorted(-self._below_edges, -x, side="left"))
-            return self.below[i - 1][0]
-        if x > self._above_edges[-1]:
+        if x > self._edges[-1]:
             return math.inf
-        i = int(np.searchsorted(self._above_edges, x, side="left"))
-        return self.above[i - 1][0]
+        i = int(np.searchsorted(self._edges, x, side="left"))
+        return self._values[i - 1] if i else 0.0
 
     def tau(self, target: float) -> float:
         """sup { t : G(t) < target } for a positive finite target."""
         if not 0.0 < target < math.inf:
             raise ValueError(
                 f"tau requires a positive finite target, got {target!r}")
-        pos = self._below_edges[-1]
-        for value, width in (*reversed(self.below), *self.above):
+        for value, lo in zip(self._values, self._edges):
             if value >= target:
-                return pos
-            pos += width
-        return pos
+                return float(lo)
+        return float(self._edges[-1])
 
     def integral_to(self, x: float) -> float:
         """Integral of G over (-inf, x]; x must not exceed the packed range."""
-        if not x <= self._above_edges[-1] + 1e-12:
+        if not x <= self._edges[-1] + 1e-12:
             raise ValueError(f"the integral is defined up to the packed "
                              f"support, not to {x!r}")
         total = 0.0
-        lo = self._below_edges[-1]
-        for value, width in (*reversed(self.below), *self.above):
-            hi = lo + width
+        edges = self._edges.tolist()
+        for value, lo, hi in zip(self._values, edges, edges[1:]):
             if x <= lo:
-                return total
+                break
             total += value * (min(x, hi) - lo)
-            lo = hi
         return total
 
     def expected_cost(self, target: float) -> float:

@@ -1,11 +1,16 @@
 """Profile (de)serialization.
 
-Profiles are stored as a self-describing JSON document.  All reals are
+Profiles are stored as a self-describing JSON document in the layout each
+profile class declares: its ``problem`` tag, s, rho, chi and the class's
+``fields``, the grid's x_min and h, then one block per component (left
+values, right pieces, left tail, kink nodes) under that component's key in
+``blocks``, or at the top level where the key is None.  All reals are
 emitted as shortest round-trip decimals (Python's float repr), so a
 save/load cycle reproduces every stored value bit-exactly.  Unbounded piece
-ends are encoded as null.  Loading rebuilds the profile from its problem,
-s, grid and left values alone, and rejects (``ValueError``) a document that
-is malformed, non-finite, or not exactly what that profile saves.
+ends are encoded as null.  Loading finds the class by its tag, rebuilds
+the profile from s, grid and left values alone, and rejects
+(``ValueError``) a document that is malformed, non-finite, or not exactly
+what that profile saves.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .grids import GridFunction, GridSpec, Piece, make_grid
 __all__ = ["profile_to_dict", "profile_from_dict", "save_profile",
            "load_profile"]
 
+# the profile classes by the problem tag of their files
+_KINDS = {kind.problem: kind for kind in (BiddingProfile, ExcursionProfile)}
+
 
 def _piece_to_dict(p: Piece) -> dict[str, Any]:
     return {
@@ -33,37 +41,28 @@ def _piece_to_dict(p: Piece) -> dict[str, Any]:
     }
 
 
-def _grid_function_to_dict(g: GridFunction, left: bool) -> dict[str, Any]:
+def _grid_function_to_dict(g: GridFunction) -> dict[str, Any]:
     return {
-        **({"left_values": g.left_values.tolist()} if left else {}),
+        "left_values": g.left_values.tolist(),
         "right_pieces": [_piece_to_dict(p) for p in g.right_pieces],
         "left_tail": {"coeff": g.tail_coeff, "rate": g.tail_rate},
         "kink_nodes": list(g.kink_nodes),
     }
 
 
-def _to_dict(p: BiddingProfile | ExcursionProfile,
-             left: bool) -> dict[str, Any]:
-    if isinstance(p, BiddingProfile):
-        return {
-            "problem": "bidding",
-            "s": p.s, "rho": p.rho, "chi": p.chi,
-            "x_min": p.g.x_min, "h": p.g.h,
-            **_grid_function_to_dict(p.g, left),
-        }
-    if isinstance(p, ExcursionProfile):
-        return {
-            "problem": "linsearch",
-            "s": p.s, "rho": p.rho, "chi": p.chi, "K": p.K, "M": p.M,
-            "x_min": p.g_plus.x_min, "h": p.g_plus.h,
-            "g_plus": _grid_function_to_dict(p.g_plus, left),
-            "g_minus": _grid_function_to_dict(p.g_minus, left),
-        }
-    raise TypeError(f"not a profile: {type(p)!r}")
-
-
 def profile_to_dict(p: BiddingProfile | ExcursionProfile) -> dict[str, Any]:
-    return _to_dict(p, left=True)
+    """The document of ``p`` in the layout its class declares."""
+    kind = type(p)
+    if kind not in _KINDS.values():
+        raise TypeError(f"not a profile: {kind!r}")
+    g = p.components[0]
+    doc = {"problem": kind.problem, "s": p.s, "rho": p.rho, "chi": p.chi,
+           **{name: getattr(p, name) for name in kind.fields},
+           "x_min": g.x_min, "h": g.h}
+    for block, c in zip(kind.blocks, p.components):
+        d = _grid_function_to_dict(c)
+        doc.update(d if block is None else {block: d})
+    return doc
 
 
 def _left_values(d: Any, grid: GridSpec) -> np.ndarray:
@@ -93,20 +92,19 @@ def profile_from_dict(d: dict[str, Any]) -> BiddingProfile | ExcursionProfile:
     if not isinstance(d, dict):
         raise ValueError("a profile document must be a JSON object")
     problem = d.get("problem")
-    if problem not in ("bidding", "linsearch"):
+    # a list or an object is no tag, and would not hash
+    kind = _KINDS.get(problem) if isinstance(problem, str) else None
+    if kind is None:
         raise ValueError(f"unknown profile kind: {problem!r}")
     s, x_min, h = reals = tuple(d.get(key) for key in ("s", "x_min", "h"))
     if not all(isinstance(v, float) and math.isfinite(v) for v in reals):
         raise ValueError("profile fields s, x_min and h must be finite reals")
     grid = make_grid(x_min, h)
-    if problem == "bidding":
-        p = _profile(BiddingProfile, s, grid, (_left_values(d, grid),))
-    else:
-        p = _profile(ExcursionProfile, s, grid,
-                     (_left_values(d.get("g_plus"), grid),
-                      _left_values(d.get("g_minus"), grid)))
+    p = _profile(kind, s, grid, tuple(
+        _left_values(d if block is None else d.get(block), grid)
+        for block in kind.blocks))
     # left values are the document's own; the rest must match in type and repr
-    got, want = _leaves(d), _leaves(_to_dict(p, left=False))
+    got, want = _leaves(d), _leaves(profile_to_dict(p))
     diff = next((k for k in (*want, *got) if got.get(k) != want.get(k)), None)
     if diff is not None:
         raise ValueError(f"profile field {'/'.join(map(str, diff))!r} does "

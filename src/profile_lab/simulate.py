@@ -12,8 +12,8 @@ by a whole number of grid cells, so a block locates its lanes once (cell
 and Hermite basis weights, :class:`~profile_lab.grids.Lanes`) and every
 later step on the grid is an index shift and a weighted sum of four
 gathered node values; the oracles read profiles only through point
-evaluation and ``tau``, never through the analytic integrals and costs
-they check.
+evaluation and, where ``_lane_costs`` finds the summation window, ``tau``,
+never through the analytic integrals and costs they check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import DomainError
 from .bidding import BiddingProfile
 from .excursion import ExcursionProfile
-from .grids import GridSpec, Lanes
+from .grids import GridFunction, Lanes
 
 __all__ = ["SimReport", "counter_uniforms", "simulate_bidding",
            "simulate_linear"]
@@ -102,14 +102,22 @@ def _report(costs: np.ndarray, seed: int, target: float,
                      target=target, bias_bound=bias_bound)
 
 
-def _lane_costs(n: int, seed: int, grid: GridSpec, x_lo: float, k_stop: int,
-                add_step, failure: str) -> np.ndarray:
-    """Per-lane sums of ``add_step`` over the steps k of each lane.
+def _lane_costs(p: BiddingProfile | ExcursionProfile, x: float,
+                stop: GridFunction, n: int, seed: int, add_step,
+                failure: str) -> np.ndarray:
+    """Per-lane sums of ``add_step`` over the steps k of each lane of a walk
+    on profile ``p`` at |target| ``x`` that ends where component ``stop``
+    crosses x.
 
-    Lane i draws U_i = counter_uniforms(seed, 0, n)[i] and runs the steps
+    The window is found here, for both oracles: the walk starts at
+    x_lo = min over the components of tau(1e-9 x), below which the neglected
+    prefix is provably small (the oracles report its bound), and stops by
+    k_stop = ceil(tau_stop(x) + 2), where every lane has settled; these are
+    the oracles' only calls of ``tau``.  Lane i
+    draws U_i = counter_uniforms(seed, 0, n)[i] and runs the steps
     k >= k_start_i, the first integer with k + U_i > x_lo, up to k_stop or
     until the lane is settled.  Lanes run in blocks of ``_LANES``, each from
-    its own smallest k_start, and a block lays its U out on ``grid`` once
+    its own smallest k_start, and a block lays its U out on the grid once
     (:class:`~profile_lab.grids.Lanes`).  ``add_step(lanes, k, started,
     alive, costs)`` evaluates the profile at k + U by
     ``lane_values(lanes, k)``: a unit step keeps every lane's in-cell
@@ -120,10 +128,14 @@ def _lane_costs(n: int, seed: int, grid: GridSpec, x_lo: float, k_stop: int,
     settled lanes from ``alive``.  A lane sums the same terms in the same
     order for any block size.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    x_lo = min(g.tau(1e-9 * x) for g in p.components)
+    k_stop = int(math.ceil(stop.tau(x) + 2.0))
     u = counter_uniforms(seed, 0, n)
     costs = np.zeros(n)
     for lo in range(0, n, _LANES):
-        lanes = Lanes(grid, u[lo:lo + _LANES])
+        lanes = Lanes(p.components[0].grid, u[lo:lo + _LANES])
         cb = costs[lo:lo + _LANES]
         k_start = np.floor(x_lo - lanes.u).astype(int) + 1
         alive = np.ones(lanes.u.size, dtype=bool)
@@ -157,22 +169,16 @@ def simulate_bidding(p: BiddingProfile, target: float, n: int,
     """
     if not 0.0 < target < math.inf:
         raise DomainError(f"target must be positive and finite, got {target!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    eps = 1e-9 * target
-    x_lo = p.g.tau(eps)
-    bias_bound = p.rho * eps
-    k_stop = int(math.ceil(p.g.tau(target) + 2.0))
 
     def bid(lanes, k, pay, alive, costs):
         vals = p.g.lane_values(lanes, k)
         alive &= ~(pay & (vals >= target))
         _add_where(costs, vals, pay)
 
-    costs = _lane_costs(n, seed, p.g.grid, x_lo, k_stop, bid,
+    costs = _lane_costs(p, target, p.g, n, seed, bid,
                         "bidding simulation failed to terminate; "
                         "profile right part does not reach the target")
-    return _report(costs, seed, target, bias_bound)
+    return _report(costs, seed, target, p.rho * (1e-9 * target))
 
 
 def simulate_linear(p: ExcursionProfile, target: float, n: int,
@@ -185,13 +191,6 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     x = abs(target)
     if not 0.0 < x < math.inf:
         raise DomainError(f"target must be nonzero and finite, got {target!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    eps = 1e-9 * x
-    x_lo = min(g.tau(eps) for g in (p.g_plus, p.g_minus))
-    bias_bound = 4.0 * p.rho * eps
-    stop_tau = p.g_plus.tau(x) if target > 0 else p.g_minus.tau(x)
-    k_stop = int(math.ceil(stop_tau + 2.0))
 
     def excursion(lanes, k, started, alive, costs):
         gp = p.g_plus.lane_values(lanes, k)
@@ -209,8 +208,9 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
             _add_where(costs, gm, started & ~found)
         alive &= ~found
 
-    costs = _lane_costs(n, seed, p.g_plus.grid, x_lo, k_stop, excursion,
+    costs = _lane_costs(p, x, p.g_plus if target > 0.0 else p.g_minus, n,
+                        seed, excursion,
                         "linear-search simulation failed to terminate")
     costs += x
-    return _report(costs, seed, target, bias_bound)
+    return _report(costs, seed, target, 4.0 * p.rho * (1e-9 * x))
 

@@ -194,6 +194,25 @@ class TestLinearSearchCurve:
         assert exc.chi == pytest.approx(exc.rho * K * math.exp(-s) - 1.0,
                                         abs=1e-12)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-20, 1e-9, 1e-4, 1e-2,
+                                   math.nextafter(analysis._SMALL_S, 0.0)])
+    def test_chi_and_K_at_small_s(self, s):
+        # e^{2s} - 1 - 2s and e^{2s} - 1 cancel as s -> 0; the closed forms
+        # at 700 digits from the double s exactly (at 60 digits chi(1e-300)
+        # still reads -0.5, since e^{2s} - 1 - 2s is about 2e-600 there)
+        exc, strat = linear_tradeoff(s)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 700
+            d = decimal.Decimal(s)
+            e = d.exp()
+            chi = (e * e - 1 - 2 * d) / (2 * d * (1 + e))
+            K = e * (e * e - 1 + 2 * d * e) / (1 + e) ** 2
+            for got, want in ((exc.chi, chi), (solve_K(s), K)):
+                ulp = decimal.Decimal(math.ulp(float(want)))
+                assert abs(decimal.Decimal(got) - want) <= 4 * ulp, (got,
+                                                                      want)
+        assert exc.chi > 0.0 and strat.chi >= 1.0
+
     def test_upper_asymptotics(self):
         _, strat = linear_tradeoff(0.01)
         assert strat.rho - 2.0 / (strat.chi - 1.0) == pytest.approx(

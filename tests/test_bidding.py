@@ -332,6 +332,18 @@ class TestVerify:
         assert any("robustness" in f for f in rep.failures)
         assert rep.offset_ok and rep.monotone_ok
 
+    def test_right_part_that_falls_inside_a_piece_fails_monotone(
+            self, bidding_profiles):
+        # e^{-x} on (0, 1] meets G(0-) at the junction and G(1+) = 1 above
+        # it, so only the drop inside the piece breaks monotonicity
+        p = bidding_profiles[0.5]
+        falling = Piece.exponential(1.0, -1.0, 0.0, 0.0, 1.0)
+        rep = verify(dataclasses.replace(p, g=dataclasses.replace(
+            p.g, right_pieces=(falling, *p.g.right_pieces[1:]))))
+        assert not rep.monotone_ok
+        assert ("monotone: G must be non-decreasing and positive"
+                in rep.failures)
+
     def test_robustness_failure_names_the_condition_and_x(
             self, bidding_profiles):
         # one node at x = -3 lowered by 1e-2: the worst relative residual

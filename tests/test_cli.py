@@ -161,11 +161,14 @@ def test_curve_commands_exit_2_or_write_finite_rows(command, value, v_min,
         return
     assert code == 0, (argv, err.getvalue())
     header, *rows = out.getvalue().splitlines()
+    names = header.split(",")
     assert rows
     for row in rows:
         cells = [float(c) for c in row.split(",")]
-        assert len(cells) == header.count(",") + 1
-        assert all(math.isfinite(c) for c in cells), (argv, row)
+        assert len(cells) == len(names)
+        assert all(math.isfinite(c) and c > 0.0 for c in cells), (argv, row)
+        if "chi_ls" in names:
+            assert cells[names.index("chi_ls")] >= 1.0, (argv, row)
 
 
 class TestProfileCommands:
@@ -387,6 +390,12 @@ class TestProfileCommands:
                      lambda d: d["left_values"].__setitem__(0, math.nan),
                      id="left-value-nan"),
         pytest.param("bidding", lambda d: [d], id="top-level-list"),
+        # a tag names a profile class; a list or an object would not hash
+        *[pytest.param(problem, lambda d, v=tag: d.update(problem=v),
+                       id=f"{problem}-tag-{kind}")
+          for problem in ("bidding", "linsearch")
+          for kind, tag in (("unknown", "mystery"), ("list", [problem]),
+                            ("object", {problem: problem}), ("number", 1.0))],
         # JSON booleans and integers are not the floats the writer emits
         *[pytest.param(problem, lambda d, k=key, v=value: (
             d[k] if k else d)["left_values"].__setitem__(700, v),

@@ -190,6 +190,27 @@ class TestInverseProfile:
             assert mass == pytest.approx(pushforward_mass(sp, lo, hi),
                                          abs=5 * dx)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.dictionaries(
+        st.one_of(st.floats(1e-3, 0.999), st.sampled_from([1.0, 1.5, 2.5]),
+                  st.floats(1.0, 1e3)),
+        st.floats(1e-3, 1e2), min_size=1, max_size=8),
+        extra=st.lists(st.floats(1e-4, 2e3), max_size=4))
+    def test_tau_is_the_supremum_below_the_target(self, mu, extra):
+        # tau and value read one set of step edges, so the point tau
+        # returns is never a point where G already reaches the target, and
+        # a target between the measure's two sides lands exactly on 0
+        sp = inverse_profile(mu)
+        below = max((v for v in mu if v < 1.0), default=0.0)
+        above = min((v for v in mu if v >= 1.0), default=math.inf)
+        targets = {1.0, *extra, *mu,
+                   *(math.nextafter(v, d) for v in mu for d in (0, math.inf))}
+        for t in targets:
+            x = sp.tau(t)
+            assert sp.value(x) < t, (t, x)
+            if below < t <= above:
+                assert x == 0.0, (t, x)
+
 
 class TestDominance:
     def test_deterministic_doubling_is_its_own_profile(self):

@@ -1,8 +1,10 @@
 """Monte Carlo oracles: counter-based uniforms, lane blocks, and agreement
 with the analytic costs."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,27 @@ def test_oracles_call_no_analytic_cost(monkeypatch, bidding_profiles,
         for owner in (module, simulate, profile_lab):
             monkeypatch.setattr(owner, name, forbidden, raising=False)
     assert reports() == before
+
+
+def test_oracle_module_reads_no_analytic_path():
+    # the source itself, so that a path no test sample reaches is caught
+    # too: no integral or cost is read anywhere in the module, and tau only
+    # where _lane_costs finds the summation window
+    analytic = {"integral_to", "integrals", "_delayed_integral",
+                "cumulative_integral", "expected_cost",
+                "strategy_cost_linear", "C_plus", "C_minus"}
+    tree = ast.parse(Path(simulate.__file__).read_text(encoding="utf-8"))
+    loads = []  # (top-level definition, name) of every name or attribute read
+    for top in tree.body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                loads += [(scope, alias.name) for alias in node.names]
+            elif isinstance(getattr(node, "ctx", None), ast.Load):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                loads.append((scope, name))
+    assert not [load for load in loads if load[1] in analytic]
+    assert {scope for scope, name in loads if name == "tau"} <= {"_lane_costs"}
 
 
 class TestReportsAndText:
