@@ -14,9 +14,10 @@ Each profile type lists its delayed conditions as data, a table of
 :class:`Condition`; one evaluator, :func:`_delayed_integral`, reads it for
 both problems wherever a condition is evaluated: in :func:`verify`, which
 checks a profile of either problem from its table alone, for the
-consistency and for the costs.  At the grid nodes it and both operator
-sweeps assemble a row by :func:`_at_nodes`; a sweep owns only its
-quadratures and, for the pair, its Gauss-Seidel order.
+consistency and for the costs.  At the grid nodes it and the one operator
+sweep, :func:`_table_sweep`, assemble a row by :func:`_at_nodes`; the
+sweep walks the table's rows in order, so bidding's one row is a plain
+sweep and the pair's two rows are a Gauss-Seidel sweep.
 
 The optimal profile at parameter s has the closed-form right part
 max(1, s chi e^{s(x-1)}) on (0, 1] (continuing exponentially beyond 1) and a
@@ -59,7 +60,7 @@ SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
 
 # Verification tolerances: robustness residuals must stay below TOL_REL
 # relative to rho G(x) plus ATOL_FLOOR absolute, and the realized
-# consistency may exceed chi by at most TOL_ABS.
+# consistency may exceed chi by at most TOL_ABS and by at most TOL_REL chi.
 TOL_REL = 1e-4
 TOL_ABS = 1e-4
 ATOL_FLOOR = 1e-9
@@ -93,44 +94,59 @@ def _closed_form(s: float):
             (1.0,) if s == 1.0 else None)
 
 
-def _sweep(rights: tuple[tuple[Piece, ...]], rho: float, grid: GridSpec,
-           s: float, kinks: tuple[tuple[int, ...]]):
-    """The bidding operator as the ``step(x, out)`` of
-    :func:`_iterate_to_fixed_point`, with the quadrature in a buffer of its
-    own.
+def _table_sweep(kind, rights: tuple[tuple[Piece, ...], ...], rho: float,
+                 grid: GridSpec, s: float, kinks: tuple[tuple[int, ...], ...],
+                 quadrature: Callable[..., np.ndarray]):
+    """One sweep of the operator of profile type ``kind``, as the
+    ``step(x, out)`` of :func:`_iterate_to_fixed_point`: each row of
+    ``kind.conditions``, in order, writes its C/rho at the grid nodes
+    x <= 0 into ``out[right]`` by :func:`_at_nodes`.
 
-    Writes (F H)(x) = (1/rho) integral_{-inf}^{x+1} H, the row of
-    ``BiddingProfile.conditions`` by :func:`_at_nodes`, at every grid node
-    x <= 0 into ``out[0]``, where H is ``x[0]`` on the grid
-    (endpoint-corrected trapezoid between nodes) and the right part
-    ``rights[0]`` on (0, 1] (closed form; its pieces from 1 on are not
-    read).  ``kinks[0]`` marks nodes where H has a derivative jump (x = -1
-    when the right part jumps at 0).
-
-    The mass M below x_min is the exact closure, from C, the integral from
-    x_min: M = s integral_0^1 e^{s(1-u)} C(x_min + u) du.  With
-    e^s = rho s, Q(x) = e^{-sx} (A(x) - s integral_0^1 e^{-su} A(x+u) du)
-    has Q' = 0 along rho A' = A(x+1) and vanishes on every mode but e^{sx},
-    which the minimal profile does not carry; Q(x_min) = 0 with
-    A = M + C is the closure.  By parts, M = integral_0^1 (e^{s(1-u)} - 1)
-    G(x_min + u) du, one dot product with the weights of :func:`_closure`.
-    F preserves order: every quadrature weight and every closure weight is
-    non-negative.
+    C reads each component's newest array (written by an earlier row of the
+    sweep, else ``x``), integrated by ``quadrature``, which is
+    :func:`cumulative_integral` under the caller's module name, at step
+    h/rho with the component's ``kinks``; for a shifted term, its right part
+    ``rights[k]`` on (0, 1]; and the closure's mass below x_min from the
+    newest first component (:func:`_closure`).  So bidding's one row is a
+    plain sweep and the pair's rows are block Gauss-Seidel.  Every weight is
+    non-negative, so sweeps from zero rise to the minimal fixed point, for
+    this splitting no slower than plain sweeps (Stein-Rosenberg).  An
+    integral is recomputed only when stale: its array is not the one last
+    integrated, or a row has written the component since (after a jump the
+    driver hands back the step's earlier outputs).  The integral of the new
+    G+ thus serves the next sweep too: two quadratures per pair sweep.
     """
-    (row,), (phi,), (kinks,) = BiddingProfile.conditions, rights, kinks
-    phi_cum = _piece_cumints(phi, grid) / rho
+    rows = kind.conditions
     h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    cum = np.empty(grid.m + 1)
-    closure = _closure(BiddingProfile, s, rho, grid) / rho
+    cums = tuple(np.empty(grid.m + 1) for _ in kind.names)
+    right_cums = [_piece_cumints(rights[row.terms[0][0]], grid) / rho
+                  if row.terms[0][1] else None for row in rows]
+    closure = _closure(kind, s, rho, grid) / rho
     n = closure.size  # the nodes of the window's first unit
+    done = [None] * len(cums)  # the array whose integral cums[k] holds
 
     def step(x, out):
-        (left,), (new,) = x, out
-        cumulative_integral(left, h, kinks=kinks, out=cum)
-        _at_nodes(row, (cum,), phi_cum, float(closure @ left[:n]), grid, new)
+        newest = list(x)
+        for row, right_cum in zip(rows, right_cums):
+            for k, _ in row.terms:
+                if newest[k] is not done[k]:
+                    quadrature(newest[k], h, kinks=kinks[k], out=cums[k])
+                    done[k] = newest[k]
+            mass = float(closure @ newest[0][:n])
+            k = row.right
+            newest[k], done[k] = out[k], None
+            _at_nodes(row, cums, right_cum, mass, grid, out[k])
         return out
 
     return step
+
+
+def _sweep(rights: tuple[tuple[Piece, ...]], rho: float, grid: GridSpec,
+           s: float, kinks: tuple[tuple[int, ...]]):
+    """The bidding operator (F H)(x) = (1/rho) integral_{-inf}^{x+1} H on
+    x <= 0, as the one-row :func:`_table_sweep` of ``BiddingProfile``."""
+    return _table_sweep(BiddingProfile, rights, rho, grid, s, kinks,
+                        cumulative_integral)
 
 
 @dataclass
@@ -156,8 +172,14 @@ class BiddingProfile:
     # its file (see serialize): tag, fields after chi, component blocks
     problem, fields, blocks = "bidding", (), (None,)
     # the slow root and scale of the tail closure at (s, rho) (see
-    # _closure), and the tail rate where the closure's mass underflows
+    # _closure).  With e^s = rho s, Q(x) = e^{-sx} (A(x) - s integral_0^1
+    # e^{-su} A(x+u) du) has Q' = 0 along rho A' = A(x+1) and vanishes on
+    # every mode but e^{sx}, which the minimal profile does not carry; so
+    # Q(x_min) = 0, with A = M + C and C the integral from x_min, gives the
+    # mass below x_min: M = s integral_0^1 e^{s(1-u)} C(x_min + u) du, by
+    # parts integral_0^1 (e^{s(1-u)} - 1) G(x_min + u) du
     closure = staticmethod(lambda s, rho: (s, 1.0))
+    # the tail rate where the closure's mass underflows
     conjugate_rate = staticmethod(conjugate_rate_bidding)
     # what s fixes of the profile, and the sweep that builds its left part
     # (see _profile)
@@ -334,7 +356,7 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     ``step`` may keep state between calls: the driver never writes to the
     arrays a step has just written while they are the iterate, so a step
     handed back the arrays it wrote last may reuse what it computed from
-    them (the Gauss-Seidel pair sweep keeps the integral of its new G+).
+    them (:func:`_table_sweep` keeps the integral of the pair's new G+).
     After a jump the iterate is the other buffer set.
 
     The returned components are fresh arrays; the sweep stops once its
@@ -434,7 +456,8 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     of operator sweeps starting from zero, stopped once the sup-norm change
     per sweep is at most ``SWEEP_TOL``.  The sweeps take the mass below
     ``x_min`` from the exact closure over the window's first unit (see
-    :func:`_sweep`), so the window need not reach the asymptotic decay.
+    ``BiddingProfile.closure``), so the window need not reach the
+    asymptotic decay.
     The stored tail is one exponential from G(x_min) holding that mass, at
     the rate G(x_min)/M; where both underflow, at the conjugate rate.
     """
@@ -486,7 +509,8 @@ def verify(p) -> VerificationReport:
     not is reported), and a ``tight`` condition must hold with equality, to
     ``TOL_REL`` relative there and to 1e-5 absolute at 0+.  Tightness is the
     largest absolute node residual.  The consistency, the first condition's
-    C(0), may exceed chi by at most ``TOL_ABS``.  Component names in the
+    C(0), may exceed chi by at most ``TOL_ABS`` and by at most ``TOL_REL``
+    chi, which binds where chi < 1 (linear search).  Component names in the
     failures come from ``p.names``.
     """
     gs, rho, names = p.components, p.rho, p.names
@@ -523,7 +547,7 @@ def verify(p) -> VerificationReport:
         cond, x = [(c, x) for c, xs, _, _ in rows for x in xs][worst]
         failures.append(f"robustness: relative residual {max_rel:.3e} > "
                         f"{TOL_REL} in {cond.name} at x = {x:.6g}")
-    if gap > TOL_ABS:
+    if not gap <= min(TOL_ABS, TOL_REL * p.chi):  # a nan chi fails
         failures.append(f"consistency: C(0) exceeds chi by {gap:.3e}")
     for cond, xs, c, gx in rows[-len(p.conditions):]:  # on (0, 10]
         name = names[cond.right]

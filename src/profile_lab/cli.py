@@ -17,7 +17,8 @@ reals are written as shortest round-trip decimals.  profile build takes its
 grid defaults (--x-min -6, --h 1.6e-3: 625 steps per unit, 3 751 nodes)
 and its sweep tolerance (bidding.SWEEP_TOL) from the library; profile
 verify checks at its fixed tolerances (bidding.TOL_REL, TOL_ABS,
-ATOL_FLOOR).
+ATOL_FLOOR), and fails a realized consistency above chi by more than
+TOL_ABS or TOL_REL chi.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ The near-optimal profile at parameter s has closed-form right parts
 with K = K(s), M = max(1, K), and its left parts are the minimal tight
 extension: the least fixed point on x <= 0 of the pair operator
 (F H)± = C±/rho, with C± those of H and G+ pinned to its right part psi on
-(0, 1].  The build reaches it from zero by block Gauss-Seidel sweeps
-(:func:`_pair_sweep`), which assemble both rows of the table at the nodes
-as :func:`~profile_lab.bidding.verify` does.
+(0, 1].  The build reaches it from zero by the table sweep of
+:mod:`profile_lab.bidding`, whose rows in the table's order make a block
+Gauss-Seidel sweep (:func:`_pair_sweep`): the C- row reads the new G+.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import numpy as np
 from .analysis import (DomainError, conjugate_rate_linear, linear_tradeoff,
                        solve_K)
 from .bidding import (DEFAULT_H, DEFAULT_MAX_ITER, DEFAULT_X_MIN, Condition,
-                      _at_nodes, _closure, _delayed_integral, _piece_cumints,
-                      _profile, _rising_pieces)
+                      _delayed_integral, _profile, _rising_pieces,
+                      _table_sweep)
 from .bidding import verify as verify_excursion
 from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
 
@@ -58,11 +58,20 @@ __all__ = [
 ]
 
 
+# The lower end of the profiles' domain: below it G-'s right part
+# e^{-s} (e^{2sx} + (K - 1) e^{x/rho}) loses its digits as K -> 0, and
+# default builds fail verify (at s = 3e-12 tightness at 0+ reads 1.5e-5)
+S_MIN = 1e-10
+
+
 def _pair_closed_form(s: float):
     """What s fixes of the excursion profile (see :func:`bidding._profile`):
     at s = s_* (K reaches e^{2s}), where the pair equation is doubly
-    resonant, the left parts are G+ = e^{2s x} and G- = e^s G+."""
+    resonant, the left parts are G+ = e^{2s x} and G- = e^s G+.  Raises
+    DomainError below ``S_MIN``."""
     exc, _ = linear_tradeoff(s)
+    if not s >= S_MIN:
+        raise DomainError(f"excursion profiles need s >= {S_MIN}, got {s}")
     K = solve_K(s)
     M = max(1.0, K)
     # G-'s (K - M) term (K < 1 only) is negative, yet G- stays positive and
@@ -78,59 +87,11 @@ def _pair_closed_form(s: float):
 
 def _pair_sweep(rights: tuple[tuple[Piece, ...], ...], rho: float,
                 grid: GridSpec, s: float, kinks: tuple[tuple[int, ...], ...]):
-    """One block Gauss-Seidel sweep of the pair operator as the
-    ``step(x, out)`` of the fixed-point iteration.
-
-    The sweep writes G+ = (F (G+, G-))+ into ``out[0]``, then
-    G- = (F (new G+, G-))- into ``out[1]``, each the C/rho of its row of
-    ``ExcursionProfile.conditions`` by :func:`bidding._at_nodes`: the minus
-    update already reads the new plus component.  Both rows add the same
-    mass below x_min, S = M+ + M-, and it is the exact closure from C+, the
-    integral of G+ from x_min: S = (1/rho) integral_0^1 e^{2s(1-u)}
-    C+(x_min + u) du.  The pair's slow modes are lam = 0 and 2s, roots of
-    (rho lam - 1)^2 = e^lam; for each, Q(x) = e^{-lam x} (rho (rho lam - 1)
-    A+(x) + rho A-(x) - integral_0^1 e^{lam(1-u)} A+(x+u) du) is constant
-    along the pair equation and 0 on the minimal profile, and
-    rho (e^s - 1) = (e^{2s} - 1)/(2s) reduces Q_{2s}(x_min) = 0 to S (Q_0
-    splits it: M+ = integral_0^1 (e^{2s(1-u)} - 1) C+ du / (2 rho + 1)).
-    By parts, S = integral_0^1 (e^{2s(1-u)} - 1) G+(x_min + u) du
-    / (2 s rho), one dot product with the weights of
-    :func:`bidding._closure`.
-    Each half-update preserves order (every quadrature and closure weight
-    is non-negative), so sweeps from zero still rise to the same minimal
-    fixed point as plain (Jacobi) applications of F, and for this
-    nonnegative splitting they contract no slower than Jacobi sweeps
-    (Stein-Rosenberg).  The minus update needs A+, the integral of
-    the new G+; it stays in a buffer of the step's own and serves the next
-    sweep's plus update, so a sweep costs two quadratures, as a Jacobi
-    sweep does.  A+ is recomputed only when ``x`` is not the pair the step
-    wrote last: on the first sweep and after an extrapolation jump.
-    """
-    plus_row, minus_row = ExcursionProfile.conditions
-    plus_kinks, minus_kinks = kinks
-    psi_cum = _piece_cumints(rights[0], grid) / rho
-    h = grid.h / rho  # the quadrature at step h / rho integrates G / rho
-    A_plus, A_minus = np.empty(grid.m + 1), np.empty(grid.m + 1)
-    cums = (A_plus, A_minus)
-    closure = _closure(ExcursionProfile, s, rho, grid) / rho
-    n = closure.size  # the nodes of the window's first unit
-    wrote = None  # the plus array whose integral A_plus holds
-
-    def step(x, out):
-        nonlocal wrote
-        (plus, minus), (new_plus, new_minus) = x, out
-        if plus is not wrote:
-            cumulative_integral(plus, h, kinks=plus_kinks, out=A_plus)
-        cumulative_integral(minus, h, kinks=minus_kinks, out=A_minus)
-        _at_nodes(plus_row, cums, psi_cum, float(closure @ plus[:n]), grid,
-                  new_plus)
-        cumulative_integral(new_plus, h, kinks=plus_kinks, out=A_plus)
-        wrote = new_plus
-        _at_nodes(minus_row, cums, psi_cum, float(closure @ new_plus[:n]),
-                  grid, new_minus)
-        return out
-
-    return step
+    """One block Gauss-Seidel sweep of the pair operator, G+ = C+/rho and
+    then G- = C-/rho from the new G+, as the two-row
+    :func:`bidding._table_sweep` of ``ExcursionProfile``."""
+    return _table_sweep(ExcursionProfile, rights, rho, grid, s, kinks,
+                        cumulative_integral)
 
 
 @dataclass
@@ -162,8 +123,18 @@ class ExcursionProfile:
     # its file (see serialize)
     problem, fields, blocks = "linsearch", ("K", "M"), ("g_plus", "g_minus")
     # the slow root and scale of the tail closure at (s, rho) (see
-    # _pair_sweep), and the tail rate where the closure's mass underflows
+    # bidding._closure).  Both rows add the mass below x_min,
+    # S = M+ + M- = (1/rho) integral_0^1 e^{2s(1-u)} C+(x_min + u) du, C+
+    # the integral of G+ from x_min.  The slow modes are lam = 0 and 2s,
+    # roots of (rho lam - 1)^2 = e^lam; for each, Q(x) = e^{-lam x}
+    # (rho (rho lam - 1) A+(x) + rho A-(x) - integral_0^1 e^{lam(1-u)}
+    # A+(x+u) du) is constant along the pair equation and 0 on the minimal
+    # profile, and rho (e^s - 1) = (e^{2s} - 1)/(2s) reduces Q_{2s}(x_min)
+    # = 0 to S (Q_0 splits it: M+ = integral_0^1 (e^{2s(1-u)} - 1) C+ du
+    # / (2 rho + 1)); by parts, S = integral_0^1 (e^{2s(1-u)} - 1)
+    # G+(x_min + u) du / (2 s rho)
     closure = staticmethod(lambda s, rho: (2.0 * s, 0.5 / (s * rho)))
+    # the tail rate where the closure's mass underflows
     conjugate_rate = staticmethod(conjugate_rate_linear)
     # what s fixes of the profile, and the sweep that builds its left parts
     # (see bidding._profile)

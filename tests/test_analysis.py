@@ -16,6 +16,25 @@ from profile_lab.analysis import (DomainError, bidding_tradeoff, bisect,
                                   solve_xi_bidding)
 
 LN2 = math.log(2.0)
+# the s of the ulp checks against a 700-digit reference
+ULP_S = [1e-300, 1e-200, 1e-20, 1e-9, 1e-4, 1e-2, 0.0415, 0.1, 0.3, 0.5,
+         LN2, 0.7, 0.8, 0.95, 1.0]
+
+
+def ulps_off(got, want):
+    """How many ulp of ``want``, a ``decimal.Decimal``, the float ``got`` is
+    off it, at 700 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        return (abs(decimal.Decimal(got) - want)
+                / decimal.Decimal(math.ulp(float(want))))
+
+
+def at_700_digits(f, s):
+    """``f(d)`` evaluated at 700 digits, d the double s as a Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        return f(decimal.Decimal(s))
 
 
 def bisection_oracle(f, lo, hi, iters=200):
@@ -129,6 +148,30 @@ class TestBiddingTradeoff:
             with pytest.raises(DomainError):
                 bidding_tradeoff(bad)
 
+    @pytest.mark.parametrize("s", ULP_S)
+    def test_rho_and_chi_at_700_digits(self, s):
+        # chi = (e^s - 1)/s below ln 2, else xi/s with xi (2 - ln xi) = e^s,
+        # xi found by Newton from 1 (the map is concave and increasing, so
+        # the iterates rise to xi); at s = 1 the root is double, xi = e
+        def xi(d):
+            if d == 1:
+                return d.exp()
+            x = decimal.Decimal(1)
+            for _ in range(100):
+                step = (x * (2 - x.ln()) - d.exp()) / (1 - x.ln())
+                x -= step
+                if abs(step) < decimal.Decimal("1e-690"):
+                    return x
+            raise AssertionError(f"Newton for xi did not settle at s={s}")
+
+        pt = bidding_tradeoff(s)
+        rho = at_700_digits(lambda d: d.exp() / d, s)
+        chi = at_700_digits(lambda d: ((d.exp() - 1) / d
+                                       if d < decimal.Decimal(2).ln()
+                                       else xi(d) / d), s)
+        assert ulps_off(pt.rho, rho) <= 4, (pt.rho, rho)
+        assert ulps_off(pt.chi, chi) <= 4, (pt.chi, chi)
+
 
 class TestLinearSearchCurve:
     def test_s_star_value(self):
@@ -201,17 +244,21 @@ class TestLinearSearchCurve:
         # at 700 digits from the double s exactly (at 60 digits chi(1e-300)
         # still reads -0.5, since e^{2s} - 1 - 2s is about 2e-600 there)
         exc, strat = linear_tradeoff(s)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 700
-            d = decimal.Decimal(s)
-            e = d.exp()
-            chi = (e * e - 1 - 2 * d) / (2 * d * (1 + e))
-            K = e * (e * e - 1 + 2 * d * e) / (1 + e) ** 2
-            for got, want in ((exc.chi, chi), (solve_K(s), K)):
-                ulp = decimal.Decimal(math.ulp(float(want)))
-                assert abs(decimal.Decimal(got) - want) <= 4 * ulp, (got,
-                                                                      want)
+        chi = at_700_digits(lambda d: (d.exp() ** 2 - 1 - 2 * d)
+                            / (2 * d * (1 + d.exp())), s)
+        K = at_700_digits(lambda d: d.exp() * (d.exp() ** 2 - 1
+                                               + 2 * d * d.exp())
+                          / (1 + d.exp()) ** 2, s)
+        for got, want in ((exc.chi, chi), (solve_K(s), K)):
+            assert ulps_off(got, want) <= 4, (got, want)
         assert exc.chi > 0.0 and strat.chi >= 1.0
+
+    @pytest.mark.parametrize("s", ULP_S + [s_star()])
+    def test_rho_at_700_digits(self, s):
+        exc, strat = linear_tradeoff(s)
+        rho = at_700_digits(lambda d: (1 + d.exp()) / (2 * d), s)
+        assert ulps_off(exc.rho, rho) <= 4, (exc.rho, rho)
+        assert ulps_off(strat.rho, 1 + 2 * rho) <= 4, (strat.rho, rho)
 
     def test_upper_asymptotics(self):
         _, strat = linear_tradeoff(0.01)

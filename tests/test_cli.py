@@ -242,14 +242,24 @@ class TestProfileCommands:
         assert code == 0, out
 
     def test_tiny_s_linsearch_verify_names_failure(self, capsys, tmp_path):
-        out_file = str(tmp_path / "l.json")
-        code, _, _ = run(capsys, "profile", "build", "--problem", "linsearch",
-                         "--s", "1e-20", "--out", out_file)
-        assert code == 0
-        code, out, err = run(capsys, "profile", "verify", out_file)
-        assert code == 1
-        assert "failure: positivity: G-" in out
-        assert err == ""
+        # below excursion.S_MIN a build writes nothing, and a file that
+        # claims such an s does not load
+        out_file = tmp_path / "l.json"
+        code, _, err = run(capsys, "profile", "build", "--problem",
+                           "linsearch", "--s", "1e-20", "--out", str(out_file))
+        assert code == 2
+        assert "need s >= 1e-10" in err
+        assert not out_file.exists()
+        run(capsys, "profile", "build", "--problem", "linsearch",
+            "--s", "1e-10", "--out", str(out_file))
+        doc = json.loads(out_file.read_text())
+        doc["s"] = 1e-20
+        out_file.write_text(json.dumps(doc))
+        for cmd in (["verify"], ["simulate", "--target", "2"]):
+            code, out, err = run(capsys, "profile", cmd[0], str(out_file),
+                                 *cmd[1:])
+            assert (code, out) == (2, ""), cmd
+            assert "need s >= 1e-10" in err
 
     def test_simulate_deterministic(self, capsys, tmp_path):
         out_file = str(tmp_path / "b.json")

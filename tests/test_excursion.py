@@ -13,7 +13,7 @@ from profile_lab.analysis import (DomainError, linear_tradeoff, rho_ls_star,
                                   s_star, solve_K, solve_sK)
 from profile_lab.excursion import (C_minus, C_plus, build_excursion_profile,
                                    strategy_cost_linear, verify_excursion)
-from profile_lab.grids import GridFunction, make_grid
+from profile_lab.grids import GridFunction, Piece, make_grid
 
 S_K = solve_sK()
 S_STAR = s_star()
@@ -334,11 +334,36 @@ class TestVerify:
         assert verify_excursion is bd.verify
 
     def test_vanishing_minus_right_part_fails(self):
-        # at s = 1e-20 G-'s right part rounds to 0 and the build stops
-        # after one sweep; the relative tightness on x > 0 is undefined
-        rep = verify_excursion(build_excursion_profile(1e-20))
+        # a G- whose right part is 0: the relative tightness on x > 0 is
+        # undefined, so verify must fail it on positivity
+        p = build_excursion_profile(ex.S_MIN)
+        zero = (Piece.constant(0.0, 0.0, math.inf),)
+        rep = verify_excursion(dataclasses.replace(
+            p, g_minus=dataclasses.replace(p.g_minus, right_pieces=zero)))
         assert rep.passed is False
         assert any(f.startswith("positivity: G-") for f in rep.failures)
+
+    @pytest.mark.parametrize("s", np.geomspace(1e-10, 1e-2, 41).tolist(),
+                             ids="{:.3g}".format)
+    def test_small_s_default_builds_verify(self, s):
+        # five s per decade from the lower end of the domain up
+        rep = verify_excursion(build_excursion_profile(s))
+        assert rep.passed, rep.failures
+
+    def test_below_the_lower_end_raises(self):
+        with pytest.raises(DomainError, match="s >= 1e-10"):
+            build_excursion_profile(math.nextafter(ex.S_MIN, 0.0))
+
+    @pytest.mark.parametrize("s, factor", [(1e-6, 1 - 1e-3),
+                                           (0.05, 1 - 1e-3),
+                                           (0.9, math.nan)])
+    def test_chi_below_realized_consistency_fails(self, s, factor):
+        # chi 0.1% below C(0), far under TOL_ABS since chi is about s/2, or
+        # not a number
+        p = build_excursion_profile(s)
+        rep = verify_excursion(dataclasses.replace(p, chi=p.chi * factor))
+        assert rep.passed is False
+        assert any(f.startswith("consistency: ") for f in rep.failures)
 
     def test_boundary_identity(self, excursion_profiles):
         for s, p in excursion_profiles.items():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from profile_lab import analysis, bidding, excursion
+from profile_lab import analysis, bidding, excursion, grids
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -52,7 +52,7 @@ def perfbench_run(monkeypatch):
 @pytest.mark.parametrize("workload", [CERTIFY, COST, MC])
 def test_traced_run_reaches_every_binding(perfbench_run, tmp_path, workload):
     # each workload must still reach the bindings that name it as a home
-    # (certify-curve both sweeps' cumulative_integral, the Monte Carlo
+    # (certify-curve both problems' cumulative_integral, the Monte Carlo
     # oracle grids.value and grids.tau), or its layer metrics read nothing
     out = perfbench_run.run(workload, seed=5, seconds=0, trace=True,
                             sizes=TINY, out_dir=tmp_path)
@@ -68,3 +68,41 @@ def test_certify_curve_reads_both_builders_max_iter(tmp_path):
                              excursion=excursion))
     assert wl.max_iter == {"bidding": bidding.DEFAULT_MAX_ITER,
                            "linsearch": bidding.DEFAULT_MAX_ITER}
+
+
+def test_each_problem_integrates_under_its_own_module_name(monkeypatch):
+    # perfbench traces the quadrature per problem by the module name each
+    # sweep passes to bidding._table_sweep
+    calls = {"bidding": 0, "excursion": 0}
+
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return grids.cumulative_integral(*args, **kwargs)
+        return counted
+
+    for name, module in (("bidding", bidding), ("excursion", excursion)):
+        monkeypatch.setattr(module, "cumulative_integral", counting(name))
+    fresh = []  # whether each sweep starts from an array it did not write
+    iterate = bidding._iterate_to_fixed_point
+
+    def watched_iterate(step, start, max_iter):
+        last = None
+
+        def watched(x, out):
+            nonlocal last
+            fresh.append(x[0] is not last)
+            step(x, out)
+            last = out[0]
+        return iterate(watched, start, max_iter)
+
+    monkeypatch.setattr(bidding, "_iterate_to_fixed_point", watched_iterate)
+    p = bidding.build_profile(0.8)
+    assert calls == {"bidding": p.iterations, "excursion": 0}
+    calls["bidding"], fresh[:] = 0, []
+    p = excursion.build_excursion_profile(1.1)
+    # two per sweep, and one more whenever the sweep cannot reuse the G+
+    # it wrote last: the first sweep and after each jump (one at s = 1.1)
+    assert sum(fresh) >= 2
+    assert calls == {"bidding": 0,
+                     "excursion": 2 * p.iterations + sum(fresh)}
