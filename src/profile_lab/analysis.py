@@ -323,7 +323,7 @@ def conjugate_rate_bidding(s: float) -> float:
     exponential modes e^{lam x} exactly for the two roots of this
     characteristic equation; the minimal tight profile carries no e^{s x}
     component, so its left tail decays at the conjugate rate.  Used as the
-    analytic tail rate below the grid window.
+    rate of the real mode of the analytic tail below the grid window.
     """
     if not (0.0 < s <= 1.0):
         raise DomainError(f"conjugate rate requires s in (0, 1], got {s}")

@@ -31,16 +31,18 @@ from any valid profile falls to a tight profile at no worse consistency
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analysis import (ConvergenceError, DomainError, bidding_tradeoff,
                        conjugate_rate_bidding, lambert_w0)
-from .grids import GridFunction, GridSpec, Piece, cumulative_integral, make_grid
+from .grids import (GridFunction, GridSpec, Piece, Tail, cumulative_integral,
+                    make_grid)
 
 __all__ = [
     "BiddingProfile",
@@ -51,9 +53,9 @@ __all__ = [
     "tighten",
 ]
 
-# Below it, one exponential carrying the exact mass of the closure; at -4
-# that single exponential already breaks robustness deeper in the tail
-DEFAULT_X_MIN = -6.0
+# Below it, the first characteristic modes, projected from the window's first
+# unit (see _tails)
+DEFAULT_X_MIN = -4.0
 DEFAULT_H = 1.6e-3  # 625 steps per unit
 DEFAULT_MAX_ITER = 10_000
 SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
@@ -64,6 +66,8 @@ SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
 TOL_REL = 1e-4
 TOL_ABS = 1e-4
 ATOL_FLOOR = 1e-9
+# The complex pairs of modes a tail carries besides its real one
+TAIL_PAIRS = 3
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,8 @@ class BiddingProfile:
     g: GridFunction
     iterations: int = 0
     final_delta: float = math.nan
+    # the components whose tails _profile derived; verify projects others
+    derived: tuple = field(default=(), init=False, repr=False, compare=False)
 
     conditions = (Condition("A(x+1) <= rho G", ((0, 1),), 0, tight=False),)
     names = ("G",)
@@ -179,8 +185,21 @@ class BiddingProfile:
     # mass below x_min: M = s integral_0^1 e^{s(1-u)} C(x_min + u) du, by
     # parts integral_0^1 (e^{s(1-u)} - 1) G(x_min + u) du
     closure = staticmethod(lambda s, rho: (s, 1.0))
-    # the tail rate where the closure's mass underflows
+    # the real rate of the tail (see _tails): the conjugate root of
+    # e^lam = rho lam
     conjugate_rate = staticmethod(conjugate_rate_bidding)
+    # its complex roots lam = log(rho lam) + 2 pi i k (k >= 1) are the fixed
+    # points of this branch (with its derivative), and the coefficient at
+    # x_min of a mode e^{lam x} is its projection from G(x_min) and
+    # J = integral_0^1 e^{-lam u} G(x_min + u) du: by parts and
+    # rho G(x) = A(x + 1), (1 - lam) times it is e^{lam x} times the
+    # closure's Q at this root, G(x) - lam integral_0^1 e^{-lam u}
+    # G(x + u) du at x_min, which is G(x_min) - rho^-1 integral_0^1
+    # e^{lam(1-u)} G(x_min + u) du as e^lam = rho lam
+    branch = staticmethod(lambda rho, lam: (cmath.log(rho * lam), 1.0 / lam))
+    mode = staticmethod(lambda rho, lam, firsts, J:
+                        (firsts[0] - lam * J) / (1.0 - lam))
+    factors = staticmethod(lambda rho, lam: (1.0,))
     # what s fixes of the profile, and the sweep that builds its left part
     # (see _profile)
     closed_form = staticmethod(_closed_form)
@@ -270,35 +289,119 @@ def _unit_breaks(grid: GridSpec) -> tuple[int, ...]:
     return tuple(k for k in (m - 2 * n, m - n) if k > 0)
 
 
+def _unit_weights(grid: GridSpec) -> np.ndarray:
+    """The corrected trapezoid of :func:`cumulative_integral` over the
+    window's first unit, nodes j = 0..n: h, with end weights
+    h (9, 28, 23)/24."""
+    n = grid.steps_per_unit
+    q = np.full(n + 1, grid.h)
+    q[:3] = q[:-4:-1] = grid.h * np.array([9.0, 28.0, 23.0]) / 24.0
+    return q
+
+
 def _closure(kind, s: float, rho: float, grid: GridSpec) -> np.ndarray:
     """Weights w_j at the nodes j = 0..n of the window's first unit whose
     sum_j w_j G(x_j) over the first component G of a minimal profile of
     type ``kind`` at (s, rho) is its mass below x_min:
     scale integral_0^1 (e^{root(1-u)} - 1) G(x_min + u) du, with
-    (root, scale) = ``kind.closure(s, rho)``, by the corrected trapezoid
-    of :func:`cumulative_integral` (end weights h (9, 28, 23)/24).  Every
-    weight is non-negative (the last is 0), and each comes from
+    (root, scale) = ``kind.closure(s, rho)``, by :func:`_unit_weights`.
+    Every weight is non-negative (the last is 0), and each comes from
     ``math.expm1`` and correctly rounded products."""
     root, scale = kind.closure(s, rho)
-    n, h = grid.steps_per_unit, grid.h
-    q = np.ones(n + 1)
-    q[:3] = q[:-4:-1] = np.array([9.0, 28.0, 23.0]) / 24.0
-    e = np.fromiter((math.expm1(root * (n - j) / n) for j in range(n + 1)),
-                    float, n + 1)  # e^{root(1-u)} - 1 at u = j/n
-    return (scale * h) * q * e
+    n = grid.steps_per_unit
+    # e^{root(1-u)} - 1 at u = j/n
+    e = root * np.arange(n, -1, -1) / n
+    e = np.fromiter(map(math.expm1, e.tolist()), float, n + 1)
+    return scale * _unit_weights(grid) * e
 
 
-def _tail_rate(kind, s: float, rho: float, lefts, grid: GridSpec) -> float:
-    """The rate of the one exponential below x_min that starts at the sum
-    of the first values of the components ``lefts`` and holds the mass
-    M = w . lefts[0] of :func:`_closure`; where either underflows,
-    ``kind.conjugate_rate(s)``.  M is summed by ``math.fsum``, correctly
-    rounded, so the rate depends on the values alone, not on a reduction
-    order, and a saved profile reloads to the same rate on any machine."""
+def _mode_rate(branch, rho: float, k: int) -> complex:
+    """The root of lam = b(lam) + 2 pi i k, k >= 1, for ``branch(rho, lam)``
+    = (b(lam), b'(lam)): one fixed-point step from 2 pi i k, then Newton
+    until a step is below 1e-15 |lam| (Corless et al. 1996 for the
+    bidding branch, whose roots are -W_k(-1/rho))."""
+    shift = complex(0.0, 2.0 * math.pi * k)
+    lam = branch(rho, shift)[0] + shift
+    for _ in range(50):
+        b, db = branch(rho, lam)
+        step = (lam - b - shift) / (1.0 - db)
+        lam -= step
+        if abs(step) <= 1e-15 * abs(lam):
+            break
+    return lam
+
+
+def _decays(lam: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of e^{-lam j/n}, j = 0..n: each the
+    product of a ``cmath.exp`` at a coarse step and one at a fine step,
+    by correctly rounded real products, so the same on any machine."""
+    b = math.isqrt(n) + 1
+    fine = np.array([cmath.exp(-lam * (j / n)) for j in range(b)])
+    coarse = np.array([cmath.exp(-lam * (b * a / n))
+                       for a in range(n // b + 1)])
+    (cr, ci), (fr, fi) = (coarse.real, coarse.imag), (fine.real, fine.imag)
+    re = np.multiply.outer(cr, fr)
+    re -= np.multiply.outer(ci, fi)
+    im = np.multiply.outer(cr, fi)
+    im += np.multiply.outer(ci, fr)
+    return re.ravel()[:n + 1], im.ravel()[:n + 1]
+
+
+def _tails(kind, s: float, rho: float, lefts,
+           grid: GridSpec) -> tuple[Tail, ...]:
+    """The tail below x_min of each component of a minimal profile of type
+    ``kind`` at (s, rho) with left parts ``lefts``.
+
+    Below the window the profile solves its delayed equation, so it is a
+    sum of characteristic modes e^{lam x}, whose component k carries
+    ``kind.factors(rho, lam)[k]`` times the first component's
+    coefficient.  The tail keeps the first ``TAIL_PAIRS`` complex roots of
+    ``kind.branch`` (:func:`_mode_rate`), each with the coefficient
+    ``kind.mode`` projects from the first values and J = integral_0^1
+    e^{-lam u} G(x_min + u) du, G the first component, by the invariant
+    of the delayed equation at that root, which is constant along its
+    solutions and vanishes on every other mode (Hale & Verduyn Lunel
+    1993).  At the slow root that invariant is the closure
+    (:func:`_closure`), which holds every mode's mass below x_min: the
+    real mode, at ``kind.conjugate_rate(s)``, takes what the complex ones
+    leave of it, so the tail holds the mass the sweeps closed with.  J and
+    the mass sum the products of the left values and
+    :func:`_unit_weights` times :func:`_decays`, or the closure's weights,
+    by ``math.fsum``, correctly rounded, so the tail depends on the values
+    alone, not on a reduction order, and a saved profile reloads to the
+    same tail on any machine.
+
+    Where that tail is not certainly positive and increasing
+    (:meth:`Tail.is_monotone`), every component takes one exponential
+    from its first value at one rate: the sum of the first values over the
+    mass, or where either underflows the conjugate rate.
+    """
+    n = grid.steps_per_unit
+    firsts = tuple(float(v[0]) for v in lefts)
     w = _closure(kind, s, rho, grid)
-    mass = math.fsum((w * np.asarray(lefts[0])[:w.size]).tolist())
-    rate = sum(float(v[0]) for v in lefts) / mass if mass > 0.0 else 0.0
-    return rate if 0.0 < rate < math.inf else kind.conjugate_rate(s)
+    mass = math.fsum((w * lefts[0][:n + 1]).tolist())
+    weighted = _unit_weights(grid) * lefts[0][:n + 1]
+    waves = []
+    for k in range(1, TAIL_PAIRS + 1):
+        lam = _mode_rate(kind.branch, rho, k)
+        re, im = _decays(lam, n)
+        J = complex(math.fsum((re * weighted).tolist()),
+                    math.fsum((im * weighted).tolist()))
+        c = 2.0 * kind.mode(rho, lam, firsts, J)  # with its conjugate's
+        waves.append((lam, tuple(c * f for f in kind.factors(rho, lam))))
+    real = kind.conjugate_rate(s)
+    factors = kind.factors(rho, real)
+    c = ((mass - sum((ck / lam).real for lam, cs in waves for ck in cs))
+         / (sum(factors) / real))
+    tails = tuple(Tail(((real, c * f),) + tuple((lam, cs[k])
+                                                for lam, cs in waves))
+                  for k, f in enumerate(factors))
+    if all(t.is_monotone() for t in tails):
+        return tails
+    rate = sum(firsts) / mass if mass > 0.0 else 0.0
+    if not 0.0 < rate < math.inf:
+        rate = real
+    return tuple(Tail.exponential(rate, first) for first in firsts)
 
 
 def _stable_ratio(deltas: deque[float]) -> float | None:
@@ -368,8 +471,8 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     the largest change of one component of F per unit sup-norm change of
     one component of its argument: the window adds |x_min|, and the tail
     closure k = integral_0^1 u w(u) du, with w its weight (1/rho)
-    e^{2s(1-u)} on C+ (k = (e^{2s} - 1 - 2s)/(4 s^2 rho); c is about 3.8
-    near s_* at x_min = -6).  Raises DomainError, before the first sweep,
+    e^{2s(1-u)} on C+ (k = (e^{2s} - 1 - 2s)/(4 s^2 rho); c is about 2.7
+    near s_* at x_min = -4).  Raises DomainError, before the first sweep,
     unless ``max_iter`` >= 1.
     """
     if not max_iter >= 1:
@@ -415,10 +518,10 @@ def _profile(kind, s: float, grid: GridSpec, lefts,
     ``kind.closed_form(s)`` gives rho, chi, the fields after chi, each
     component's right part and, at the doubly resonant endpoint, the
     coefficients c_k of the exact left parts c_k e^{root x}, root the slow
-    root of ``kind.closure``, which is also the tail rate there.  Elsewhere
-    the right component of every row with a unit-shifted term kinks at
-    x = -1, every component breaks at the :func:`_unit_breaks`, and the
-    tail rate is :func:`_tail_rate`'s.
+    root of ``kind.closure``, which also continues each below the window.
+    Elsewhere the right component of every row with a unit-shifted term
+    kinks at x = -1, every component breaks at the :func:`_unit_breaks`,
+    and the tails are :func:`_tails`'.
     """
     rho, chi, fields, rights, exact = kind.closed_form(s)
     width = len(rights)
@@ -438,14 +541,24 @@ def _profile(kind, s: float, grid: GridSpec, lefts,
         lefts, iterations, final_delta = _iterate_to_fixed_point(
             kind.sweep(rights, rho, grid, s, kinks),
             (np.zeros(grid.m + 1),) * width, max_iter)
-    # one rate for every component: for the pair, separate rates would let
-    # C-'s deep-tail residual grow without bound
-    rate = (root if exact is not None
-            else _tail_rate(kind, s, rho, lefts, grid))
+    tails = _derived_tails(kind, s, rho, exact, lefts, grid)
     gs = [GridFunction(grid=grid, left_values=left, right_pieces=right,
-                       tail_rate=rate, kink_nodes=k, slope_breaks=breaks)
-          for left, right, k in zip(lefts, rights, kinks)]
-    return kind(s, rho, chi, *fields, *gs, iterations, final_delta)
+                       tail=tail, kink_nodes=k, slope_breaks=breaks)
+          for left, right, tail, k in zip(lefts, rights, tails, kinks)]
+    p = kind(s, rho, chi, *fields, *gs, iterations, final_delta)
+    p.derived = tuple(gs)
+    return p
+
+
+def _derived_tails(kind, s: float, rho: float, exact, lefts,
+                   grid: GridSpec) -> tuple[Tail, ...]:
+    """The tails of a profile's components: at the doubly resonant endpoint
+    (``exact`` not None), its left parts' own exponentials; elsewhere
+    :func:`_tails`'."""
+    if exact is None:
+        return _tails(kind, s, rho, lefts, grid)
+    root, _ = kind.closure(s, rho)
+    return tuple(Tail.exponential(root, float(v[0])) for v in lefts)
 
 
 def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
@@ -458,8 +571,9 @@ def build_profile(s: float, x_min: float = DEFAULT_X_MIN, h: float = DEFAULT_H,
     ``x_min`` from the exact closure over the window's first unit (see
     ``BiddingProfile.closure``), so the window need not reach the
     asymptotic decay.
-    The stored tail is one exponential from G(x_min) holding that mass, at
-    the rate G(x_min)/M; where both underflow, at the conjugate rate.
+    Below the window the stored tail is the first characteristic modes
+    of the delayed equation, projected from the window's first unit
+    (:func:`_tails`).
     """
     return _profile(BiddingProfile, s, make_grid(x_min, h), None, max_iter)
 
@@ -510,8 +624,12 @@ def verify(p) -> VerificationReport:
     ``TOL_REL`` relative there and to 1e-5 absolute at 0+.  Tightness is the
     largest absolute node residual.  The consistency, the first condition's
     C(0), may exceed chi by at most ``TOL_ABS`` and by at most ``TOL_REL``
-    chi, which binds where chi < 1 (linear search).  Component names in the
-    failures come from ``p.names``.
+    chi, which binds where chi < 1 (linear search).  Each component's
+    tail must match the one the profile's left values project to
+    (:func:`_derived_tails`) to ``TOL_REL`` relative at the 100 tail
+    points, with no floor; a profile that ``_profile`` built or loaded
+    carries the tails it derived, which are not projected again.
+    Component names in the failures come from ``p.names``.
     """
     gs, rho, names = p.components, p.rho, p.names
     g = gs[0]
@@ -543,6 +661,21 @@ def verify(p) -> VerificationReport:
     gap = float(_delayed_integral(p, p.conditions[0], 0.0) - p.chi)
 
     failures = []
+    if len(p.derived) != len(gs) or any(
+            a is not b for a, b in zip(p.derived, gs)):
+        *_, exact = p.closed_form(p.s)
+        wants = _derived_tails(type(p), p.s, rho, exact,
+                               tuple(c.left_values for c in gs), g.grid)
+        for name, c, want in zip(names, gs, wants):
+            ref = want.value(tail - g.x_min)
+            off = np.abs(c.tail.value(tail - g.x_min) - ref)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                off = np.where(off > 0.0, off / ref, 0.0)
+            i = int(np.argmax(off))
+            if not off[i] <= TOL_REL:
+                failures.append(f"tail: {name} is {off[i]:.3e} off its "
+                                f"projection, relative, at "
+                                f"x = {tail[i]:.6g}")
     if max_rel > TOL_REL:
         cond, x = [(c, x) for c, xs, _, _ in rows for x in xs][worst]
         failures.append(f"robustness: relative residual {max_rel:.3e} > "
@@ -599,8 +732,8 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
     the input's.  Sweeps stop as a build's do, at ``SWEEP_TOL``, and close
     the tail at the slow root s = -W0(-1/rho) of e^s = rho s, which is
     real for rho >= e (the rho of every bidding profile, e^s/s); a smaller
-    rho raises DomainError.  The returned tail rate is derived from the new
-    left part as a build's is (:func:`_tail_rate`).
+    rho raises DomainError.  The returned tail is derived from the new
+    left part as a build's is (:func:`_tails`).
     """
     if not rho >= math.e:
         raise DomainError(f"tighten needs rho >= e, got rho={rho!r}")
@@ -608,6 +741,5 @@ def tighten(g: GridFunction, rho: float) -> GridFunction:
     (left,), _, _ = _iterate_to_fixed_point(
         _sweep((g.right_pieces,), rho, g.grid, s, (g.kink_nodes,)),
         (g.left_values,), DEFAULT_MAX_ITER)
-    return replace(g, left_values=left,
-                   tail_rate=_tail_rate(BiddingProfile, s, rho, (left,),
-                                        g.grid))
+    (tail,) = _tails(BiddingProfile, s, rho, (left,), g.grid)
+    return replace(g, left_values=left, tail=tail)

@@ -14,7 +14,7 @@ too large to hold in memory), 3 the solver did not converge (profile build
 raised ConvergenceError), 4 the Monte Carlo simulation did not terminate
 (profile simulate).  All outputs are deterministic given the arguments;
 reals are written as shortest round-trip decimals.  profile build takes its
-grid defaults (--x-min -6, --h 1.6e-3: 625 steps per unit, 3 751 nodes)
+grid defaults (--x-min -4, --h 1.6e-3: 625 steps per unit, 2 501 nodes)
 and its sweep tolerance (bidding.SWEEP_TOL) from the library; profile
 verify checks at its fixed tolerances (bidding.TOL_REL, TOL_ABS,
 ATOL_FLOOR), and fails a realized consistency above chi by more than

@@ -35,8 +35,9 @@ Gauss-Seidel sweep (:func:`_pair_sweep`): the C- row reads the new G+.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +86,22 @@ def _pair_closed_form(s: float):
             (1.0, math.exp(s)) if endpoint else None)
 
 
+def _pair_mode(rho: float, lam: complex, firsts: tuple[float, float],
+               J: complex) -> complex:
+    """The coefficient at x_min of the mode e^{lam x} in G+, a root of
+    (rho lam - 1)^2 = e^lam, projected from G+(x_min), G-(x_min) and
+    J = integral_0^1 e^{-lam u} G+(x_min + u) du.
+
+    The mode's G- is r = rho lam - 1 times its G+.  Its invariant Q (see
+    ``ExcursionProfile.closure``) is D = r (2 rho + 1 - rho lam) times the
+    mode's coefficient in A+; by parts and the two rows at x_min, lam Q
+    e^{lam x_min} = rho r G+(x_min) + rho G-(x_min) - e^lam J, with
+    e^lam = r^2."""
+    r = rho * lam - 1.0
+    return ((rho * (r * firsts[0] + firsts[1]) - r * r * J)
+            / (r * (2.0 * rho + 1.0 - rho * lam)))
+
+
 def _pair_sweep(rights: tuple[tuple[Piece, ...], ...], rho: float,
                 grid: GridSpec, s: float, kinks: tuple[tuple[int, ...], ...]):
     """One block Gauss-Seidel sweep of the pair operator, G+ = C+/rho and
@@ -115,6 +132,8 @@ class ExcursionProfile:
     g_minus: GridFunction
     iterations: int = 0
     final_delta: float = math.nan
+    # the components whose tails _profile derived; verify projects others
+    derived: tuple = field(default=(), init=False, repr=False, compare=False)
 
     conditions = (
         Condition("C+ <= rho G+", ((0, 0), (1, 0)), 0, tight=False),
@@ -134,8 +153,17 @@ class ExcursionProfile:
     # / (2 rho + 1)); by parts, S = integral_0^1 (e^{2s(1-u)} - 1)
     # G+(x_min + u) du / (2 s rho)
     closure = staticmethod(lambda s, rho: (2.0 * s, 0.5 / (s * rho)))
-    # the tail rate where the closure's mass underflows
+    # the real rate of the tails (see bidding._tails): the conjugate root of
+    # (rho lam - 1)^2 = e^lam
     conjugate_rate = staticmethod(conjugate_rate_linear)
+    # its complex roots lam = 2 log(rho lam - 1) + 2 pi i k (k >= 1) are
+    # the fixed points of this branch, a mode's coefficient in G+ at x_min
+    # is its projection (_pair_mode), and its G- is rho lam - 1 times its
+    # G+
+    branch = staticmethod(lambda rho, lam: (2.0 * cmath.log(rho * lam - 1.0),
+                                            2.0 * rho / (rho * lam - 1.0)))
+    mode = staticmethod(_pair_mode)
+    factors = staticmethod(lambda rho, lam: (1.0, rho * lam - 1.0))
     # what s fixes of the profile, and the sweep that builds its left parts
     # (see bidding._profile)
     closed_form = staticmethod(_pair_closed_form)

@@ -2,8 +2,9 @@
 
 A :class:`GridFunction` stores a profile G in three zones:
 
-* an analytic exponential tail ``G(x_min) * exp(rate * (x - x_min))`` on
-  ``(-inf, x_min]``, which continues the grid zone from its first value,
+* an analytic :class:`Tail` on ``(-inf, x_min)``: a short sum of
+  exponential modes ``Re(c e^{lam (x - x_min)})``, one real and a few
+  complex, each complex rate standing with its conjugate,
 * sampled values on a uniform grid over ``[x_min, 0]``, modelled between
   nodes by a monotone cubic Hermite interpolant (the stored value at 0 is
   the left limit G(0)),
@@ -22,6 +23,8 @@ then exact index shifts and never drift off the grid.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,10 +32,10 @@ import numpy as np
 
 from .analysis import DomainError, _level_search
 
-__all__ = ["Piece", "GridFunction", "Lanes", "make_grid", "GridSpec",
+__all__ = ["Piece", "Tail", "GridFunction", "Lanes", "make_grid", "GridSpec",
            "cumulative_integral"]
 
-# The most nodes a grid may hold: about 2700 times the default grid's 3 751.
+# The most nodes a grid may hold: about 4000 times the default grid's 2 501.
 # Every array over the window costs 8 bytes a node.
 MAX_NODES = 10**7
 
@@ -208,6 +211,85 @@ class Piece:
         return _level_search(self.value, target, self.lo, hi)
 
 
+class Tail:
+    """A profile below its window: ``sum_j Re(c_j e^{lam_j t})`` at
+    ``t = x - x_min < 0`` over the ``modes`` (lam_j, c_j); immutable.
+
+    The first mode is real: its rate and coefficient are floats.  Each later
+    one is complex and stands with its conjugate, so its c_j is twice the
+    coefficient of e^{lam_j t} alone.  A tail of one mode is one
+    exponential.  The scalar evaluations use ``math``/``cmath`` and the
+    vectorized one numpy; every sum runs over the modes in order.  (A plain
+    class: a dataclass costs 0.4 ms more to import.)
+    """
+
+    __slots__ = ("modes",)
+
+    def __init__(self, modes: tuple[tuple[complex, complex], ...]):
+        self.modes = modes
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Tail) and self.modes == other.modes
+
+    def __hash__(self) -> int:
+        return hash(self.modes)
+
+    def __repr__(self) -> str:
+        return f"Tail({self.modes!r})"
+
+    @staticmethod
+    def exponential(rate: float, coeff: float) -> "Tail":
+        return Tail(((rate, coeff),))
+
+    @property
+    def rate(self) -> float:
+        """The real mode's rate."""
+        return self.modes[0][0]
+
+    @property
+    def coeff(self) -> float:
+        """The real mode's coefficient at t = 0."""
+        return self.modes[0][1]
+
+    @property
+    def mass(self) -> float:
+        """The integral over t < 0."""
+        return self.integral(0.0)
+
+    def value(self, t: np.ndarray) -> np.ndarray:
+        (r, c), *waves = self.modes
+        out = c * np.exp(r * t)
+        for lam, c in waves:
+            out += (c * np.exp(lam * t)).real
+        return out
+
+    def at(self, t: float) -> float:
+        """:meth:`value` at one t, by ``math`` and ``cmath``."""
+        (r, c), *waves = self.modes
+        total = c * math.exp(r * t)
+        for lam, c in waves:
+            total += (c * cmath.exp(lam * t)).real
+        return total
+
+    def integral(self, t: float) -> float:
+        """The integral from -inf to t <= 0."""
+        (r, c), *waves = self.modes
+        total = c / r * math.exp(r * t)
+        for lam, c in waves:
+            total += (c / lam * cmath.exp(lam * t)).real
+        return total
+
+    def is_monotone(self) -> bool:
+        """Whether the tail is certainly positive and increasing on t < 0:
+        a positive real mode whose slope bounds the sum of the moduli of
+        the others' (each complex mode decays faster than the real one,
+        so their share is largest at t = 0)."""
+        (r, c), *waves = self.modes
+        return (0.0 < c * r < math.inf and all(
+            lam.real > r for lam, _ in waves)
+            and math.fsum(abs(lam * c) for lam, c in waves) <= c * r)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Snapped uniform grid over [x_min, 0]: positions (i - m) * h, i = 0..m."""
@@ -253,27 +335,47 @@ def _hermite_basis(u: np.ndarray) -> tuple[np.ndarray, ...]:
             -2.0 * u3 + 3.0 * u2, u3 - u2)
 
 
+@functools.lru_cache(maxsize=64)
+def _cell_table(lam: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of e^{lam c/n}, c = 0..n-1."""
+    e = np.exp(lam * (np.arange(n) / n))
+    return e.real.copy(), e.imag.copy()
+
+
 class Lanes:
     """The points k + u of fixed lanes u in (0, 1], for integer k, on one grid.
 
     A unit holds ``steps_per_unit`` cells, so k + u lies in cell
     ``m + k * steps_per_unit + cell`` at the same in-cell fraction for
     every k.  The cells, the Hermite basis weights of the fractions (a
-    node is the right end of its cell) and each ``e^{rate u}`` are
-    computed once here; :meth:`GridFunction.lane_values` then evaluates a
-    step k from them.
+    node is the right end of its cell), each ``e^{rate u}`` and the real
+    and imaginary parts of each complex ``e^{lam u}`` are computed once
+    here; :meth:`GridFunction.lane_values` then evaluates a step k from
+    them.  A walk's steps ascend, so the weights, laid out at its first
+    step in the grid zone, free the waves of the tail it has left.
     """
 
     def __init__(self, grid: GridSpec, u: np.ndarray):
-        t = u * grid.steps_per_unit
-        cell = np.ceil(t) - 1.0
         self.grid = grid
         self.u = u
         self.u_min = float(u.min())
-        self.weights = _hermite_basis(t - cell)
-        self.cell = cell.astype(np.intp)
+        self.u_max = float(u.max())
+        self.cell = (np.ceil(u * grid.steps_per_unit) - 1.0).astype(np.intp)
         self.cell_range = (int(self.cell.min()), int(self.cell.max()))
+        self._weights: tuple[np.ndarray, ...] | None = None
         self._growth: dict[float, np.ndarray] = {}
+        self._waves: dict[complex, tuple[np.ndarray, np.ndarray]] = {}
+        self._rest: np.ndarray | None = None  # u - cell/n, for the waves
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """The Hermite basis weights of the fractions."""
+        if self._weights is None:
+            self._waves.clear()
+            self._rest = None
+            self._weights = _hermite_basis(
+                self.u * self.grid.steps_per_unit - self.cell)
+        return self._weights
 
     def growth(self, rate: float) -> np.ndarray:
         """e^{rate u}, computed once per rate."""
@@ -282,13 +384,61 @@ class Lanes:
             g = self._growth[rate] = np.exp(rate * self.u)
         return g
 
+    def wave(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The real and imaginary parts of e^{lam u}, computed once per
+        lam.
+
+        While |Im lam| <= n/16, n steps per unit, it is e^{lam c/n} at the
+        lane's cell c, from a table of n, times e^{lam y} for the rest
+        y = u - c/n <= 1/n: e^{y Re lam} times the cos and sin of
+        x = y Im lam, |x| <= 1/16, by their series to x^7 (to 6e-15
+        relative), three times faster than a complex exp per lane."""
+        w = self._waves.get(lam)
+        if w is not None:
+            return w
+        n = self.grid.steps_per_unit
+        if abs(lam.imag) > n / 16.0:
+            e = np.exp(lam * self.u)
+            w = self._waves[lam] = (e.real.copy(), e.imag.copy())
+            return w
+        if self._rest is None:
+            self._rest = self.u - self.cell / n
+        x = self._rest * lam.imag
+        x2 = x * x
+        cos, sin = x2 * (-1.0 / 720.0), x2 * (-1.0 / 5040.0)
+        for a, b in ((1.0 / 24.0, 1.0 / 120.0), (-0.5, -1.0 / 6.0)):
+            cos += a
+            cos *= x2
+            sin += b
+            sin *= x2
+        cos += 1.0
+        sin += 1.0
+        sin *= x
+        del x, x2
+        y = self._rest * lam.real
+        np.exp(y, out=y)  # e^{y Re lam}
+        table_re, table_im = _cell_table(lam, n)
+        tr = table_re[self.cell]
+        tr *= y
+        ti = table_im[self.cell]
+        ti *= y
+        del y
+        re = tr * cos
+        cos *= ti
+        ti *= sin
+        re -= ti
+        sin *= tr
+        sin += cos
+        w = self._waves[lam] = (re, sin)
+        return w
+
 
 @dataclass
 class GridFunction:
     """A non-decreasing profile on the real line; immutable after creation.
 
-    Below the window the tail ``tail_coeff * exp(tail_rate * (x - x_min))``
-    continues the grid: ``tail_coeff`` is the first grid value.
+    Below the window, on x < x_min, the :class:`Tail` ``tail`` continues the
+    grid, whose first node x_min it leaves to the grid zone.
     ``kink_nodes`` lists grid indices where the stored function has a
     derivative jump (profiles built from the delayed integral equation kink
     at x = -1 when the right part jumps at 0); integrals split the
@@ -304,7 +454,7 @@ class GridFunction:
     grid: GridSpec
     left_values: np.ndarray
     right_pieces: tuple[Piece, ...]
-    tail_rate: float
+    tail: Tail
     kink_nodes: tuple[int, ...] = ()
     slope_breaks: tuple[int, ...] = ()
 
@@ -381,14 +531,19 @@ class GridFunction:
         return self.grid.h
 
     @property
+    def tail_rate(self) -> float:
+        """The rate of the tail's real mode."""
+        return self.tail.rate
+
+    @property
     def tail_coeff(self) -> float:
-        """The tail's value at x_min: the first grid value."""
-        return float(self.left_values[0])
+        """The coefficient at x_min of the tail's real mode."""
+        return self.tail.coeff
 
     @property
     def tail_mass(self) -> float:
-        """Closed-form mass below x_min: coeff / rate."""
-        return self.tail_coeff / self.tail_rate
+        """Closed-form mass below x_min."""
+        return self.tail.mass
 
     def right_value_at_zero(self) -> float:
         """Right limit G(0+), from the first analytic piece."""
@@ -440,12 +595,11 @@ class GridFunction:
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
         out = np.full_like(xa, np.nan)
-        zone = xa <= self.x_min
+        zone = xa < self.x_min
         if zone.any():
-            out[zone] = self.tail_coeff * np.exp(
-                self.tail_rate * (xa[zone] - self.x_min))
+            out[zone] = self.tail.value(xa[zone] - self.x_min)
         right = xa > 0.0
-        zone = (xa > self.x_min) & ~right
+        zone = (xa >= self.x_min) & ~right
         if zone.any():
             out[zone] = self._hermite(xa[zone])
         if right.any():
@@ -460,9 +614,10 @@ class GridFunction:
         rounding.
 
         A step whose points all lie in the grid zone is an index add, four
-        gathers and a weighted sum; one whose points all lie on the last
-        right piece is a scalar per term times ``e^{rate u}``.  A step that
-        crosses a zone boundary or lands elsewhere calls :meth:`value`.
+        gathers and a weighted sum; one whose points all lie on the tail or
+        on the last right piece is a scalar per mode or term times
+        ``e^{rate u}``.  A step that crosses a zone boundary or lands
+        elsewhere calls :meth:`value`.
         """
         if lanes.grid != self.grid:
             raise ValueError("lanes were laid out on another grid")
@@ -471,6 +626,16 @@ class GridFunction:
         lo, hi = lanes.cell_range
         if base + lo >= 0 and base + hi < m:
             return self._hermite_sum(lanes.weights, lanes.cell + base)
+        if k + lanes.u_max < self.x_min:
+            t = k - self.x_min
+            (r, c), *waves = self.tail.modes
+            out = lanes.growth(r) * (c * math.exp(r * t))
+            for lam, c in waves:
+                z = c * cmath.exp(lam * t)
+                re, im = lanes.wave(lam)
+                out += re * z.real
+                out -= im * z.imag
+            return out
         last = self.right_pieces[-1]
         if k + lanes.u_min > last.lo:
             out = np.full(lanes.u.size, last.level)
@@ -482,7 +647,7 @@ class GridFunction:
     def integral_to(self, x: float) -> float:
         """A(x) = integral of G over (-inf, x]; exact for the stored model."""
         if x <= self.x_min:
-            return float(self.tail_mass * math.exp(self.tail_rate * (x - self.x_min)))
+            return float(self.tail.integral(x - self.x_min))
         total = self.tail_mass
         if x <= 0.0:
             pos = (x - self.x_min) / self.h
@@ -505,8 +670,9 @@ class GridFunction:
         total = np.full(x.shape, self.tail_mass)
         tail = x <= self.x_min
         if tail.any():
-            rx = (self.tail_rate * (x[tail] - self.x_min)).tolist()
-            total[tail] *= np.fromiter(map(math.exp, rx), float, len(rx))
+            t = (x[tail] - self.x_min).tolist()
+            total[tail] = np.fromiter(map(self.tail.integral, t), float,
+                                      len(t))
         left, right = (x > self.x_min) & (x <= 0.0), x > 0.0
         pos = (x[left] - self.x_min) / self.h
         i = np.minimum(pos.astype(np.intp), self.grid.m - 1)
@@ -525,15 +691,17 @@ class GridFunction:
         Raises DomainError for any other target, or when G stays below
         ``target`` everywhere.
 
-        The tail inverts in closed form; :func:`_level_search` bisects a
-        crossing in the window's cell on the Hermite model (40-45 calls).
+        A one-mode tail inverts in closed form; :func:`_level_search`
+        bisects a crossing on a tail of more modes, bracketed around its
+        real mode's, and in the window's cell on the Hermite model (40-45
+        calls).
         """
         if not 0.0 < target < math.inf:
             raise DomainError(
                 f"tau requires a positive finite target, got {target!r}")
         v = self.left_values
         if target <= v[0]:
-            return self.x_min + math.log(target / v[0]) / self.tail_rate
+            return self._tail_tau(target)
         if target <= v[-1]:
             # v[i-1] < target <= v[i] with i >= 1: a crossing in (i-1, i]
             i = int(np.searchsorted(v, target, side="left"))
@@ -545,6 +713,27 @@ class GridFunction:
             if c is not None:
                 return c
         raise DomainError(f"the profile never reaches the target {target!r}")
+
+    def _tail_tau(self, target: float) -> float:
+        """tau of a target at most G(x_min): x_min where the tail stays
+        below it."""
+        tail, x_min = self.tail, self.x_min
+
+        def f(x: float) -> float:
+            return tail.at(x - x_min)
+
+        guess = x_min + math.log(target / tail.coeff) / tail.rate
+        if len(tail.modes) == 1:
+            return guess
+        if f(x_min) < target:
+            return x_min
+        hi = min(guess + 1.0, x_min)
+        if f(hi) < target:
+            hi = x_min
+        lo = min(guess, hi) - 1.0
+        while f(lo) >= target:
+            lo -= hi - lo
+        return _level_search(f, target, lo, hi)
 
     # -- invariants -------------------------------------------------------
 

@@ -3,8 +3,9 @@
 Profiles are stored as a self-describing JSON document in the layout each
 profile class declares: its ``problem`` tag, s, rho, chi and the class's
 ``fields``, the grid's x_min and h, then one block per component (left
-values, right pieces, left tail, kink nodes) under that component's key in
-``blocks``, or at the top level where the key is None.  All reals are
+values, right pieces, the tail's modes, kink nodes) under that
+component's key in ``blocks``, or at the top level where the key is
+None.  All reals are
 emitted as shortest round-trip decimals (Python's float repr), so a
 save/load cycle reproduces every stored value bit-exactly.  Unbounded piece
 ends are encoded as null.  Loading finds the class by its tag, rebuilds
@@ -45,7 +46,9 @@ def _grid_function_to_dict(g: GridFunction) -> dict[str, Any]:
     return {
         "left_values": g.left_values.tolist(),
         "right_pieces": [_piece_to_dict(p) for p in g.right_pieces],
-        "left_tail": {"coeff": g.tail_coeff, "rate": g.tail_rate},
+        "left_tail": {"coeff": g.tail_coeff, "rate": g.tail_rate,
+                      "modes": [[lam.real, lam.imag, c.real, c.imag]
+                                for lam, c in g.tail.modes[1:]]},
         "kink_nodes": list(g.kink_nodes),
     }
 
@@ -117,8 +120,8 @@ def _write_json(doc: Any, fh) -> None:
 
     ``json.dumps`` runs the C encoder, about twice as fast as the
     pure-Python one of ``json.dump``, but holds one string per number until
-    it joins them (0.84 MB for a whole linear-search profile at the default
-    grid, 3 751 nodes per component), so objects are written key by key,
+    it joins them (0.56 MB for a whole linear-search profile at the default
+    grid, 2 501 nodes per component), so objects are written key by key,
     which holds one component's values at a time, and lists longer than
     4096 items, which only finer grids give, in slices of 4096.
     """

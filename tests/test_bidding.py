@@ -1,5 +1,6 @@
 """Bidding profile construction, evaluation, and verification."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -17,7 +18,7 @@ from profile_lab.analysis import (ConvergenceError, DomainError,
 from profile_lab.bidding import build_profile, expected_cost, tighten, verify
 from profile_lab.excursion import (ExcursionProfile, build_excursion_profile,
                                    verify_excursion)
-from profile_lab.grids import (GridFunction, Piece, cumulative_integral,
+from profile_lab.grids import (GridFunction, Piece, Tail, cumulative_integral,
                                make_grid)
 
 # Profile values read off the published representative-profile figure; its
@@ -290,6 +291,11 @@ class TestCost:
             assert expected_cost(p, float(T)) / T <= p.rho * (1 + 1e-4)
 
 
+def scaled(tail: Tail, f: float) -> Tail:
+    """The tail times f: the one that left values times f project to."""
+    return Tail(tuple((lam, f * c) for lam, c in tail.modes))
+
+
 class TestVerify:
     def test_built_profiles_pass(self, bidding_profiles):
         for p in bidding_profiles.values():
@@ -314,7 +320,7 @@ class TestVerify:
         grid = make_grid(-20.0, 1e-2)
         g = GridFunction(grid=grid, left_values=np.ones(grid.m + 1),
                          right_pieces=(Piece.constant(1.0, 0.0, math.inf),),
-                         tail_rate=1.0)
+                         tail=Tail.exponential(1.0, 1.0))
         fake = bd.BiddingProfile(s=0.5, rho=2.0, chi=1.5, g=g)
         rep = verify(fake)
         assert not rep.passed
@@ -324,9 +330,11 @@ class TestVerify:
     def test_deflated_left_part_fails_robustness_only(self, bidding_profiles):
         p = bidding_profiles[0.5]
         g = p.g
+        # the tail deflated with the window, as it projects from it
         shrunk = GridFunction(grid=g.grid, left_values=g.left_values * 0.9,
                               right_pieces=g.right_pieces,
-                              tail_rate=g.tail_rate, kink_nodes=g.kink_nodes)
+                              tail=scaled(g.tail, 0.9),
+                              kink_nodes=g.kink_nodes)
         rep = verify(bd.BiddingProfile(s=p.s, rho=p.rho, chi=p.chi, g=shrunk))
         assert not rep.passed
         assert any("robustness" in f for f in rep.failures)
@@ -360,13 +368,15 @@ class TestVerify:
                 f"A(x+1) <= rho G at x = -3") in rep.failures
 
     def test_raised_left_part_fails_consistency_only(self, bidding_profiles):
-        # the left part raised by 1e-3 relative stays robust at the nodes
-        # and on (0, 10] (worst relative residual about 5.2e-10); on the
-        # tail both sides of the row scale with it, so it is as robust as
-        # the built profile there; but its C(0) exceeds chi by about 2.97e-4
+        # the left part and its tail raised by 1e-3 relative stay robust at
+        # the nodes and on (0, 10] (worst relative residual about 5.2e-10);
+        # on the tail both sides of the row scale with them, so it is as
+        # robust as the built profile there; but its C(0) exceeds chi by
+        # about 2.97e-4
         p = bidding_profiles[0.5]
         raised = dataclasses.replace(p, g=dataclasses.replace(
-            p.g, left_values=p.g.left_values * (1.0 + 1e-3)))
+            p.g, left_values=p.g.left_values * (1.0 + 1e-3),
+            tail=scaled(p.g.tail, 1.0 + 1e-3)))
         rep = verify(raised)
         assert rep.consistency_gap == pytest.approx(2.97e-4, rel=1e-2)
         assert rep.failures == (
@@ -406,7 +416,7 @@ class TestVerify:
 
 class TestTailClosure:
     """The mass below x_min from the closure over the window's first unit,
-    the one exponential that carries it, and verify's check of that tail."""
+    the modes projected from that unit, and verify's check of the tail."""
 
     @pytest.mark.parametrize("kind", [bd.BiddingProfile, ExcursionProfile])
     def test_weights_are_the_corrected_trapezoid(self, kind):
@@ -445,16 +455,20 @@ class TestTailClosure:
 
     @pytest.mark.parametrize("build, s", [(build_profile, 0.5),
                                           (build_excursion_profile, 1.1)])
-    def test_the_tail_rate_is_the_correctly_rounded_closure(self, build, s):
-        # the stored rate divides by the correctly rounded sum of the
-        # closure's products, which no reduction order (a BLAS kernel, a
-        # pairwise sum) changes, so a saved file reloads on any machine
+    def test_the_tail_coefficients_are_the_correctly_rounded_projection(
+            self, build, s, monkeypatch):
+        # every coefficient comes from the correctly rounded sums of the
+        # closure's and J's products, which no reduction order (a BLAS
+        # kernel, a pairwise sum) changes, so a saved file reloads on any
+        # machine: summing them exactly in Fractions gives the same tail
         p = build(s)
-        g = p.components[0]
-        w = bd._closure(type(p), s, p.rho, g.grid)
-        terms = (w * g.left_values[:w.size]).tolist()
-        exact = float(sum(map(Fraction, terms)))
-        assert g.tail_rate == sum(c.tail_coeff for c in p.components) / exact
+        lefts = tuple(c.left_values for c in p.components)
+        monkeypatch.setattr(math, "fsum",
+                            lambda xs: float(sum(map(Fraction, xs))))
+        exact = bd._tails(type(p), s, p.rho, lefts, p.components[0].grid)
+        for c, tail in zip(p.components, exact):
+            assert len(c.tail.modes) == 1 + bd.TAIL_PAIRS
+            assert c.tail == tail
 
     @pytest.mark.parametrize("build, s", [
         *[(build_profile, s) for s in (0.3, 0.5, 0.8, 0.95, 0.05, 0.1, 0.99)],
@@ -465,24 +479,87 @@ class TestTailClosure:
         rep = verify(build(s))
         assert rep.passed, rep.failures
 
+    @pytest.mark.parametrize("build, s, field", [
+        (build_profile, 0.5, "g"), (build_excursion_profile, 0.9, "g_plus")])
+    @pytest.mark.parametrize("part", [0, 1])
     @pytest.mark.parametrize("f", [0.5, 1.435, 2.0])
-    def test_a_wrong_tail_rate_is_rejected_on_the_tail(self, f):
-        # a slower tail is heavier and raises C at the first node, x_min; a
-        # faster one is lighter, which only lowers C at the nodes, but below
-        # x_min - 1 both sides are exponentials, with A(x+1)/(rho G(x)) =
-        # e^{lam}/(rho lam): 1.5 at f = 1.435 and 2.9 at f = 2
+    def test_a_wrong_tail_rate_is_rejected_on_the_tail(self, build, s, field,
+                                                       part, f):
+        # the real mode's rate (part 0) or coefficient (part 1) times f: the
+        # tail no longer matches its projection, with no help from
+        # ATOL_FLOOR (G+(x_min) is 4.1e-7 at linear search 0.9)
+        p = build(s)
+        g = getattr(p, field)
+        real = list(g.tail.modes[0])
+        real[part] *= f
+        g = dataclasses.replace(g, tail=Tail((tuple(real),)
+                                             + g.tail.modes[1:]))
+        rep = verify(dataclasses.replace(p, **{field: g}))
+        name = p.names[0]
+        (failure,) = [f for f in rep.failures if f.startswith("tail")]
+        assert failure.startswith(f"tail: {name} is ")
+        assert float(failure.rsplit("x = ", 1)[1]) < g.x_min
+        assert not rep.passed
+
+    @pytest.mark.parametrize("build, s", [
+        *[(build_excursion_profile, s) for s in (0.05, 0.1, 0.2, 0.3)],
+        (build_profile, 0.3)])
+    def test_the_deep_tail_is_exact(self, build, s):
+        # every stored mode solves the characteristic equation, and G-'s
+        # is rho lam - 1 times G+'s, so each row holds on the stored tail
+        # below x_min - 1 up to rounding
+        p = build(s)
+        rho, pair = p.rho, len(p.components) == 2
+        for j, (lam, c) in enumerate(p.components[0].tail.modes):
+            lhs, rhs = (((rho * lam - 1.0) ** 2, cmath.exp(lam)) if pair
+                        else (cmath.exp(lam), rho * lam))
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+            if pair:
+                assert p.g_minus.tail.modes[j] == (lam, (rho * lam - 1.0) * c)
+        xs = p.components[0].x_min - np.linspace(5.0, 20.0, 61)
+        for cond in p.conditions:
+            g = p.components[cond.right]
+            assert np.all(bd._delayed_integral(p, cond, xs)
+                          <= rho * g.value(xs) * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("build, s", [
+        *[(build_profile, s) for s in (0.3, 0.5, 0.8, 0.95)],
+        *[(build_excursion_profile, s) for s in (0.2, 1.25)]])
+    def test_a_default_build_matches_a_deeper_one(self, build, s):
+        # the window where G >= 1e-9, and at bidding 0.3, the anchor whose
+        # window lies farthest from its deep decay, the tail on
+        # [x_min - 3, x_min) (7.1e-6 there; one exponential read 9.5e-3).
+        # Linear search s_K and 0.9 miss the window bound on the first
+        # unit, by 1.1e-7 and 3.3e-8 relative (4e-16 absolute)
+        p, deep = build(s), build(s, x_min=-12.0)
+        xs = np.linspace(p.components[0].x_min - 3.0, 0.0, 1201)
+        for g, ref in zip(p.components, deep.components):
+            got, want = g.value(xs), ref.value(xs)
+            rel = np.abs(got / want - 1.0)
+            assert np.max(rel[(xs >= g.x_min) & (want >= 1e-9)]) <= 1e-8
+            if s == 0.3:
+                assert np.max(rel[xs < g.x_min]) <= 2e-5
+
+    def test_a_tail_not_certainly_increasing_is_one_exponential(self):
+        # a first unit that wobbles by 20% projects to modes whose slopes
+        # outweigh the real one's, so the tail falls back to one
+        # exponential from G(x_min) at the first value over the mass
         p = build_profile(0.5)
-        g = dataclasses.replace(p.g, tail_rate=p.g.tail_rate * f)
-        rep = verify(dataclasses.replace(p, g=g))
-        (failure,) = rep.failures
-        head = "robustness: relative residual "
-        assert failure.startswith(head) and "in A(x+1) <= rho G at x = " \
-            in failure
-        assert float(failure.rsplit("x = ", 1)[1]) <= g.x_min
+        g, n = p.g, p.g.grid.steps_per_unit
+        left = g.left_values.copy()
+        left[:n + 1] *= 1.0 + 0.2 * np.sin(4.0 * np.pi * np.arange(n + 1) / n)
+        (tail,) = bd._tails(type(p), p.s, p.rho, (left,), g.grid)
+        w = bd._closure(type(p), p.s, p.rho, g.grid)
+        mass = math.fsum((w * left[:n + 1]).tolist())
+        assert tail == Tail.exponential(left[0] / mass, left[0])
+        assert g.tail.is_monotone()
+        # the check: the real mode's slope bounds the others' moduli
+        assert Tail(((1.0, 1.0), (complex(2.0, 7.0), 0.13))).is_monotone()
+        assert not Tail(((1.0, 1.0), (complex(2.0, 7.0), 0.14))).is_monotone()
 
     @pytest.mark.parametrize("build, s, rate", [
         *[(build_profile, s, conjugate_rate_bidding)
-          for s in (1e-300, 1e-9, 1e-3)],
+          for s in (1e-300, 1e-9, 1e-4)],
         (build_excursion_profile, 1e-6, conjugate_rate_linear)])
     def test_an_underflowed_tail_takes_the_conjugate_rate(self, build, s,
                                                          rate):
@@ -496,7 +573,8 @@ class TestTailClosure:
             assert g.tail_coeff == 0.0 and g.tail_rate == rate(s)
 
     def test_sweeps_from_zero_rise_until_the_first_jump(self):
-        p = build_profile(0.8)
+        # from -6, where more than 50 sweeps precede the first jump
+        p = build_profile(0.8, x_min=-6.0)
         step = bd._sweep((p.g.right_pieces,), p.rho, p.g.grid, p.s,
                          (p.g.kink_nodes,))
         rises, last, jumped = [], None, False
@@ -520,13 +598,16 @@ class TestTailClosure:
 
 class TestTighten:
     def test_the_returned_tail_is_derived(self, bidding_profiles):
-        # tighten derives the tail rate from its left part as a build does,
-        # whatever rate g carried, so verify's node rows read the mass that
-        # its sweeps closed with
+        # tighten derives the tail from its left part as a build does,
+        # whatever tail g carried, so verify's node rows read the mass of
+        # the modes of the tightened profile
         p = bidding_profiles[0.5]
-        g2 = tighten(dataclasses.replace(p.g, tail_rate=2.0 * p.g.tail_rate),
-                     p.rho)
-        assert g2.tail_rate == pytest.approx(p.g.tail_rate, rel=1e-9)
+        g2 = tighten(dataclasses.replace(p.g, tail=Tail.exponential(
+            2.0 * p.g.tail_rate, p.g.tail_coeff)), p.rho)
+        assert len(g2.tail.modes) == len(p.g.tail.modes)
+        for (lam2, c2), (lam, c) in zip(g2.tail.modes, p.g.tail.modes):
+            assert lam2 == pytest.approx(lam, rel=1e-12)
+            assert c2 == pytest.approx(c, rel=1e-9)
         assert verify(dataclasses.replace(p, g=g2)).tightness_residual < 1e-10
 
     def test_rho_below_e_is_refused(self, bidding_profiles):
@@ -547,8 +628,7 @@ class TestTighten:
                                 left_values=np.minimum(g.left_values * 1.05,
                                                        1.0 - 1e-9),
                                 right_pieces=g.right_pieces,
-                                tail_rate=g.tail_rate,
-                                kink_nodes=g.kink_nodes)
+                                tail=g.tail, kink_nodes=g.kink_nodes)
         chi_inflated = inflated.integral_to(1.0)
         before = inflated.left_values.copy()
         g2 = tighten(inflated, p.rho)
@@ -600,7 +680,7 @@ class TestOptimalityChecks:
             left_values=np.full(grid.m + 1, 0.5),
             right_pieces=(Piece.constant(1.0, 0.0, 1.0),
                           Piece.exponential(1.0, s, 1.0, 1.0, math.inf)),
-            tail_rate=1.0)
+            tail=Tail.exponential(1.0, 0.5))
         fake = bd.BiddingProfile(s=s, rho=pt.rho, chi=pt.chi, g=g)
         violation = check_phi_lb(fake)
         assert violation == pytest.approx(s * pt.chi - 1.0, abs=1e-9)
@@ -656,7 +736,7 @@ def test_tail_extension_consistent_with_window(bidding_profiles):
         g = bidding_profiles[s].g
         n = g.grid.m // 10
         xs = g.grid.positions[:n]
-        ext = g.tail_coeff * np.exp(g.tail_rate * (xs - g.x_min))
+        ext = g.tail.value(xs - g.x_min)
         rel = np.abs(ext / g.left_values[:n] - 1.0)
         assert float(np.max(rel)) <= rel_tol
 

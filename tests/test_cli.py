@@ -196,7 +196,9 @@ class TestProfileCommands:
         run(capsys, "profile", "build", "--problem", "bidding",
             "--s", "0.5", "--out", out_file)
         doc = json.loads(open(out_file).read())
-        doc["left_values"][len(doc["left_values"]) - 2001] *= 1.1
+        # at x = -2.4, above the window's first unit, from which the stored
+        # tail projects: a value bumped there would not load (exit 2)
+        doc["left_values"][len(doc["left_values"]) - 1501] *= 1.1
         with open(out_file, "w") as fh:
             json.dump(doc, fh)
         code, out, _ = run(capsys, "profile", "verify", out_file)
@@ -383,6 +385,12 @@ class TestProfileCommands:
             coeff=d["left_tail"]["coeff"] * 1e6), id="tail-coeff"),
         pytest.param("bidding", lambda d: d["left_tail"].update(
             rate=d["left_tail"]["rate"] * 0.5), id="tail-rate"),
+        pytest.param("bidding", lambda d: d["left_tail"]["modes"][0]
+                     .__setitem__(2, d["left_tail"]["modes"][0][2] * 2.0),
+                     id="tail-mode"),
+        pytest.param("linsearch", lambda d: d["g_plus"]["left_tail"].update(
+            modes=d["g_plus"]["left_tail"]["modes"][:-1]),
+            id="plus-tail-modes"),
         pytest.param("bidding", lambda d: d.update(kink_nodes=[]),
                      id="kink-nodes"),
         pytest.param("bidding", lambda d: d["right_pieces"][-1].update(

@@ -127,7 +127,8 @@ class TestPairSweep:
             assert np.array_equal(got, built.left_values)
 
     def test_sweeps_from_zero_rise_until_the_first_jump(self):
-        p = build_excursion_profile(1.1)
+        # from -6, where more than 100 sweeps precede the first jump
+        p = build_excursion_profile(1.1, x_min=-6.0)
         step, rises = _gs_step(p), []
         last, jumped = None, False
 
@@ -282,7 +283,7 @@ class TestVerify:
         raised = dataclasses.replace(
             p, g_minus=GridFunction(grid=gm.grid, left_values=left,
                                     right_pieces=gm.right_pieces,
-                                    tail_rate=gm.tail_rate,
+                                    tail=gm.tail,
                                     kink_nodes=gm.kink_nodes))
         rep = verify_excursion(raised)
         assert not rep.monotone_ok

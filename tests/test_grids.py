@@ -14,7 +14,7 @@ from oracles import offnode_residual, weighted
 from profile_lab import (build_excursion_profile, build_profile, s_star,
                          solve_sK, verify)
 from profile_lab.analysis import DomainError
-from profile_lab.grids import (MAX_NODES, GridFunction, Lanes, Piece,
+from profile_lab.grids import (MAX_NODES, GridFunction, Lanes, Piece, Tail,
                                cumulative_integral, make_grid)
 from profile_lab.simulate import counter_uniforms
 
@@ -225,10 +225,11 @@ class TestPiece:
 @pytest.fixture()
 def exp_grid_function():
     grid = make_grid(-10.0, 1e-3)
+    vals = np.exp(grid.positions)
     return GridFunction(
-        grid=grid, left_values=np.exp(grid.positions),
+        grid=grid, left_values=vals,
         right_pieces=(Piece.exponential(1.0, 1.0, 0.0, 0.0, math.inf),),
-        tail_rate=1.0)
+        tail=Tail.exponential(1.0, vals[0]))
 
 
 class TestGridFunction:
@@ -314,15 +315,16 @@ class TestGridFunction:
             grid=grid, left_values=vals,
             right_pieces=(Piece.constant(1.0, 0.0, 2.0),
                           Piece.exponential(1.0, 1.0, 2.0, 2.0, math.inf)),
-            tail_rate=1.0)
+            tail=Tail.exponential(1.0, vals[0]))
         assert g.tau(1.0) == pytest.approx(0.0, abs=1e-9)
         assert g.tau(1.0001) == pytest.approx(2.0 + math.log(1.0001), abs=1e-9)
 
     def test_tau_rejects_unreached_target(self):
         grid = make_grid(-5.0, 1e-2)
-        g = GridFunction(grid=grid, left_values=np.exp(grid.positions),
+        vals = np.exp(grid.positions)
+        g = GridFunction(grid=grid, left_values=vals,
                          right_pieces=(Piece.constant(1.0, 0.0, math.inf),),
-                         tail_rate=1.0)
+                         tail=Tail.exponential(1.0, vals[0]))
         assert g.tau(1.0) == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(DomainError):
             g.tau(2.0)
@@ -356,7 +358,7 @@ class TestGridFunction:
         g = GridFunction(grid=grid, left_values=vals,
                          right_pieces=(Piece.exponential(
                              1.0, 1.0, 0.0, 0.0, math.inf),),
-                         tail_rate=1.0)
+                         tail=Tail.exponential(1.0, vals[0]))
         assert g.tail_coeff == 0.0
         assert g.tail_mass == 0.0
         assert g.integral_to(-6.0) == 0.0
@@ -444,7 +446,8 @@ class TestSlopeBreaks:
         gs = [GridFunction(grid=grid, left_values=f(grid.positions),
                            right_pieces=(Piece.exponential(
                                2.0, 1.0, 0.0, 0.0, math.inf),),
-                           tail_rate=1.0, slope_breaks=breaks)
+                           tail=Tail.exponential(1.0, math.exp(-4.0)),
+                           slope_breaks=breaks)
               for breaks in ((), (grid.m - grid.steps_per_unit,))]
         across, split = (np.max(np.abs(g.value(xs) - f(xs))) for g in gs)
         assert split < across / 20.0
@@ -479,12 +482,13 @@ class TestSlopeBreaks:
         assert g.slope_breaks[0] == 1
         v = g.left_values
         assert g._slope_right[0] == pytest.approx(v[1] - v[0], rel=1e-12)
-        # the window verifies; one exponential cannot carry a profile below
-        # a window this short, and the tail check says so
+        # the window verifies; the first modes cannot carry a profile just
+        # below a window this short, whose first unit holds the break at
+        # -2, and the tail check says so
         rep = verify(p)
         (failure,) = rep.failures
         assert failure.startswith("robustness")
-        assert float(failure.rsplit("x = ", 1)[1]) < g.x_min - 0.1
+        assert g.x_min - 0.1 < float(failure.rsplit("x = ", 1)[1]) < g.x_min
         assert rep.offset_ok and rep.monotone_ok
         assert abs(rep.consistency_gap) <= 1e-9
 
@@ -527,15 +531,17 @@ class TestLaneValues:
             lanes = Lanes(gs[0].grid, self.U)
             for g in gs:
                 lo = g.right_pieces[-1].lo
-                for k in range(math.floor(g.x_min) - 1, math.ceil(lo) + 4):
+                for k in range(math.floor(g.x_min) - 8, math.ceil(lo) + 4):
                     before = len(calls)
                     got = g.lane_values(lanes, k)
                     fell_back = len(calls) > before
                     np.testing.assert_allclose(got, g.value(k + self.U),
                                                rtol=1e-13, atol=0.0)
-                    # whole steps inside the grid zone or past the last
-                    # piece's lower end never locate their points again
-                    if math.ceil(g.x_min) <= k <= -1 or k >= lo + 1:
+                    # whole steps on the tail (U holds 1), inside the grid
+                    # zone or past the last piece's lower end never locate
+                    # their points again
+                    if (k + 1 < g.x_min or math.ceil(g.x_min) <= k <= -1
+                            or k >= lo + 1):
                         assert not fell_back, (g.x_min, k)
         # the step (-13, -12] straddles the ragged window's x_min = -12.3
         g = profiles[4].g

@@ -2,14 +2,15 @@
 against their s when loaded."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from profile_lab.analysis import conjugate_rate_bidding, conjugate_rate_linear
-from profile_lab.bidding import BiddingProfile, build_profile, verify
+from profile_lab.bidding import (BiddingProfile, _closure, build_profile,
+                                 verify)
 from profile_lab.excursion import (ExcursionProfile, build_excursion_profile,
                                    verify_excursion)
 from profile_lab.serialize import (load_profile, profile_from_dict,
@@ -149,20 +150,23 @@ def test_saved_documents_load(tmp_path, small_docs):
 
 
 @pytest.mark.parametrize("problem", ["bidding", "linsearch"])
-def test_a_tail_at_the_conjugate_rate_is_rejected(tmp_path, problem):
-    # files saved before the tail closure store the conjugate rate; the
-    # loader derives the closure's rate from the left values instead
-    build, rate, key = {
-        "bidding": (build_profile, conjugate_rate_bidding, ()),
-        "linsearch": (build_excursion_profile, conjugate_rate_linear,
-                      ("g_plus",))}[problem]
-    doc = profile_to_dict(build(0.5, x_min=-12.0, h=1 / 128))
+def test_a_one_exponential_tail_is_rejected(tmp_path, problem):
+    # files saved before the modal tail store one exponential from the
+    # first value at the closure's rate; the loader derives the modes from
+    # the left values instead
+    build, key = {"bidding": (build_profile, ()),
+                  "linsearch": (build_excursion_profile, ("g_plus",))}[problem]
+    p = build(0.5, x_min=-12.0, h=1 / 128)
+    g = p.components[0]
+    w = _closure(type(p), p.s, p.rho, g.grid)
+    rate = (sum(float(c.left_values[0]) for c in p.components)
+            / math.fsum((w * g.left_values[:w.size]).tolist()))
+    doc = profile_to_dict(p)
     node = doc
     for k in key:
         node = node[k]
-    node["left_tail"]["rate"] = rate(0.5)
+    node["left_tail"] = {"coeff": float(g.left_values[0]), "rate": rate}
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="/".join(key + ("left_tail",
-                                                          "rate"))):
+    with pytest.raises(ValueError, match="/".join(key + ("left_tail",))):
         load_profile(str(path))

@@ -29,18 +29,22 @@ OUT_DIR receives, with paths relative to it so that two runs compare:
   profile at 100 log-spaced targets on [1e-3, 1e4], one ``<file> <T>
   <cost>`` line each;
 * ``tail.txt``: the tail below the window of every component of the saved
-  profiles, one ``<file> <component> x_min coeff rate mass deep excess``
-  line each (``repr``): ``deep`` is the closed-form relative residual of
-  the component's condition below x_min - 1, where both sides are
-  exponentials (bidding e^lam/(rho lam) - 1; with r = G-(x_min)/G+(x_min),
-  (1 + r)/(rho lam) - 1 for G+ and (e^lam + r)/(rho lam r) - 1 for G-), and
-  ``excess`` the largest C(tau(T))/(rho T) - 1 over 50 log-spaced targets
-  T in [1e-6 G(x_min), G(x_min)], C the component's share of the cost
-  (``expected_cost``; half of ``strategy_cost_linear`` less |T|/2).
+  profiles (``repr``): one ``<file> <component> x_min modes mass excess``
+  line, then one ``<file> <component> mode <j> <rate> <coeff> <deep>``
+  line per mode.  ``excess`` is the largest C(tau(T))/(rho T) - 1 over 50
+  log-spaced targets T in [1e-6 G(x_min), G(x_min)], C the component's
+  share of the cost (``expected_cost``; half of ``strategy_cost_linear``
+  less |T|/2); ``deep`` is the modulus of the closed-form relative
+  residual of the component's condition on that mode alone, the
+  condition's form below x_min - 1 (bidding e^lam/(rho lam) - 1; with r
+  the mode's G- over its G+, (1 + r)/(rho lam) - 1 for G+ and
+  (e^lam + r)/(rho lam r) - 1 for G-).  Rates and coefficients are
+  complex, each standing with its conjugate, after the first.
 
 Comparing two trees is ``diff -r OUT_A OUT_B``.
 """
 
+import cmath
 import contextlib
 import math
 import os
@@ -94,27 +98,36 @@ def _roots():
             yield f"conjugate_rate_linear({name})", a.conjugate_rate_linear(s)
 
 
+def _deep(bidding: bool, k: int, rho: float, lam: complex,
+          r: complex) -> float:
+    """|relative residual| of component k's condition on one mode."""
+    if bidding:
+        return abs(cmath.exp(lam) / (rho * lam) - 1.0)
+    return abs(((1.0 + r) / (rho * lam) if k == 0
+                else (cmath.exp(lam) + r) / (rho * lam * r)) - 1.0)
+
+
 def _tail_lines(path: str, p):
     """The lines of tail.txt for the profile ``p`` saved at ``path``."""
-    first = [g.tail_coeff for g in p.components]
-    r = first[-1] / first[0]
+    bidding, rho = path.startswith("bidding"), p.rho
+    first = p.components[0].tail.modes
+    last = p.components[-1].tail.modes
     for k, (label, g) in enumerate(zip(p.names, p.components)):
-        lam, rho = g.tail_rate, p.rho
-        if path.startswith("bidding"):
-            deep = math.exp(lam) / (rho * lam) - 1.0
-
+        if bidding:
             def share(T):
                 return expected_cost(p, T)
         else:
-            deep = ((1.0 + r) / (rho * lam) if k == 0
-                    else (math.exp(lam) + r) / (rho * lam * r)) - 1.0
-
             def share(T, sign=(1.0, -1.0)[k]):
                 return 0.5 * (strategy_cost_linear(p, sign * T) - T)
+        top = float(g.left_values[0])
         excess = max(share(T) / (rho * T) - 1.0 for T in np.geomspace(
-            1e-6 * g.tail_coeff, g.tail_coeff, TAIL_TARGETS).tolist())
-        yield (f"{path} {label} {g.x_min!r} {g.tail_coeff!r} {lam!r} "
-               f"{g.tail_mass!r} {deep!r} {excess!r}\n")
+            1e-6 * top, top, TAIL_TARGETS).tolist())
+        yield (f"{path} {label} {g.x_min!r} {len(g.tail.modes)} "
+               f"{g.tail_mass!r} {excess!r}\n")
+        for j, ((lam, c), (_, c0), (_, c1)) in enumerate(zip(
+                g.tail.modes, first, last)):
+            deep = _deep(bidding, k, rho, lam, c1 / c0 if c0 else math.nan)
+            yield f"{path} {label} mode {j} {lam!r} {c!r} {deep!r}\n"
 
 
 def write_outputs(out_dir: Path) -> None:
