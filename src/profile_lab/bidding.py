@@ -66,6 +66,11 @@ SWEEP_TOL = 1e-12  # sweeps stop at this sup-norm change per sweep
 TOL_REL = 1e-4
 TOL_ABS = 1e-4
 ATOL_FLOOR = 1e-9
+# A component is monotone when no value drops by more than MONOTONE_TOL
+# times the larger of 1 and its largest value, and where the models meet (the
+# tail with the grid at x_min, the grid with the right part at 0) by at most
+# that or TOL_REL relative
+MONOTONE_TOL = 1e-12
 # The complex pairs of modes a tail carries besides its real one
 TAIL_PAIRS = 3
 
@@ -334,7 +339,7 @@ def _mode_rate(branch, rho: float, k: int) -> complex:
 def _decays(lam: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The real and imaginary parts of e^{-lam j/n}, j = 0..n: each the
     product of a ``cmath.exp`` at a coarse step and one at a fine step,
-    by correctly rounded real products, so the same on any machine."""
+    by correctly rounded real products, so no vector kernel enters."""
     b = math.isqrt(n) + 1
     fine = np.array([cmath.exp(-lam * (j / n)) for j in range(b)])
     coarse = np.array([cmath.exp(-lam * (b * a / n))
@@ -367,12 +372,15 @@ def _tails(kind, s: float, rho: float, lefts,
     leave of it, so the tail holds the mass the sweeps closed with.  J and
     the mass sum the products of the left values and
     :func:`_unit_weights` times :func:`_decays`, or the closure's weights,
-    by ``math.fsum``, correctly rounded, so the tail depends on the values
-    alone, not on a reduction order, and a saved profile reloads to the
-    same tail on any machine.
+    by ``math.fsum``, correctly rounded, so the tail does not depend on a
+    reduction order.  The roots and the decays come from ``cmath``, whose
+    last bits, like those of the closed-form right parts' ``math.exp``,
+    can differ between C libraries.
 
     Where that tail is not certainly positive and increasing
-    (:meth:`Tail.is_monotone`), every component takes one exponential
+    (:meth:`Tail.is_monotone`), or its value at x_min exceeds the first
+    value by more than ``MONOTONE_TOL`` and ``TOL_REL`` relative (the
+    omitted modes' share there), every component takes one exponential
     from its first value at one rate: the sum of the first values over the
     mass, or where either underflows the conjugate rate.
     """
@@ -396,7 +404,9 @@ def _tails(kind, s: float, rho: float, lefts,
     tails = tuple(Tail(((real, c * f),) + tuple((lam, cs[k])
                                                 for lam, cs in waves))
                   for k, f in enumerate(factors))
-    if all(t.is_monotone() for t in tails):
+    if all(t.is_monotone()
+           and t.at(0.0) <= first + max(MONOTONE_TOL, TOL_REL * first)
+           for t, first in zip(tails, firsts)):
         return tails
     rate = sum(firsts) / mass if mass > 0.0 else 0.0
     if not 0.0 < rate < math.inf:
@@ -638,10 +648,10 @@ def verify(p) -> VerificationReport:
                      and g.right_value_at_zero() >= 1.0 - 1e-12)
     scale = max(1.0, *(float(np.max(c.left_values)) for c in gs))
     # the grid value at 0 meets the closed-form right limit only to
-    # quadrature accuracy, so that junction is held to TOL_REL
+    # quadrature accuracy, and the tail meets G(x_min) only to the modes it
+    # omits, so those junctions are held to TOL_REL
     monotone_ok = all(
-        c.is_monotone(tol=1e-12 * scale,
-                      junction_tol=TOL_REL * float(c.left_values[-1]))
+        c.is_monotone(tol=MONOTONE_TOL * scale, junction_rel=TOL_REL)
         and c.is_nonnegative() for c in gs)
 
     tail = np.linspace(g.x_min - 3.0, g.x_min, 100, endpoint=False)

@@ -5,15 +5,16 @@ generator keyed by (seed, sample index): sample i is a pure function of the
 key, so disjoint index ranges can be evaluated concurrently and reassembled
 deterministically, and identical seeds give bit-identical reports.  The
 oracles run the lanes (samples) in fixed blocks of ``_LANES``, each block
-over its own range of bid steps, so their memory is the samples and the
-costs plus one block's temporaries; a lane's cost is the same sum in the
-same order for any block size.  A unit step moves every bid position k + U
-by a whole number of grid cells, so a block locates its lanes once (cell
-and Hermite basis weights, :class:`~profile_lab.grids.Lanes`) and every
-later step on the grid is an index shift and a weighted sum of four
-gathered node values; the oracles read profiles only through point
-evaluation and, where ``_lane_costs`` finds the summation window, ``tau``,
-never through the analytic integrals and costs they check.
+until its lanes settle, so their memory is the samples and the costs plus
+one block's temporaries; a lane's cost is the same sum in the same order
+for any block size.  A unit step moves every bid position k + U by a whole
+number of grid cells, so a block locates its lanes once (cell and Hermite
+basis weights, :class:`~profile_lab.grids.Lanes`) and every later step on
+the grid is an index shift and a weighted sum of four gathered node
+values; the steps below the window are one sum over the tail's modes.  The
+oracles read profiles only through point evaluation (and such sums of it)
+and, where ``_lane_costs`` finds the summation window, ``tau``, never
+through the analytic integrals and costs they check.
 """
 
 from __future__ import annotations
@@ -109,40 +110,51 @@ def _lane_costs(p: BiddingProfile | ExcursionProfile, x: float,
     on profile ``p`` at |target| ``x`` that ends where component ``stop``
     crosses x.
 
-    The window is found here, for both oracles: the walk starts at
-    x_lo = min over the components of tau(1e-9 x), below which the neglected
-    prefix is provably small (the oracles report its bound), and stops by
-    k_stop = ceil(tau_stop(x) + 2), where every lane has settled; these are
-    the oracles' only calls of ``tau``.  Lane i
-    draws U_i = counter_uniforms(seed, 0, n)[i] and runs the steps
-    k >= k_start_i, the first integer with k + U_i > x_lo, up to k_stop or
-    until the lane is settled.  Lanes run in blocks of ``_LANES``, each from
-    its own smallest k_start, and a block lays its U out on the grid once
-    (:class:`~profile_lab.grids.Lanes`).  ``add_step(lanes, k, started,
-    alive, costs)`` evaluates the profile at k + U by
-    ``lane_values(lanes, k)``: a unit step keeps every lane's in-cell
-    fraction, so a step on the grid is an index shift and four gathers
-    under the block's Hermite weights, and a step on the last right piece
-    one scalar per term times the block's ``e^{rate U}``.  It adds step
-    k's cost to the block's ``costs`` where ``started`` and clears the
-    settled lanes from ``alive``.  A lane sums the same terms in the same
-    order for any block size.
+    The window is found here, for both oracles: every lane starts at the
+    step k_start = floor(x_lo), x_lo = min over the components of
+    tau(1e-9 x), so that every bid left out lies at or below x_lo, where
+    the neglected prefix is provably small (the oracles report its bound),
+    and stops by k_stop = ceil(tau_stop(x) + 2), where every lane has
+    settled; these are the oracles' only calls of ``tau``.  Lane i draws
+    U_i = counter_uniforms(seed, 0, n)[i] and runs the steps k >= k_start
+    up to k_stop or until it is settled.  Lanes run in blocks of
+    ``_LANES``, and a block lays its U out on the grid once
+    (:class:`~profile_lab.grids.Lanes`).  ``add_step(lanes, k, last,
+    alive, costs)`` adds the cost of the steps k..last to the block's
+    ``costs`` where ``alive`` and clears the settled lanes from ``alive``;
+    it evaluates the profile at k + U by ``lane_values(lanes, k, last)``.
+    The steps whose points all lie below the window (k + 1 <= x_min; the
+    point x_min itself is the grid's) are one call, a run, where no lane
+    can settle: twice ``stop`` at x_min times their count stays below x
+    (the tail meets G(x_min) to within ``TOL_REL``), and the tail sums
+    each mode over the run in closed form.  Every later call is one step:
+    a unit step keeps every lane's in-cell fraction, so a step on the grid
+    is an index shift and four gathers under the block's Hermite weights,
+    and a step on the last right piece one scalar per term times the
+    block's ``e^{rate U}``.  A lane sums the same terms in the same order
+    for any block size.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    x_lo = min(g.tau(1e-9 * x) for g in p.components)
+    k_start = math.floor(min(g.tau(1e-9 * x) for g in p.components))
     k_stop = int(math.ceil(stop.tau(x) + 2.0))
+    tail_end = math.floor(stop.x_min) - 1  # the last step below the window
+    run = tail_end
+    if not 2.0 * (run - k_start + 1) * stop.value(stop.x_min) < x:
+        run = k_start
     u = counter_uniforms(seed, 0, n)
     costs = np.zeros(n)
     for lo in range(0, n, _LANES):
         lanes = Lanes(p.components[0].grid, u[lo:lo + _LANES])
         cb = costs[lo:lo + _LANES]
-        k_start = np.floor(x_lo - lanes.u).astype(int) + 1
         alive = np.ones(lanes.u.size, dtype=bool)
-        for k in range(int(k_start.min()), k_stop + 1):
-            if not alive.any():
-                break
-            add_step(lanes, k, alive & (k >= k_start), alive, cb)
+        k = k_start
+        while k <= k_stop and alive.any():
+            last = max(k, run)
+            add_step(lanes, k, last, alive, cb)
+            if last == tail_end:
+                lanes.waves.clear()  # the tail's, which no later step reads
+            k = last + 1
         if alive.any():
             raise RuntimeError(failure)
         del lanes  # before the next block lays its lanes out
@@ -170,9 +182,10 @@ def simulate_bidding(p: BiddingProfile, target: float, n: int,
     if not 0.0 < target < math.inf:
         raise DomainError(f"target must be positive and finite, got {target!r}")
 
-    def bid(lanes, k, pay, alive, costs):
-        vals = p.g.lane_values(lanes, k)
-        alive &= ~(pay & (vals >= target))
+    def bid(lanes, k, last, alive, costs):
+        vals = p.g.lane_values(lanes, k, last)
+        pay = alive.copy()
+        alive &= ~(vals >= target)
         _add_where(costs, vals, pay)
 
     costs = _lane_costs(p, target, p.g, n, seed, bid,
@@ -192,20 +205,20 @@ def simulate_linear(p: ExcursionProfile, target: float, n: int,
     if not 0.0 < x < math.inf:
         raise DomainError(f"target must be nonzero and finite, got {target!r}")
 
-    def excursion(lanes, k, started, alive, costs):
-        gp = p.g_plus.lane_values(lanes, k)
+    def excursion(lanes, k, last, alive, costs):
+        gp = p.g_plus.lane_values(lanes, k, last)
         if target > 0.0:
-            found = started & (gp >= x)
-            gp += p.g_minus.lane_values(lanes, k)
+            found = alive & (gp >= x)
+            gp += p.g_minus.lane_values(lanes, k, last)
             gp *= 2.0
-            _add_where(costs, gp, started & ~found)
+            _add_where(costs, gp, alive & ~found)
         else:
             gp *= 2.0
-            _add_where(costs, gp, started)
-            gm = p.g_minus.lane_values(lanes, k)
-            found = started & (gm >= x)
+            _add_where(costs, gp, alive)
+            gm = p.g_minus.lane_values(lanes, k, last)
+            found = alive & (gm >= x)
             gm *= 2.0
-            _add_where(costs, gm, started & ~found)
+            _add_where(costs, gm, alive & ~found)
         alive &= ~found
 
     costs = _lane_costs(p, x, p.g_plus if target > 0.0 else p.g_minus, n,

@@ -557,6 +557,38 @@ class TestTailClosure:
         assert Tail(((1.0, 1.0), (complex(2.0, 7.0), 0.13))).is_monotone()
         assert not Tail(((1.0, 1.0), (complex(2.0, 7.0), 0.14))).is_monotone()
 
+    @pytest.mark.parametrize("problem, s", [
+        ("bidding", 0.3), ("bidding", 0.5), ("bidding", 0.8),
+        ("bidding", 0.95), ("linsearch", 0.2), ("linsearch", solve_sK()),
+        ("linsearch", 0.9), ("linsearch", 1.1), ("linsearch", 1.25)])
+    def test_the_tail_meets_the_window_at_x_min(self, bidding_profiles,
+                                                excursion_profiles, problem,
+                                                s):
+        # at the nine anchors every tail keeps its modes and meets G(x_min)
+        # within the monotone tolerance: the pair's overshoots by at most
+        # 3.1e-8 relative (G- at 0.9), bidding's stay below
+        if problem == "bidding":
+            p = bidding_profiles.get(s) or build_profile(s)
+        else:
+            p = excursion_profiles.get(s) or build_excursion_profile(s)
+        for g in p.components:
+            first = g.left_values[0]
+            assert len(g.tail.modes) == 1 + bd.TAIL_PAIRS
+            assert g.tail.at(0.0) <= first + max(bd.MONOTONE_TOL,
+                                                 bd.TOL_REL * first)
+            assert g.is_monotone(bd.MONOTONE_TOL, junction_rel=bd.TOL_REL)
+
+    def test_a_tail_above_the_window_is_not_monotone(self, bidding_profiles):
+        g = bidding_profiles[0.5].g
+        first = g.left_values[0]
+        (r, c), *waves = g.tail.modes
+        for jump, monotone in ((1e-14, True), (2e-12, False)):
+            up = dataclasses.replace(g, tail=Tail(
+                ((r, c + (first - g.tail.at(0.0)) + jump), *waves)))
+            assert up.is_monotone(bd.MONOTONE_TOL) is monotone
+        # a relative allowance at the junction lets the larger jump pass
+        assert up.is_monotone(bd.MONOTONE_TOL, junction_rel=1e-8)
+
     @pytest.mark.parametrize("build, s, rate", [
         *[(build_profile, s, conjugate_rate_bidding)
           for s in (1e-300, 1e-9, 1e-4)],

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import offnode_residual, weighted
 from profile_lab import (build_excursion_profile, build_profile, s_star,
                          solve_sK, verify)
+from profile_lab import grids
 from profile_lab.analysis import DomainError
 from profile_lab.grids import (MAX_NODES, GridFunction, Lanes, Piece, Tail,
                                cumulative_integral, make_grid)
@@ -482,13 +483,15 @@ class TestSlopeBreaks:
         assert g.slope_breaks[0] == 1
         v = g.left_values
         assert g._slope_right[0] == pytest.approx(v[1] - v[0], rel=1e-12)
-        # the window verifies; the first modes cannot carry a profile just
-        # below a window this short, whose first unit holds the break at
-        # -2, and the tail check says so
+        # the window verifies; its first unit holds the break at -2, so the
+        # first modes overshoot G(x_min) by 3.1e-4 relative there and the
+        # tail falls back to one exponential, which cannot carry a profile
+        # below a window this short, and the tail check says so
+        assert g.tail == Tail.exponential(g.tail_rate, v[0])
         rep = verify(p)
         (failure,) = rep.failures
         assert failure.startswith("robustness")
-        assert g.x_min - 0.1 < float(failure.rsplit("x = ", 1)[1]) < g.x_min
+        assert float(failure.rsplit("x = ", 1)[1]) < g.x_min - 0.1
         assert rep.offset_ok and rep.monotone_ok
         assert abs(rep.consistency_gap) <= 1e-9
 
@@ -548,6 +551,38 @@ class TestLaneValues:
         before = len(calls)
         g.lane_values(Lanes(g.grid, self.U), -13)
         assert len(calls) > before
+
+    def test_a_run_of_tail_steps_sums_its_steps(self, bidding_profiles,
+                                                excursion_profiles):
+        # a run of steps wholly below the window sums each mode over the
+        # run in closed form; its last step may reach x_min itself, a grid
+        # point, where the lane with U = 1 reads G(x_min)
+        ragged = build_profile(0.5, x_min=-12.3, h=1.0 / 128)
+        for g in (bidding_profiles[0.5].g, excursion_profiles[0.9].g_minus,
+                  ragged.g):
+            lanes = Lanes(g.grid, self.U)
+            last = math.floor(g.x_min) - 1
+            for first in (last - 6, last):
+                got = g.lane_values(lanes, first, last)
+                want = sum(g.value(k + self.U)
+                           for k in range(first, last + 1))
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            assert not lanes.waves or len(lanes.waves) == len(g.tail.modes)
+        # a run must lie below the window
+        g = bidding_profiles[0.5].g
+        with pytest.raises(ValueError):
+            g.lane_values(Lanes(g.grid, self.U), -6, -4)
+
+    def test_waves_agree_with_the_complex_exp(self):
+        # every rate the tails reach, a slow one and one far beyond them
+        u = self.U
+        for lam in (complex(3.29, 7.44), complex(7.53, 21.4),
+                    complex(0.3, 0.01), complex(1.0, 100.0)):
+            re, im = grids._unit_exp(lam, u)
+            want = np.exp(lam * u)
+            assert np.max(np.abs(re + 1j * im - want) / np.abs(want)) <= 2e-14
+        e, none = grids._unit_exp(1.75, u)
+        assert none is None and np.array_equal(e, np.exp(1.75 * u))
 
     def test_rejects_lanes_of_another_grid(self, bidding_profiles):
         lanes = Lanes(make_grid(-12.0, 1.0 / 128), self.U)
