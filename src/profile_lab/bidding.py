@@ -423,10 +423,10 @@ def _stable_ratio(deltas: deque[float]) -> float | None:
     last 3 ratios over blocks of 8 sweeps (geometric means of 8 sweep
     ratios).  A reading is stable when its ratios spread less than
     1e-4 (1 - r), for 0.2 < r < 0.9999.  A sweep ratio carries roundoff of
-    order eps max|x| / delta: after a first jump near resonance (deltas
-    about 2e-9, 1 - r about 6e-3 at linear search s = 1.25) that alone
-    exceeds the tolerance, and a second jump would fire only by chance.  A
-    block ratio carries an eighth of it.
+    order eps max|x| / delta: after a first jump (deltas 8e-11 down to
+    2e-11, 1 - r about 6e-2 at linear search s = 1.1 and x_min = -4) that
+    alone exceeds the tolerance, and a second jump would fire only by
+    chance.  A block ratio carries an eighth of it.
     """
     for block, count in ((1, 8), (8, 3)):
         if len(deltas) <= block * count:
@@ -453,8 +453,10 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     written into the previous iterate's buffers, and those then hold the
     sweep difference.  Plain sweeps converge geometrically; once the deltas
     show a stable contraction ratio r (see :func:`_stable_ratio`), the
-    remaining geometric tail diff * r/(1-r) is added in one jump, and
-    sweeping resumes after a cooldown of 120 sweeps.  Jumps move along the
+    remaining geometric tail diff * r/(1-r) is added in one jump.  A jump
+    clears the deltas, and the ratio is read again from the sweeps after
+    it alone, so the next jump comes as soon as they settle at a stable
+    ratio again, no sooner than 9 sweeps on.  Jumps move along the
     observed sweep direction only, which keeps the iterate inside the
     subspace the from-zero dynamics actually excites; the truncated
     operator carries a spurious near-unit eigenmode (a window-truncation
@@ -491,7 +493,6 @@ def _iterate_to_fixed_point(step: Callable[..., object],
     spare = tuple(np.empty_like(c) for c in x)
     # the deltas since the last jump, as many as _stable_ratio reads
     deltas: deque[float] = deque(maxlen=8 * 3 + 1)
-    cooldown = 0
     delta = math.inf
     for it in range(1, max_iter + 1):
         step(x, spare)
@@ -504,15 +505,13 @@ def _iterate_to_fixed_point(step: Callable[..., object],
         if delta <= SWEEP_TOL:
             return tuple(np.maximum(c, 0.0) for c in x), it, delta
         deltas.append(delta)
-        cooldown -= 1
-        r = _stable_ratio(deltas) if cooldown <= 0 else None
+        r = _stable_ratio(deltas)
         if r is not None:
             for c, diff in zip(x, spare):  # c + (c - old) * r/(1-r)
                 diff *= r / (1.0 - r)
                 diff += c
             x, spare = spare, x
             deltas.clear()
-            cooldown = 120
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={SWEEP_TOL} after "
         f"{max_iter} sweeps (last sup-norm delta {delta:.3e})")

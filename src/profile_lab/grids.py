@@ -604,9 +604,11 @@ class GridFunction:
         A step whose points all lie in the grid zone is an index add, four
         gathers and a weighted sum.  A step or a run of steps whose points
         all lie on the tail (a run must; x_min itself counts as the grid's),
-        and a step on the last right piece, is a scalar per mode or term
-        (for the tail, :meth:`Tail.terms`) times ``lanes.wave`` of its rate.
-        Any other step calls :meth:`value`.
+        and a step whose points all lie right of 0, is a scalar per mode or
+        term (for the tail, :meth:`Tail.terms`) times ``lanes.wave`` of its
+        rate; right of 0 each right piece the points reach takes the lanes
+        of its (lo, hi], all of them without a mask where it holds them
+        all.  A step that straddles x_min or 0 calls :meth:`value`.
         """
         if lanes.grid != self.grid:
             raise ValueError("lanes were laid out on another grid")
@@ -629,13 +631,22 @@ class GridFunction:
         lo, hi = lanes.cell_range
         if base + lo >= 0 and base + hi < m:
             return self._hermite_sum(lanes.weights, lanes.cell + base)
-        piece = self.right_pieces[-1]
-        if k + lanes.u_min > piece.lo:
-            out = np.full(lanes.u.size, piece.level)
+        first, end = k + lanes.u_min, k + lanes.u_max
+        if first <= 0.0:
+            return self.value(k + lanes.u)
+        x = out = None
+        for piece in self.right_pieces:
+            if end <= piece.lo or first > piece.hi:
+                continue
+            vals = np.full(lanes.u.size, piece.level)
             for a, r, x0 in piece.terms:
-                out += lanes.wave(r)[0] * (a * np.exp(r * (k - x0)))
-            return out
-        return self.value(k + lanes.u)
+                vals += lanes.wave(r)[0] * (a * np.exp(r * (k - x0)))
+            if first > piece.lo and end <= piece.hi:  # it holds every lane
+                return vals
+            if x is None:
+                x, out = k + lanes.u, np.empty(lanes.u.size)
+            np.copyto(out, vals, where=(x > piece.lo) & (x <= piece.hi))
+        return out
 
     def integral_to(self, x: float) -> float:
         """A(x) = integral of G over (-inf, x]; exact for the stored model."""

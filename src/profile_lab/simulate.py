@@ -130,9 +130,9 @@ def _lane_costs(p: BiddingProfile | ExcursionProfile, x: float,
     each mode over the run in closed form.  Every later call is one step:
     a unit step keeps every lane's in-cell fraction, so a step on the grid
     is an index shift and four gathers under the block's Hermite weights,
-    and a step on the last right piece one scalar per term times the
-    block's ``e^{rate U}``.  A lane sums the same terms in the same order
-    for any block size.
+    and a step right of 0 one scalar per term of each right piece it
+    reaches times the block's ``e^{rate U}``.  A lane sums the same terms
+    in the same order for any block size.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -142,6 +142,27 @@ class TestFixedPointDriver:
         np.testing.assert_allclose(np.concatenate([a, b]), 2.0, atol=1e-12)
         assert np.all(start[0] == 0.0) and np.all(start[1] == 1.0)
 
+    def test_jumps_again_once_the_ratio_settles_again(self):
+        # F(x) = D x + 1 with D = diag(0.95, 0.7): the first jump lands the
+        # slow mode and throws the fast one off, whose deltas then settle at
+        # r = 0.7; the gate reopens about nine sweeps later, and the second
+        # jump comes as soon as it does
+        jumps, last = [], []
+
+        def step(x, out):
+            (c,), (o,) = x, out
+            if last and not np.array_equal(c, last[-1]):
+                jumps.append(len(last))  # x is not the last sweep written
+            np.multiply(c, (0.95, 0.7), out=o)
+            o += 1.0
+            last.append(o.copy())
+
+        (x,), it, delta = bd._iterate_to_fixed_point(step, (np.zeros(2),),
+                                                     200)
+        assert len(jumps) == 2 and jumps[1] - jumps[0] <= 20, jumps
+        assert it < 40  # plain sweeps from the first jump on take 84
+        np.testing.assert_allclose(x, (20.0, 1.0 / 0.3), rtol=1e-12)
+
     def test_builds_share_no_memory(self):
         kw = dict(x_min=-12.0, h=1.0 / 128)
         b1, b2 = build_profile(0.5, **kw), build_profile(0.5, **kw)
@@ -154,15 +175,17 @@ class TestFixedPointDriver:
 
 
 # Sweep ceilings 10% above the sweeps taken when they were set, at the
-# window from -6: 188 for bidding 0.999 and 294-303 over the s ~ 1.25 band.
+# window from -4: 63 for bidding 0.95, 65 for bidding 0.999 and 153-156 over
+# the s ~ 1.25 band.
 @pytest.mark.parametrize("build, check, s, max_sweeps", [
-    (build_profile, verify, 0.999, 206),
-    (build_excursion_profile, verify_excursion, 1.248, 323),
-    (build_excursion_profile, verify_excursion, 1.25, 328),
-    (build_excursion_profile, verify_excursion, 1.252, 324),
-    (build_excursion_profile, verify_excursion, 1.27, 331),
-    (build_excursion_profile, verify_excursion, s_star() - 1e-4, 333),
-], ids=["bidding-0.999", "linsearch-1.248", "linsearch-1.25",
+    (build_profile, verify, 0.95, 69),
+    (build_profile, verify, 0.999, 72),
+    (build_excursion_profile, verify_excursion, 1.248, 168),
+    (build_excursion_profile, verify_excursion, 1.25, 169),
+    (build_excursion_profile, verify_excursion, 1.252, 169),
+    (build_excursion_profile, verify_excursion, 1.27, 172),
+    (build_excursion_profile, verify_excursion, s_star() - 1e-4, 172),
+], ids=["bidding-0.95", "bidding-0.999", "linsearch-1.248", "linsearch-1.25",
         "linsearch-1.252", "linsearch-1.27", "linsearch-s_star-1e-4"])
 def test_near_resonant_default_builds(build, check, s, max_sweeps):
     # next to the doubly resonant endpoints the sweeps contract slowest;
