@@ -603,7 +603,7 @@ def _delayed_integral(p, cond: Condition, x=None):
     grid, (k, shift) = gs[0].grid, cond.terms[0]
     right_cum = _piece_cumints(gs[k].right_pieces, grid) if shift else None
     return _at_nodes(cond, tuple(c._cum for c in gs), right_cum,
-                     sum(gs[k].tail_mass for k, _ in cond.terms), grid,
+                     sum(gs[k].tail.mass for k, _ in cond.terms), grid,
                      np.empty(grid.m + 1))
 
 
@@ -726,7 +726,7 @@ def verify(p) -> VerificationReport:
         tightness_residual=tight,
         offset_ok=offset_ok,
         monotone_ok=monotone_ok,
-        tail_bound=sum(c.tail_mass for c in gs),
+        tail_bound=sum(c.tail.mass for c in gs),
         grid_meta=(g.x_min, g.h),
         passed=not failures,
         failures=tuple(failures),

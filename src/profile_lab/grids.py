@@ -419,9 +419,11 @@ class Lanes:
         return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction:
-    """A non-decreasing profile on the real line; immutable after creation.
+    """A non-decreasing profile on the real line; immutable after creation:
+    its fields cannot be assigned, and its arrays (``left_values``, a copy
+    of the one given, and those derived from it) are read-only.
 
     Below the window, on x < x_min, the :class:`Tail` ``tail`` continues the
     grid, whose first node x_min it leaves to the grid zone.
@@ -449,18 +451,21 @@ class GridFunction:
     _slope_left: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.left_values = np.asarray(self.left_values, dtype=float)
-        if self.left_values.shape != (self.grid.m + 1,):
+        left = np.array(self.left_values, dtype=float)
+        if left.shape != (self.grid.m + 1,):
             raise ValueError("left_values length does not match the grid")
         # corrected cumulative integral over the grid zone,
         # _cum[i] = int_{x_min}^{x_i}
-        self._cum = cumulative_integral(self.left_values, self.grid.h,
-                                        kinks=self.kink_nodes)
+        cum = cumulative_integral(left, self.grid.h, kinks=self.kink_nodes)
         # node slopes in units of one cell (derivative times h), as the
         # Hermite basis weighs them
-        self._slope_right, self._slope_left = self._fit_slopes()
-        self._slope_right *= self.h
-        self._slope_left *= self.h
+        right, left_slope = self._fit_slopes(left)
+        right *= self.h
+        left_slope *= self.h
+        for name, a in (("left_values", left), ("_cum", cum),
+                        ("_slope_right", right), ("_slope_left", left_slope)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @staticmethod
     def _segment_slopes(v: np.ndarray, h: float) -> np.ndarray:
@@ -478,8 +483,9 @@ class GridFunction:
             d[:] = (v[-1] - v[0]) / ((n - 1) * h) if n > 1 else 0.0
         return d
 
-    def _fit_slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell node derivatives, fitted per smooth segment.
+    def _fit_slopes(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell node derivatives of the values ``v``, fitted per smooth
+        segment.
 
         Returns (d_right, d_left): the slope to use at a node as the left
         end of its right cell, and as the right end of its left cell.  They
@@ -488,7 +494,7 @@ class GridFunction:
         adjacent secants (Fritsch-Carlson condition), which never binds on
         smooth exponential data but keeps the Hermite model monotone.
         """
-        v, h = self.left_values, self.grid.h
+        h = self.grid.h
         n = v.size
         bounds = sorted({0, n - 1} | {k for k in (*self.kink_nodes,
                                                   *self.slope_breaks)
@@ -515,21 +521,6 @@ class GridFunction:
     @property
     def h(self) -> float:
         return self.grid.h
-
-    @property
-    def tail_rate(self) -> float:
-        """The rate of the tail's real mode."""
-        return self.tail.rate
-
-    @property
-    def tail_coeff(self) -> float:
-        """The coefficient at x_min of the tail's real mode."""
-        return self.tail.coeff
-
-    @property
-    def tail_mass(self) -> float:
-        """Closed-form mass below x_min."""
-        return self.tail.mass
 
     def right_value_at_zero(self) -> float:
         """Right limit G(0+), from the first analytic piece."""
@@ -652,7 +643,7 @@ class GridFunction:
         """A(x) = integral of G over (-inf, x]; exact for the stored model."""
         if x <= self.x_min:
             return float(self.tail.integral(x - self.x_min))
-        total = self.tail_mass
+        total = self.tail.mass
         if x <= 0.0:
             pos = (x - self.x_min) / self.h
             i = min(int(pos), self.grid.m - 1)
@@ -672,7 +663,7 @@ class GridFunction:
         """A(x) at every point of an array x, as :meth:`integral_to` sums it
         one point at a time (a cell or piece it skips adds 0.0), on the
         tail by numpy's exp, so there to rounding."""
-        total = np.full(x.shape, self.tail_mass)
+        total = np.full(x.shape, self.tail.mass)
         tail = x <= self.x_min
         if tail.any():
             total[tail] = self.tail.value(x[tail] - self.x_min, integral=True)

@@ -46,7 +46,7 @@ def _grid_function_to_dict(g: GridFunction) -> dict[str, Any]:
     return {
         "left_values": g.left_values.tolist(),
         "right_pieces": [_piece_to_dict(p) for p in g.right_pieces],
-        "left_tail": {"coeff": g.tail_coeff, "rate": g.tail_rate,
+        "left_tail": {"coeff": g.tail.coeff, "rate": g.tail.rate,
                       "modes": [[lam.real, lam.imag, c.real, c.imag]
                                 for lam, c in g.tail.modes[1:]]},
         "kink_nodes": list(g.kink_nodes),
@@ -115,35 +115,9 @@ def profile_from_dict(d: dict[str, Any]) -> BiddingProfile | ExcursionProfile:
     return p
 
 
-def _write_json(doc: Any, fh) -> None:
-    """Write ``json.dumps(doc)`` to ``fh`` piece by piece.
-
-    ``json.dumps`` runs the C encoder, about twice as fast as the
-    pure-Python one of ``json.dump``, but holds one string per number until
-    it joins them (0.56 MB for a whole linear-search profile at the default
-    grid, 2 501 nodes per component), so objects are written key by key,
-    which holds one component's values at a time, and lists longer than
-    4096 items, which only finer grids give, in slices of 4096.
-    """
-    if isinstance(doc, dict):
-        fh.write("{")
-        for i, (key, value) in enumerate(doc.items()):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            _write_json(value, fh)
-        fh.write("}")
-    elif isinstance(doc, list) and len(doc) > 4096:
-        fh.write("[")
-        for i in range(0, len(doc), 4096):
-            fh.write((", " if i else "") + json.dumps(doc[i:i + 4096])[1:-1])
-        fh.write("]")
-    else:
-        fh.write(json.dumps(doc))
-
-
 def save_profile(p: BiddingProfile | ExcursionProfile, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(profile_to_dict(p), fh)
-        fh.write("\n")
+        fh.write(json.dumps(profile_to_dict(p)) + "\n")
 
 
 def load_profile(path: str) -> BiddingProfile | ExcursionProfile:

@@ -625,7 +625,7 @@ class TestTailClosure:
             rep = verify(p)
         assert rep.passed, rep.failures
         for g in p.components:
-            assert g.tail_coeff == 0.0 and g.tail_rate == rate(s)
+            assert g.tail.coeff == 0.0 and g.tail.rate == rate(s)
 
     def test_sweeps_from_zero_rise_until_the_first_jump(self):
         # from -6, where more than 50 sweeps precede the first jump
@@ -658,7 +658,7 @@ class TestTighten:
         # the modes of the tightened profile
         p = bidding_profiles[0.5]
         g2 = tighten(dataclasses.replace(p.g, tail=Tail.exponential(
-            2.0 * p.g.tail_rate, p.g.tail_coeff)), p.rho)
+            2.0 * p.g.tail.rate, p.g.tail.coeff)), p.rho)
         assert len(g2.tail.modes) == len(p.g.tail.modes)
         for (lam2, c2), (lam, c) in zip(g2.tail.modes, p.g.tail.modes):
             assert lam2 == pytest.approx(lam, rel=1e-12)

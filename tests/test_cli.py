@@ -20,7 +20,7 @@ from profile_lab.analysis import ConvergenceError, rho_ls_star, s_star
 from profile_lab.bidding import DEFAULT_X_MIN, BiddingProfile, _profile
 from profile_lab.cli import main
 from profile_lab.grids import make_grid
-from profile_lab.serialize import profile_to_dict
+from profile_lab.serialize import load_profile, profile_to_dict
 
 
 def run(capsys, *argv):
@@ -169,6 +169,55 @@ def test_curve_commands_exit_2_or_write_finite_rows(command, value, v_min,
         assert all(math.isfinite(c) and c > 0.0 for c in cells), (argv, row)
         if "chi_ls" in names:
             assert cells[names.index("chi_ls")] >= 1.0, (argv, row)
+
+
+# s in and around each problem's domain, (0, 1] and [S_MIN, s_*]: its ends
+# and their neighbours, 0, negatives, non-finite values, values above it,
+# and values below S_MIN, down to where rho overflows
+_OUTSIDE_S = [0.0, -0.0, -0.5, -math.inf, math.nan, math.inf, 1e-20, 1e-300,
+              1e-320, 5e-324, 2.0]
+_profile_s = {
+    "bidding": st.floats(0.05, 1.0) | st.floats(0.0, 1.2) | st.sampled_from(
+        [*_OUTSIDE_S, 1.0, math.nextafter(1.0, 2.0)]),
+    "linsearch": st.floats(0.05, s_star()) | st.floats(0.0, 1.4)
+    | st.floats(1e-12, 1e-9) | st.sampled_from(
+        [*_OUTSIDE_S, excursion.S_MIN, math.nextafter(excursion.S_MIN, 0.0),
+         s_star(), math.nextafter(s_star(), 2.0)]),
+}
+# the exit codes the CLI's docstring gives each profile command
+_PROFILE_EXITS = {"build": {0, 2, 3}, "verify": {0, 1, 2},
+                  "simulate": {0, 2, 4}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), problem=st.sampled_from(["bidding", "linsearch"]),
+       x_min=st.floats(-8.0, -0.5),
+       h=st.floats(1 / 200, 1 / 8) | st.floats(1 / 200, 0.25),
+       target=st.floats(-1e3, 1e3), seed=st.integers(0, 2**64 - 1))
+def test_profile_commands_exit_as_documented(tmp_path_factory, data, problem,
+                                             x_min, h, target, seed):
+    s = data.draw(_profile_s[problem], label="s")
+    path = tmp_path_factory.getbasetemp() / "fuzz-profile.json"
+    path.unlink(missing_ok=True)
+
+    def quiet(command, *argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["profile", command, *argv])
+        assert code in _PROFILE_EXITS[command], (command, argv, err.getvalue())
+        return code
+
+    code = quiet("build", f"--problem={problem}", f"--s={s!r}",
+                 f"--x-min={x_min!r}", f"--h={h!r}", f"--out={path}")
+    assert path.exists() == (code == 0)
+    if code != 0:
+        return
+    load_profile(str(path))
+    quiet("verify", str(path))
+    # the walk runs about ln(T)/(2s) steps: cheap only away from s = 0
+    if s >= 0.05:
+        quiet("simulate", str(path), f"--target={target!r}",
+              "--samples=2000", f"--seed={seed}")
 
 
 class TestProfileCommands:

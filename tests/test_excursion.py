@@ -13,7 +13,7 @@ from profile_lab.analysis import (DomainError, linear_tradeoff, rho_ls_star,
                                   s_star, solve_K, solve_sK)
 from profile_lab.excursion import (C_minus, C_plus, build_excursion_profile,
                                    strategy_cost_linear, verify_excursion)
-from profile_lab.grids import GridFunction, Piece, make_grid
+from profile_lab.grids import GridFunction, Piece, Tail, make_grid
 
 S_K = solve_sK()
 S_STAR = s_star()
@@ -330,6 +330,26 @@ class TestVerify:
         assert not rep.offset_ok
         assert ("offset: G+ must be < 1 left of 0 and >= 1 right of 0"
                 in rep.failures)
+
+    def test_a_built_component_cannot_change(self):
+        # verify trusts the tails that _profile derived by the identity of
+        # the components that carry them, so a built component is frozen:
+        # a tail 5e-4 off its projection cannot be put in place, and a copy
+        # that carries it is projected again and rejected
+        p = build_excursion_profile(0.9)
+        gp = p.g_plus
+        (r, c), *waves = gp.tail.modes
+        off = Tail(((r, 0.9995 * c), *waves))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gp.tail = off
+        for a in (gp.left_values, gp._cum, gp._slope_right, gp._slope_left):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert verify_excursion(p).passed
+        rep = verify_excursion(dataclasses.replace(
+            p, g_plus=dataclasses.replace(gp, tail=off)))
+        (failure,) = rep.failures
+        assert failure.startswith("tail: G+ is 5.000e-04 off its projection")
 
     def test_one_verify_for_both_problems(self):
         assert verify_excursion is bd.verify

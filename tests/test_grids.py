@@ -347,7 +347,7 @@ class TestGridFunction:
 
     def test_tail_mass(self, exp_grid_function):
         g = exp_grid_function
-        assert g.tail_mass == pytest.approx(math.exp(-10.0), rel=1e-12)
+        assert g.tail.mass == pytest.approx(math.exp(-10.0), rel=1e-12)
 
     def test_zero_first_value_has_no_tail(self):
         # the tail continues the grid from its first value: an underflowed
@@ -360,8 +360,8 @@ class TestGridFunction:
                          right_pieces=(Piece.exponential(
                              1.0, 1.0, 0.0, 0.0, math.inf),),
                          tail=Tail.exponential(1.0, vals[0]))
-        assert g.tail_coeff == 0.0
-        assert g.tail_mass == 0.0
+        assert g.tail.coeff == 0.0
+        assert g.tail.mass == 0.0
         assert g.integral_to(-6.0) == 0.0
         assert g.value(-6.0) == 0.0
         assert grid.positions[49] <= g.tau(1e-300) <= grid.positions[50]
@@ -487,7 +487,7 @@ class TestSlopeBreaks:
         # first modes overshoot G(x_min) by 3.1e-4 relative there and the
         # tail falls back to one exponential, which cannot carry a profile
         # below a window this short, and the tail check says so
-        assert g.tail == Tail.exponential(g.tail_rate, v[0])
+        assert g.tail == Tail.exponential(g.tail.rate, v[0])
         rep = verify(p)
         (failure,) = rep.failures
         assert failure.startswith("robustness")

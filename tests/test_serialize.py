@@ -17,6 +17,17 @@ from profile_lab.serialize import (load_profile, profile_from_dict,
                                    profile_to_dict, save_profile)
 
 
+def _assert_same_components(q, p):
+    """Every stored part of every component of q is p's, exactly: left
+    values, right pieces, each mode of the tail, and kink nodes."""
+    assert len(q.components) == len(p.components)
+    for a, b in zip(q.components, p.components):
+        np.testing.assert_array_equal(a.left_values, b.left_values)
+        assert a.right_pieces == b.right_pieces
+        assert a.tail == b.tail
+        assert a.kink_nodes == b.kink_nodes
+
+
 def test_bidding_roundtrip(tmp_path, bidding_profiles):
     p = bidding_profiles[0.8]
     path = str(tmp_path / "p.json")
@@ -24,11 +35,7 @@ def test_bidding_roundtrip(tmp_path, bidding_profiles):
     q = load_profile(path)
     assert isinstance(q, BiddingProfile)
     assert (q.s, q.rho, q.chi) == (p.s, p.rho, p.chi)
-    np.testing.assert_array_equal(q.g.left_values, p.g.left_values)
-    assert q.g.right_pieces == p.g.right_pieces
-    assert q.g.tail_rate == p.g.tail_rate
-    assert q.g.tail_coeff == p.g.tail_coeff
-    assert q.g.kink_nodes == p.g.kink_nodes
+    _assert_same_components(q, p)
     assert verify(q).passed
 
 
@@ -39,10 +46,7 @@ def test_excursion_roundtrip(tmp_path, excursion_profiles):
     q = load_profile(path)
     assert isinstance(q, ExcursionProfile)
     assert (q.s, q.rho, q.chi, q.K, q.M) == (p.s, p.rho, p.chi, p.K, p.M)
-    np.testing.assert_array_equal(q.g_plus.left_values, p.g_plus.left_values)
-    np.testing.assert_array_equal(q.g_minus.left_values,
-                                  p.g_minus.left_values)
-    assert q.g_minus.right_pieces == p.g_minus.right_pieces
+    _assert_same_components(q, p)
     assert verify_excursion(q).passed
 
 
@@ -55,9 +59,12 @@ def test_double_roundtrip_is_stable(tmp_path, bidding_profiles):
     assert open(a).read() == open(b).read()
 
 
-def test_saved_bytes_are_json_dumps(tmp_path):
-    # a window from -10 holds 6 251 left values, written in slices of 4096
-    for i, p in enumerate((build_profile(0.8, x_min=-10.0),
+def test_saved_bytes_are_json_dumps(tmp_path, bidding_profiles,
+                                    excursion_profiles):
+    # one line of json.dumps, at the default grid (2 501 left values per
+    # component) and from a window of -10 (6 251)
+    for i, p in enumerate((bidding_profiles[0.8], excursion_profiles[0.9],
+                           build_profile(0.8, x_min=-10.0),
                            build_excursion_profile(0.9, x_min=-10.0))):
         path = tmp_path / f"{i}.json"
         save_profile(p, str(path))

@@ -1,4 +1,5 @@
-"""The benchmark's trace bindings name attributes the library defines.
+"""The benchmark's trace bindings name attributes the library defines, and
+the refactor gate ``tools/compare_outputs.py`` names every changed file.
 
 ``perfbench/tracing.py`` wraps each binding where callers look it up
 (``owner.__dict__[attr]``); a refactor that moves or renames one of these
@@ -6,6 +7,7 @@ names must fail here, not only in a traced benchmark run.
 """
 
 import importlib
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -15,7 +17,8 @@ import pytest
 
 from profile_lab import analysis, bidding, excursion, grids
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = str(ROOT / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
     import tracing
@@ -106,3 +109,22 @@ def test_each_problem_integrates_under_its_own_module_name(monkeypatch):
     assert sum(fresh) >= 2
     assert calls == {"bidding": 0,
                      "excursion": 2 * p.iterations + sum(fresh)}
+
+
+def test_compare_outputs_names_each_changed_or_lone_file(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "tools" / "compare_outputs.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for top in (a, b):
+        (top / "fig").mkdir(parents=True)
+        (top / "same.txt").write_text("1.0\n")
+        (top / "fig" / "moved.csv").write_text(f"{top.name}\n")
+    (a / "fig" / "gone.csv").write_text("x\n")
+    (b / "new.json").write_text("{}\n")
+    names = ("REV", "the working tree")
+    assert compare.differences(a, b, names) == [
+        "only in REV: fig/gone.csv", "differs: fig/moved.csv",
+        "only in the working tree: new.json"]
+    assert compare.differences(a, a, names) == []

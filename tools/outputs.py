@@ -123,7 +123,7 @@ def _tail_lines(path: str, p):
         excess = max(share(T) / (rho * T) - 1.0 for T in np.geomspace(
             1e-6 * top, top, TAIL_TARGETS).tolist())
         yield (f"{path} {label} {g.x_min!r} {len(g.tail.modes)} "
-               f"{g.tail_mass!r} {excess!r}\n")
+               f"{g.tail.mass!r} {excess!r}\n")
         for j, ((lam, c), (_, c0), (_, c1)) in enumerate(zip(
                 g.tail.modes, first, last)):
             deep = _deep(bidding, k, rho, lam, c1 / c0 if c0 else math.nan)
